@@ -199,7 +199,7 @@ def _cmd_verify(args):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read certificate file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, non-ASCII bytes, over-long integers
         raise InputError(f"certificate file is not valid JSON: {exc}")
     if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]

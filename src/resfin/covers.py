@@ -11,7 +11,6 @@ of quotient orders that provably kill them.
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import InputError, InternalError
 from .lcmlib import lcm_witness
@@ -92,16 +91,6 @@ def analyze_cover(q: PermQuotient) -> CoverAnalysis:
     )
 
 
-def _cycle_length_through(q: PermQuotient, point: int) -> int:
-    x = q.gens[0]
-    length = 1
-    cur = x.apply(point)
-    while cur != point:
-        cur = x.apply(cur)
-        length += 1
-    return length
-
-
 def lift_closed(q: PermQuotient, point: int, exponent: int) -> bool:
     """Does the lift of the first loop's exponent-th power close at point?
 
@@ -115,7 +104,8 @@ def lift_closed(q: PermQuotient, point: int, exponent: int) -> bool:
         raise InputError(f"point {point} outside 1..{q.degree}")
     if not isinstance(exponent, int):
         raise InputError(f"exponent must be an integer, got {exponent!r}")
-    return exponent % _cycle_length_through(q, point) == 0
+    length = next(len(c) for c in q.gens[0].cycles() if point in c)
+    return exponent % length == 0
 
 
 def obstruction_scan(m: int, max_degree: int) -> dict:
@@ -191,7 +181,7 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
         for q in range(2, order_cap + 1):
             survivor = any(
                 not eval_word(quot, cert.word).is_identity
-                for quot in enumerate_normal(2, q)
+                for quot in enumerate_normal(2, q, max_degree=order_cap)
             )
             if survivor:
                 if q <= ell:

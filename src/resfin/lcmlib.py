@@ -102,7 +102,7 @@ def _witness_rank_one(targets: tuple[FreeWord, ...], budget: int) -> WitnessCert
     builder = SLBuilder(1)
     base = builder.gen(1)
     target_nodes = [builder.word(t) for t in targets]
-    root = builder.pow(base, m) if m != 1 else base
+    root = builder.pow(base, m)
     derivations = []
     for node, e in zip(target_nodes, exponents):
         steps = [_ground(node)]
@@ -356,9 +356,9 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
 
 
 def cert_from_json(data) -> WitnessCertificate:
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
+        if isinstance(data, str):
+            data = json.loads(data)
         rank = data["rank"]
         word = SLWord(rank, [tuple(n) for n in data["nodes"]], data["root"])
         targets = tuple(parse_word(t, rank) for t in data["targets"])
@@ -375,7 +375,7 @@ def cert_from_json(data) -> WitnessCertificate:
             flat=flat,
             nontrivial_verified=bool(data["nontrivial_verified"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate: {exc}") from exc
 
 

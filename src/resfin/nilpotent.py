@@ -1,11 +1,14 @@
-"""Unipotent integer matrices and the Heisenberg girth bound.
+"""Heisenberg elements as integer triples, evaluation, modular girth bounds.
 
-Sending the two generators to elementary matrices embeds words into the
-integer Heisenberg group.  Ball images have small entries (the exact
-maximum is found by walking distinct matrices, not words), so reducing
-mod a modulus larger than twice that maximum keeps distinct images
-distinct.  The finite unipotent group mod M then witnesses a polynomial
-upper bound for residual girth on the nilpotent side.
+The integer Heisenberg group is the group of 3x3 upper unitriangular
+integer matrices; an element is stored as its three upper entries
+(a, b, c) at (0,1), (1,2) and (0,2).  Sending the two generators to the
+elementary matrices E12 and E23 embeds words into it.  Ball images have
+small entries (the exact maximum is found by walking distinct elements,
+not words), so reducing mod a modulus larger than twice that maximum
+keeps distinct images distinct.  The finite Heisenberg group mod M, of
+order M^3, then witnesses a polynomial upper bound for residual girth on
+the nilpotent side.
 """
 
 from dataclasses import dataclass
@@ -13,99 +16,79 @@ from dataclasses import dataclass
 from .errors import InputError, InternalError
 from .words import FreeWord
 
-_HEISENBERG_DIM = 3
+# upper entries (a, b, c) of x, x^-1, y, y^-1 under x to E12, y to E23
+_GENERATOR_TRIPLES = {1: (1, 0, 0), -1: (-1, 0, 0), 2: (0, 1, 0), -2: (0, -1, 0)}
 
 
-def _identity_rows(d: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+def _mul(u: tuple, v: tuple) -> tuple:
+    """(a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab')."""
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1])
+
+
+def _max_entry(t: tuple) -> int:
+    # the unit diagonal counts, so the identity reads 1
+    return max(1, abs(t[0]), abs(t[1]), abs(t[2]))
+
+
+def _reduce(t: tuple, m: int) -> tuple:
+    if m < 2:
+        raise InputError(f"modulus must be at least 2, got {m}")
+    return (t[0] % m, t[1] % m, t[2] % m)
 
 
 @dataclass(frozen=True)
 class UnipotentMatrix:
-    """Upper triangular integer matrix with unit diagonal."""
+    """3x3 upper unitriangular integer matrix, a Heisenberg group element.
 
-    entries: tuple
+    Built from its rows; `triple` holds the upper entries (a, b, c) at
+    (0,1), (1,2) and (0,2), which determine it.
+    """
+
+    triple: tuple
 
     def __init__(self, entries):
         rows = tuple(tuple(int(v) for v in row) for row in entries)
-        d = len(rows)
-        if d == 0 or any(len(row) != d for row in rows):
-            raise InputError("entries must form a square matrix")
-        for i in range(d):
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            raise InputError("entries must form a 3x3 matrix")
+        for i in range(3):
             if rows[i][i] != 1:
                 raise InputError(f"diagonal entry at {i} is {rows[i][i]}, not 1")
             for j in range(i):
                 if rows[i][j] != 0:
                     raise InputError(f"entry below the diagonal at ({i},{j}) is nonzero")
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "triple", (rows[0][1], rows[1][2], rows[0][2]))
 
     @classmethod
-    def identity(cls, d: int = _HEISENBERG_DIM) -> "UnipotentMatrix":
-        return cls(_identity_rows(d))
+    def _from_triple(cls, triple: tuple) -> "UnipotentMatrix":
+        m = object.__new__(cls)
+        object.__setattr__(m, "triple", triple)
+        return m
+
+    @classmethod
+    def identity(cls) -> "UnipotentMatrix":
+        return cls._from_triple((0, 0, 0))
 
     @property
-    def dimension(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple:
+        a, b, c = self.triple
+        return ((1, a, c), (0, 1, b), (0, 0, 1))
 
     @property
     def is_identity(self) -> bool:
-        return self.entries == _identity_rows(self.dimension)
+        return self.triple == (0, 0, 0)
 
     def __mul__(self, other: "UnipotentMatrix") -> "UnipotentMatrix":
-        d = self.dimension
-        if other.dimension != d:
-            raise InputError("dimension mismatch")
-        a, b = self.entries, other.entries
-        return UnipotentMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(i, j + 1)) for j in range(d))
-                for i in range(d)
-            )
-        )
+        return UnipotentMatrix._from_triple(_mul(self.triple, other.triple))
 
     def inverse(self) -> "UnipotentMatrix":
-        # (I + N)^-1 = I - N + N^2 - ..., a finite sum since N is nilpotent
-        d = self.dimension
-        n = tuple(
-            tuple(self.entries[i][j] - (1 if i == j else 0) for j in range(d))
-            for i in range(d)
-        )
-        total = [list(row) for row in _identity_rows(d)]
-        power = _identity_rows(d)
-        sign = 1
-        for _ in range(d - 1):
-            power = tuple(
-                tuple(sum(power[i][k] * n[k][j] for k in range(d)) for j in range(d))
-                for i in range(d)
-            )
-            sign = -sign
-            for i in range(d):
-                for j in range(d):
-                    total[i][j] += sign * power[i][j]
-        return UnipotentMatrix(total)
+        a, b, c = self.triple
+        return UnipotentMatrix._from_triple((-a, -b, a * b - c))
 
     def max_entry(self) -> int:
-        return max(abs(v) for row in self.entries for v in row)
+        return _max_entry(self.triple)
 
     def reduce_mod(self, m: int) -> "UnipotentMatrix":
-        if m < 2:
-            raise InputError(f"modulus must be at least 2, got {m}")
-        d = self.dimension
-        return UnipotentMatrix(
-            tuple(
-                tuple(
-                    1 if i == j else (self.entries[i][j] % m if j > i else 0)
-                    for j in range(d)
-                )
-                for i in range(d)
-            )
-        )
-
-
-def _heisenberg_generators() -> tuple:
-    x = UnipotentMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-    y = UnipotentMatrix(((1, 0, 0), (0, 1, 1), (0, 0, 1)))
-    return (x, y)
+        return UnipotentMatrix._from_triple(_reduce(self.triple, m))
 
 
 def heisenberg_eval(w: FreeWord, *, modulus: int | None = None) -> UnipotentMatrix:
@@ -118,29 +101,27 @@ def heisenberg_eval(w: FreeWord, *, modulus: int | None = None) -> UnipotentMatr
         raise InputError(f"need a FreeWord, got {type(w).__name__}")
     if w.rank != 2:
         raise InputError(f"the Heisenberg embedding takes rank-2 words, got rank {w.rank}")
-    x, y = _heisenberg_generators()
-    table = {1: x, -1: x.inverse(), 2: y, -2: y.inverse()}
+    table = _GENERATOR_TRIPLES
     if modulus is not None:
-        table = {k: v.reduce_mod(modulus) for k, v in table.items()}
-    out = UnipotentMatrix.identity()
+        table = {k: _reduce(v, modulus) for k, v in table.items()}
+    out = (0, 0, 0)
     for letter in w.letters:
-        out = out * table[letter]
+        out = _mul(out, table[letter])
         if modulus is not None:
-            out = out.reduce_mod(modulus)
-    return out
+            out = _reduce(out, modulus)
+    return UnipotentMatrix._from_triple(out)
 
 
 def _ball_images(n: int) -> set:
-    """Distinct Heisenberg images of the radius-n ball, by matrix BFS."""
-    x, y = _heisenberg_generators()
-    steps = (x, x.inverse(), y, y.inverse())
-    seen = {UnipotentMatrix.identity()}
+    """Distinct Heisenberg images of the radius-n ball as (a, b, c), by BFS."""
+    steps = tuple(_GENERATOR_TRIPLES.values())
+    seen = {(0, 0, 0)}
     frontier = list(seen)
     for _ in range(n):
         nxt = []
-        for m in frontier:
+        for t in frontier:
             for s in steps:
-                img = m * s
+                img = _mul(t, s)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -152,7 +133,7 @@ def entry_bound(n: int) -> int:
     """Exact max absolute entry over the radius-n ball image."""
     if n < 0:
         raise InputError(f"radius must be nonnegative, got {n}")
-    exact = max(m.max_entry() for m in _ball_images(n))
+    exact = max(map(_max_entry, _ball_images(n)))
     analytic = n * (n + 1) // 2 + 1
     if exact > analytic:
         raise InternalError(
@@ -166,14 +147,13 @@ def girth_upper_bound_nilpotent(n: int) -> tuple:
 
     The modulus exceeds twice the exact entry maximum, so distinct integer
     images stay distinct mod M; the check is still run pairwise.  The
-    order is the exact count of unipotent matrices over Z/M, M^(d(d-1)/2).
+    order is the exact count of Heisenberg elements over Z/M, M^3.
     """
     if n < 1:
         raise InputError(f"radius must be positive, got {n}")
     images = _ball_images(n)
-    m = 2 * max(img.max_entry() for img in images) + 1
-    reduced = {img.reduce_mod(m) for img in images}
+    m = 2 * max(map(_max_entry, images)) + 1
+    reduced = {_reduce(t, m) for t in images}
     if len(reduced) != len(images):
         raise InternalError(f"reduction mod {m} collapsed distinct ball images")
-    d = _HEISENBERG_DIM
-    return (m, m ** (d * (d - 1) // 2), True)
+    return (m, m ** 3, True)

@@ -11,7 +11,6 @@ rather than extrapolate past a cap.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
@@ -176,7 +175,10 @@ def max_divisibility(
 
     The row reports the max and its first witness word in word order; if
     any element stays unknown at the cap the max itself is unknown and
-    only a lower bound survives.
+    only a lower bound survives.  All work runs on one thread: the
+    searches are pure Python and bound by the interpreter lock, so a
+    thread pool measured slower.  `threads` is still validated and has no
+    effect on the result.
     """
     if n < 1:
         raise InputError(f"radius must be positive, got {n}")
@@ -184,15 +186,7 @@ def max_divisibility(
         raise InputError(f"threads must be positive, got {threads}")
     words = list(Ball(rank, n).nontrivial())
     search = normal_divisibility if normal else divisibility
-
-    def job(w: FreeWord) -> int | None:
-        return search(w, cap).value
-
-    if threads == 1:
-        values = [job(w) for w in words]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(job, words))
+    values = [search(w, cap).value for w in words]
 
     known = [v for v in values if v is not None]
     unresolved = sum(1 for v in values if v is None)

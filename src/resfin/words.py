@@ -169,10 +169,6 @@ def power(u: FreeWord, k: int, *, cap: int = DEFAULT_FLAT_CAP) -> FreeWord:
     return FreeWord(u.rank, prefix + body + tuple(-x for x in reversed(prefix)))
 
 
-def word_length(u: FreeWord) -> int:
-    return len(u.letters)
-
-
 def letter_key(letter: int) -> tuple[int, int]:
     """Sort key realizing the order x < x^-1 < y < y^-1 < ..."""
     return (abs(letter), 0 if letter > 0 else 1)

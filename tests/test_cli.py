@@ -64,6 +64,36 @@ def test_certificate_roundtrip(tmp_path, capsys):
     assert run(["verify", "--certificate", str(tmp_path / "missing.json")]) == 1
 
 
+def test_malformed_certificates_exit_one(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0
+    text = path.read_text()
+    data = json.loads(text)
+    bound = data["certificate"]["declared_bound"]
+    step_is_string = json.loads(text)
+    step_is_string["certificate"]["derivations"][0][0] = "ground"
+    bound_not_int = json.loads(text)
+    bound_not_int["certificate"]["declared_bound"] = "four"
+    shapes = {
+        "digits": text.replace(f'"declared_bound": {bound}', '"declared_bound": ' + "9" * 5000),
+        "step": json.dumps(step_is_string),
+        "bound": json.dumps(bound_not_int),
+    }
+    assert "9" * 5000 in shapes["digits"]
+    for name, body in shapes.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(body)
+        assert run(["verify", "--certificate", str(bad)]) == 1, name
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:"), name
+
+
+def test_rank_one_witness_with_lcm_one(capsys):
+    for targets in ("A", "a,A"):
+        assert run(["lcm-witness", "--set", targets, "--format", "csv"]) == 0
+        assert out_of(capsys).splitlines()[1].endswith(",1,true,true")
+
+
 def test_threads_and_seed_do_not_change_bytes(capsys):
     argv = ["dmax", "--rank", "2", "--radius", "2", "--cap", "8", "--normal",
             "--format", "csv"]

@@ -121,6 +121,13 @@ def test_theorem4_unresolved_row_resolves_with_a_larger_cap():
     assert row["resolved"]
 
 
+def test_theorem4_scans_up_to_the_callers_cap():
+    # row 3 survives no quotient up to 17, so the scan reaches order 17,
+    # past the search's default degree cap of 16
+    rows = theorem4_experiment(3, order_cap=17)
+    assert [r["dnormal_lower"] for r in rows] == [2, 12, 18]
+
+
 def test_theorem4_is_deterministic():
     assert theorem4_experiment(3) == theorem4_experiment(3)
 

@@ -117,6 +117,15 @@ def test_rank_one_witness_is_the_numeric_lcm():
     assert rules == ["ground", "power"]
 
 
+def test_rank_one_witness_when_the_lcm_is_one():
+    x = generator(1, 1)
+    for targets in ([power(x, -1)], [x, power(x, -1)]):
+        cert = lcm_witness(targets)
+        assert cert.flat == x
+        assert cert.declared_bound == 1
+        assert verify_certificate(cert)
+
+
 def test_input_validation():
     with pytest.raises(InputError):
         lcm_witness([])

@@ -13,6 +13,7 @@ import pytest
 from resfin.errors import InputError
 from resfin.nilpotent import (
     UnipotentMatrix,
+    _ball_images,
     entry_bound,
     girth_upper_bound_nilpotent,
     heisenberg_eval,
@@ -125,9 +126,13 @@ def test_girth_bound_polynomial_envelope():
         assert bound <= (n * n + 3) ** 3
 
 
-def test_ball_image_growth_is_strict():
-    from resfin.nilpotent import _ball_images
+def test_ball_images_match_oracle():
+    for n in range(7):
+        oracle = {(r[0][1], r[1][2], r[0][2]) for r in map(oracle_eval, Ball(2, n))}
+        assert _ball_images(n) == oracle
 
+
+def test_ball_image_growth_is_strict():
     counts = [len(_ball_images(n)) for n in range(7)]
     assert counts[:4] == [1, 5, 17, 53]  # no collisions below length 4
     assert counts[4] < 161  # and some at length 4
@@ -144,23 +149,16 @@ def test_modular_eval_matches_reduced_integer_eval():
 
 def test_matrix_validation():
     with pytest.raises(InputError):
-        UnipotentMatrix(((1, 0), (0, 2)))  # bad diagonal
+        UnipotentMatrix(((1, 0, 0), (0, 2, 0), (0, 0, 1)))  # bad diagonal
     with pytest.raises(InputError):
-        UnipotentMatrix(((1, 0), (3, 1)))  # below the diagonal
+        UnipotentMatrix(((1, 0, 0), (3, 1, 0), (0, 0, 1)))  # below the diagonal
     with pytest.raises(InputError):
         UnipotentMatrix(((1, 0, 0), (0, 1, 0)))  # not square
     with pytest.raises(InputError):
-        UnipotentMatrix.identity(3).reduce_mod(1)
+        UnipotentMatrix(((1, 0), (0, 1)))  # square but not 3x3
+    with pytest.raises(InputError):
+        UnipotentMatrix.identity().reduce_mod(1)
     with pytest.raises(InputError):
         heisenberg_eval(parse_word("abc", 3))
     with pytest.raises(InputError):
         heisenberg_eval("abAB")
-    with pytest.raises(InputError):
-        UnipotentMatrix.identity(2) * UnipotentMatrix.identity(3)
-
-
-def test_general_dimension_inverse():
-    m = UnipotentMatrix(((1, 2, 3, 4), (0, 1, 5, 6), (0, 0, 1, 7), (0, 0, 0, 1)))
-    assert (m * m.inverse()).is_identity
-    assert (m.inverse() * m).is_identity
-    assert m.reduce_mod(5).entries[0][1] == 2 % 5
