@@ -93,6 +93,8 @@ def _parse_word_set(text: str):
 
 
 def _cmd_growth(args):
+    if args.max < 0:
+        raise InputError(f"--max must be nonnegative, got {args.max}")
     rows = [
         {"n": n, "ball_size": word_growth(args.rank, n)} for n in range(args.max + 1)
     ]

@@ -247,9 +247,12 @@ def _replay(cert: WitnessCertificate, index: int, cap: int) -> list[str]:
         where = f"derivation {index} step {pos}"
         rule = step.get("rule")
         node = step.get("node")
-        premises = list(step.get("premises", []))
+        premises = step.get("premises", [])
         if not (isinstance(node, int) and 0 <= node < len(nodes)):
             failures.append(f"{where}: node {node!r} out of range")
+            break
+        if not isinstance(premises, list):
+            failures.append(f"{where}: premises {premises!r} are not a list")
             break
         shape = nodes[node]
         if any(not (isinstance(p, int) and p in derived) for p in premises):
@@ -355,22 +358,33 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
     }
 
 
+def _word_field(text, rank: int) -> FreeWord:
+    if not isinstance(text, str):
+        raise InputError(f"malformed certificate: word {text!r} is not a string")
+    return parse_word(text, rank)
+
+
 def cert_from_json(data) -> WitnessCertificate:
     try:
         if isinstance(data, str):
             data = json.loads(data)
         rank = data["rank"]
         word = SLWord(rank, [tuple(n) for n in data["nodes"]], data["root"])
-        targets = tuple(parse_word(t, rank) for t in data["targets"])
+        targets = tuple(_word_field(t, rank) for t in data["targets"])
         derivations = tuple(
             tuple(dict(step) for step in steps) for steps in data["derivations"]
         )
-        flat = None if data["flat"] is None else parse_word(data["flat"], rank)
+        flat = None if data["flat"] is None else _word_field(data["flat"], rank)
+        bound = data["declared_bound"]
+        if type(bound) is not int:  # bool is an int subclass and is refused too
+            raise InputError(
+                f"malformed certificate: declared_bound {bound!r} is not an integer"
+            )
         return WitnessCertificate(
             rank=rank,
             targets=targets,
             word=word,
-            declared_bound=int(data["declared_bound"]),
+            declared_bound=bound,
             derivations=derivations,
             flat=flat,
             nontrivial_verified=bool(data["nontrivial_verified"]),

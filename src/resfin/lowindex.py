@@ -8,12 +8,21 @@ points only at their first reference. That discipline makes every finished
 table its own canonical form, so each subgroup and each kernel is produced
 exactly once, with no abstract-group catalog anywhere.
 
-Regular mode adds three sound pruning devices on top:
+Regular mode adds sound pruning devices on top:
   - every table entry that joins two known points yields a word fixing the
-    basepoint, which in a regular action must act trivially; those words
-    are rescanned from every point, contradictions cut the branch, and
-    single-gap scans force table entries,
+    basepoint (a relator), which in a regular action must act trivially.
+    Deductions run Felsch-style off a queue of scans: a new relator is
+    walked once from every point, and a new entry (a, g, b) only along
+    the relator rotations that start with g from a or with g^-1 from b.
+    A closed walk that misses its start cuts the branch, and a walk with
+    a single gap forces that entry, which is queued in turn. The
+    fixpoint is the same as a rescan of every relator from every point,
+    so the emitted sequence does not depend on the queue order,
   - generator cycles must share one length dividing the degree,
+  - with a kernel radius r > 0, a relator whose cyclic reduction has
+    length <= r cuts the branch: it is a nontrivial kernel element of
+    every completion, so no completion is injective on the radius r/2
+    ball,
   - finished tables are still checked with is_regular before emission.
 """
 
@@ -32,7 +41,7 @@ from .permrep import (
     is_regular,
     is_transitive,
 )
-from .words import FreeWord, enumerate_ball
+from .words import FreeWord, _free_reduce, enumerate_ball
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -40,24 +49,32 @@ _CACHE_PLAIN_LIMIT = 6
 _CACHE_REGULAR_LIMIT = 12
 
 
-def _reduce_tuple(raw):
-    stack = []
-    for letter in raw:
-        if stack and stack[-1] == -letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
+def _cyclic_length(rel: tuple[int, ...]) -> int:
+    """Length of a freely reduced nontrivial word after cyclic reduction."""
+    n = len(rel)
+    i = 0
+    while n - 2 * i > 1 and rel[i] == -rel[n - 1 - i]:
+        i += 1
+    return n - 2 * i
 
 
-def _search(rank: int, degree: int, regular: bool) -> Iterator[PermQuotient]:
+def _search(
+    rank: int, degree: int, regular: bool, kernel_radius: int = 0
+) -> Iterator[PermQuotient]:
     m = rank
     fwd = [[-1] * degree for _ in range(m)]
     bwd = [[-1] * degree for _ in range(m)]
+    # step[x][p]: p moved by the letter x; a negative x indexes from the
+    # end, where the backward rows sit in reverse order
+    step = [None, *fwd, *reversed(bwd)]
     state = {"used": 1}
     bfs_word: list[tuple[int, ...]] = [()]
-    relators: list[tuple[int, ...]] = []
     relator_set: set[tuple[int, ...]] = set()
+    # letter -> every rotation of a relator that starts with that letter
+    rotations: dict[int, list[tuple[int, ...]]] = {
+        x: [] for g in range(1, m + 1) for x in (g, -g)
+    }
+    pending: list[tuple[tuple[int, ...], int]] = []  # (relator, start) to scan
     cycle_len = [0] * m
     trail: list[tuple] = []
 
@@ -67,6 +84,8 @@ def _search(rank: int, degree: int, regular: bool) -> Iterator[PermQuotient]:
         trail.append(("edge", a, g, b))
         if not regular:
             return True
+        pending.extend((rot, a) for rot in rotations[g + 1])
+        pending.extend((rot, b) for rot in rotations[-g - 1])
         # a closed generator cycle must have one shared length dividing
         # the degree (cycles of right translation are cosets)
         length = 1
@@ -84,66 +103,60 @@ def _search(rank: int, degree: int, regular: bool) -> Iterator[PermQuotient]:
                 return False
         return True
 
-    def add_relator(a: int, g: int, b: int) -> None:
+    def add_relator(a: int, g: int, b: int) -> bool:
         inv_b = tuple(-letter for letter in reversed(bfs_word[b]))
-        rel = _reduce_tuple(bfs_word[a] + (g + 1,) + inv_b)
-        if rel and rel not in relator_set:
-            relators.append(rel)
-            relator_set.add(rel)
-            trail.append(("rel",))
+        rel = _free_reduce(bfs_word[a] + (g + 1,) + inv_b)
+        if not rel or rel in relator_set:
+            return True
+        if kernel_radius and _cyclic_length(rel) <= kernel_radius:
+            return False
+        relator_set.add(rel)
+        trail.append(("rel", rel))
+        for k, letter in enumerate(rel):
+            rotations[letter].append(rel[k:] + rel[:k])
+        pending.extend((rel, start) for start in range(state["used"]))
+        return True
 
     def deduce(letter: int, src: int, dst: int) -> bool:
         """Force the gap step: letter carries src to dst."""
+        if step[-letter][dst] >= 0:  # step[letter][src] is the gap itself
+            return False
         if letter > 0:
             a, g, b = src, letter - 1, dst
         else:
             a, g, b = dst, -letter - 1, src
-        if fwd[g][a] >= 0 or bwd[g][b] >= 0:
-            return False
-        if not add_edge(a, g, b):
-            return False
-        add_relator(a, g, b)
-        return True
+        return add_edge(a, g, b) and add_relator(a, g, b)
 
     def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(relators):
-                rel = relators[i]
-                i += 1
-                for start in range(state["used"]):
-                    cur = start
-                    pos = 0
-                    while pos < len(rel):
-                        letter = rel[pos]
-                        g = abs(letter) - 1
-                        nxt = fwd[g][cur] if letter > 0 else bwd[g][cur]
-                        if nxt < 0:
-                            break
-                        cur = nxt
-                        pos += 1
-                    if pos == len(rel):
-                        if cur != start:
-                            return False
-                        continue
-                    # walk backward from the endpoint to bracket the gap
-                    end = start
-                    j = len(rel) - 1
-                    while j > pos:
-                        letter = rel[j]
-                        g = abs(letter) - 1
-                        prv = bwd[g][end] if letter > 0 else fwd[g][end]
-                        if prv < 0:
-                            break
-                        end = prv
-                        j -= 1
-                    if j > pos:
-                        continue  # two gaps, nothing to deduce
-                    if not deduce(rel[pos], cur, end):
-                        return False
-                    changed = True
+        """Drain the scan queue; False on a contradiction."""
+        while pending:
+            rel, start = pending.pop()
+            n = len(rel)
+            cur = start
+            pos = 0
+            while pos < n:
+                nxt = step[rel[pos]][cur]
+                if nxt < 0:
+                    break
+                cur = nxt
+                pos += 1
+            if pos == n:
+                if cur != start:
+                    return False
+                continue
+            # walk backward from the endpoint to bracket the gap
+            end = start
+            j = n - 1
+            while j > pos:
+                prv = step[-rel[j]][end]
+                if prv < 0:
+                    break
+                end = prv
+                j -= 1
+            if j > pos:
+                continue  # two gaps, nothing to deduce
+            if not deduce(rel[pos], cur, end):
+                return False
         return True
 
     def first_slot():
@@ -194,8 +207,16 @@ def _search(rank: int, degree: int, regular: bool) -> Iterator[PermQuotient]:
             ok = add_edge(a, g, b)
             if ok and regular:
                 if r != used:
-                    add_relator(a, g, b)
-                ok = propagate()
+                    ok = add_relator(a, g, b)
+                else:
+                    # add_edge queued the scans through the new entry; any
+                    # other scan from the fresh point meets a gap at both
+                    # ends, one and the same only for a one-letter relator
+                    pending.extend(
+                        ((x,), r) for x in rotations if (x,) in relator_set
+                    )
+                ok = ok and propagate()
+            pending.clear()
             if ok:
                 yield from rec()
             while len(trail) > mark:
@@ -208,7 +229,10 @@ def _search(rank: int, degree: int, regular: bool) -> Iterator[PermQuotient]:
                 elif kind == "len":
                     cycle_len[entry[1]] = 0
                 elif kind == "rel":
-                    relator_set.discard(relators.pop())
+                    rel = entry[1]
+                    relator_set.discard(rel)
+                    for letter in rel:
+                        rotations[letter].pop()
                 else:
                     bfs_word.pop()
                     state["used"] -= 1
@@ -247,12 +271,28 @@ def enumerate_subgroups(
 
 
 def enumerate_normal(
-    rank: int, order: int, *, max_degree: int = DEFAULT_DEGREE_CAP
+    rank: int,
+    order: int,
+    *,
+    max_degree: int = DEFAULT_DEGREE_CAP,
+    kernel_radius: int = 0,
 ) -> Iterator[PermQuotient]:
     """One regular action per normal subgroup of F_rank with quotient size
     `order` (equivalently, per kernel of a surjection onto a group of that
-    order)."""
+    order).
+
+    With `kernel_radius` r > 0, kernels holding a nontrivial word of length
+    <= r may be skipped: the result is a subsequence of the full one that
+    still contains every kernel missing the radius-r ball, in the same
+    order.
+    """
     _checked(rank, order, max_degree, "order")
+    if not isinstance(kernel_radius, int) or kernel_radius < 0:
+        raise InputError(
+            f"kernel_radius must be a nonnegative integer, got {kernel_radius!r}"
+        )
+    if kernel_radius:
+        return _search(rank, order, True, kernel_radius)
     if order <= _CACHE_REGULAR_LIMIT:
         return iter(_materialized(rank, order, True))
     return _search(rank, order, True)

@@ -184,13 +184,17 @@ def max_divisibility(
         raise InputError(f"radius must be positive, got {n}")
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
-    words = list(Ball(rank, n).nontrivial())
     search = normal_divisibility if normal else divisibility
-    values = [search(w, cap).value for w in words]
-
-    known = [v for v in values if v is not None]
-    unresolved = sum(1 for v in values if v is None)
-    lower = max(known) if known else None
+    lower = None
+    first_max = None  # the first word in ball order attaining `lower`
+    unresolved = 0
+    for w in Ball(rank, n).nontrivial():
+        value = search(w, cap).value
+        if value is None:
+            unresolved += 1
+        elif lower is None or value > lower:
+            lower = value
+            first_max = w
     row = {
         "rank": rank,
         "n": n,
@@ -203,7 +207,7 @@ def max_divisibility(
         "argmax": None,
     }
     if row["value"] is not None:
-        row["argmax"] = format_word(words[values.index(row["value"])])
+        row["argmax"] = format_word(first_max)
     return row
 
 
@@ -217,10 +221,14 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     Injectivity is decided twice per candidate: images of the ball must be
     pairwise distinct, and no nontrivial word of twice the radius may die
     (u and v collide exactly when u^-1 v dies, and that product lies in
-    the doubled ball).  The two routes must agree.
+    the doubled ball).  The two routes must agree.  The search may skip
+    kernels that hold a nontrivial word of the doubled ball; those
+    quotients fail both tests anyway.
     """
     if n < 0:
         raise InputError(f"radius must be nonnegative, got {n}")
+    if cap < 1:
+        raise InputError(f"cap must be positive, got {cap}")
     query = f"residual_girth(rank={rank}, n={n})"
     if n == 0:
         return SepResult(query, 1, _trivial_quotient(rank), cap)
@@ -229,7 +237,7 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     for order in range(1, cap + 1):
         if order < len(ball):
             continue
-        for q in enumerate_normal(rank, order, max_degree=cap):
+        for q in enumerate_normal(rank, order, max_degree=cap, kernel_radius=2 * n):
             images = {eval_word(q, w) for w in ball}
             injective = len(images) == len(ball)
             kernel_free = all(not eval_word(q, w).is_identity for w in doubled)

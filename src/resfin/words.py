@@ -29,10 +29,17 @@ def _check_rank(rank: int) -> None:
 
 
 def _reduce_letters(rank: int, raw: Iterable[int]) -> Letters:
-    stack: list[int] = []
+    raw = tuple(raw)
     for letter in raw:
         if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
             raise InputError(f"letter {letter!r} out of range for rank {rank}")
+    return _free_reduce(raw)
+
+
+def _free_reduce(raw: Iterable[int]) -> Letters:
+    """Cancel adjacent inverse pairs; the letters themselves are not checked."""
+    stack: list[int] = []
+    for letter in raw:
         if stack and stack[-1] == -letter:
             stack.pop()
         else:

@@ -74,11 +74,17 @@ def test_malformed_certificates_exit_one(tmp_path, capsys):
     step_is_string["certificate"]["derivations"][0][0] = "ground"
     bound_not_int = json.loads(text)
     bound_not_int["certificate"]["declared_bound"] = "four"
+    target_not_str = json.loads(text)
+    target_not_str["certificate"]["targets"][0] = 1
     shapes = {
         "digits": text.replace(f'"declared_bound": {bound}', '"declared_bound": ' + "9" * 5000),
         "step": json.dumps(step_is_string),
         "bound": json.dumps(bound_not_int),
+        "target": json.dumps(target_not_str),
     }
+    for value in (4.7, True):
+        bound_not_int["certificate"]["declared_bound"] = value
+        shapes[f"bound {value}"] = json.dumps(bound_not_int)
     assert "9" * 5000 in shapes["digits"]
     for name, body in shapes.items():
         bad = tmp_path / f"{name}.json"
@@ -86,6 +92,18 @@ def test_malformed_certificates_exit_one(tmp_path, capsys):
         assert run(["verify", "--certificate", str(bad)]) == 1, name
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("error:"), name
+
+
+def test_verify_reports_premises_that_are_not_a_list(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["certificate"]["derivations"][0][1]["premises"] = 5
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--certificate", str(path), "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "premises 5 are not a list" in captured.out
 
 
 def test_rank_one_witness_with_lcm_one(capsys):
@@ -129,6 +147,19 @@ def test_input_error_exits(capsys):
     assert run(["growth", "--rank", "2"]) == 1  # missing --max
     assert run(["covers-scan", "--m", "0", "--max-degree", "3"]) == 1
     assert run(["--help"]) == 0  # argparse's own exit path, remapped
+
+
+def test_girth_rejects_a_nonpositive_cap(capsys):
+    for cap in ("-3", "0"):
+        assert run(["girth", "--rank", "2", "--radius", "1", "--cap", cap]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_growth_rejects_a_negative_max(capsys):
+    assert run(["growth", "--rank", "2", "--max", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_theorem4_frozen_table(capsys):

@@ -6,6 +6,7 @@ relabelling dedup, and the standard recursion for the number of finite-index
 subgroups of a free group.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ import pytest
 from resfin.errors import InputError, ResourceError
 from resfin.lowindex import (
     DEFAULT_DEGREE_CAP,
+    _search,
     enumerate_normal,
     enumerate_subgroups,
     kernel_fingerprint,
@@ -32,7 +34,7 @@ from resfin.permrep import (
     is_regular,
     is_transitive,
 )
-from resfin.words import generator
+from resfin.words import Ball, generator
 
 
 # --- independent oracles ---------------------------------------------------
@@ -155,6 +157,65 @@ def test_growth_accumulates_counts():
     assert normal_subgroup_growth(2, 8) == total
     with pytest.raises(InputError):
         normal_subgroup_growth(2, 0)
+
+
+def test_normal_counts_frozen_high():
+    counts = [normal_count(2, d, max_degree=24) for d in range(13, 25)]
+    assert counts == [14, 27, 24, 55, 18, 54, 20, 63, 40, 39, 24, 146]
+
+
+def _sequence_digest(rank, orders):
+    digest = hashlib.sha256()
+    for d in orders:
+        for q in _search(rank, d, True):
+            digest.update(canonical_key(q))
+    return digest.hexdigest()
+
+
+def test_regular_search_sequence_is_frozen():
+    # Frozen from the search that rescanned every relator from every point
+    # after each new entry; deduction order must not change what is emitted,
+    # nor in what order.
+    assert _sequence_digest(2, range(1, 21)) == (
+        "96d6606d2e6cc0d139cb6f4bc40b3c2e5c02e942d2a631878c6490229639e034"
+    )
+    assert _sequence_digest(3, range(1, 9)) == (
+        "37da6e7e71773ff0fa382a9c38a36cd5ae2f5b2c7e2603e16c39a2692808bba7"
+    )
+
+
+# --- the kernel-length cut -------------------------------------------------
+
+
+def _kernel_free(q, doubled):
+    return all(not eval_word(q, w).is_identity for w in doubled)
+
+
+@pytest.mark.parametrize("rank,radius,max_order", [(2, 1, 16), (2, 2, 20), (3, 1, 9), (1, 3, 12)])
+def test_kernel_cut_keeps_every_injective_quotient(rank, radius, max_order):
+    doubled = list(Ball(rank, 2 * radius).nontrivial())
+    cut_any = False
+    for order in range(1, max_order + 1):
+        full = list(enumerate_normal(rank, order, max_degree=max_order))
+        pruned = list(
+            enumerate_normal(rank, order, max_degree=max_order, kernel_radius=2 * radius)
+        )
+        full_keys = [canonical_key(q) for q in full]
+        pruned_keys = [canonical_key(q) for q in pruned]
+        rest = iter(full_keys)
+        assert all(key in rest for key in pruned_keys), order  # a subsequence
+        assert [canonical_key(q) for q in full if _kernel_free(q, doubled)] == [
+            canonical_key(q) for q in pruned if _kernel_free(q, doubled)
+        ], order
+        cut_any = cut_any or len(pruned) < len(full)
+    assert cut_any
+
+
+def test_kernel_radius_is_checked():
+    with pytest.raises(InputError):
+        enumerate_normal(2, 4, kernel_radius=-1)
+    with pytest.raises(InputError):
+        enumerate_normal(2, 4, kernel_radius=1.5)
 
 
 # --- shape of the yields ---------------------------------------------------
