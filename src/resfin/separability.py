@@ -2,16 +2,21 @@
 
 Divisibility of a word is the least index of a subgroup missing it, found
 by searching pointed transitive actions where the word moves the
-basepoint.  The normal flavor searches regular actions instead.  Residual
-girth is the least order of a quotient injective on a ball; injectivity
-is computed two independent ways (pairwise images, kernel-free doubled
-ball) which must agree.  The inequality checkers wire these searches to
-the common-multiple witnesses, one link at a time, and report `unknown`
+basepoint.  The normal flavor searches regular actions instead.  Its
+maximum over a ball enumerates each order once and walks the ball's
+prefix tree through all of that order's quotients together, one table
+lookup per word and quotient; the word it reports is searched again on
+its own, and the two routes must agree.  Residual girth is the least
+order of a quotient injective on a ball; injectivity is computed two
+independent ways (pairwise images, kernel-free doubled ball) which must
+agree.  The inequality checkers wire these searches to the
+common-multiple witnesses, one link at a time, and report `unknown`
 rather than extrapolate past a cap.
 """
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InputError, InternalError
 from .lcmlib import lcm_ball_witness
@@ -21,7 +26,9 @@ from .words import (
     Ball,
     FreeWord,
     SLWord,
+    _ordered_letters,
     format_word,
+    generator,
     sl_flatten,
     word_growth,
 )
@@ -163,6 +170,84 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
     return SepResult(query, None, None, cap)
 
 
+def _normal_ball_maximum(rank: int, n: int, cap: int) -> tuple[int | None, FreeWord | None, int]:
+    """Max normal divisibility over the nontrivial radius-n ball.
+
+    Returns the max over the words resolved within the cap (None if
+    none is), the first word in ball order attaining it, and how many
+    words stay unresolved.  A regular action kills w exactly when w
+    fixes the basepoint, so a word's state at one order is the tuple of
+    its basepoint images, one per quotient, over the disjoint union of
+    the quotients' points; a child's state is one lookup per quotient in
+    its letter's glued table.  The tree is walked in preorder with an
+    explicit stack, the value of each word sits at its preorder position,
+    and a subtree whose words are all resolved is skipped.
+    """
+    letters = _ordered_letters(rank)
+    # sizes[k]: the nodes in the subtree of a length-k word; the tree
+    # branches 2*rank ways at the root and 2*rank - 1 ways below it
+    sizes = [1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        sizes[k] = 1 + (2 * rank - (k > 0)) * sizes[k + 1]
+    # each word's order, 0 while unresolved (the identity stays 0); a byte
+    # suffices, since enumerate_normal refuses orders past 255
+    values = bytearray(sizes[0])
+    lower = best = None
+    for order in range(2, cap + 1):
+        if values.find(0, 1) < 0:
+            break
+        quotients = list(enumerate_normal(rank, order, max_degree=cap))
+        # a fixed point after the quotients keeps every state a tuple of
+        # at least two entries, which itemgetter needs to return a tuple
+        fixed = order * len(quotients)
+        root = (*range(0, fixed, order), fixed)
+        tables = {x: [] for x in letters}
+        for offset, q in zip(root, quotients):
+            for g, inv, perm in zip(range(1, rank + 1), q._gen_inverses(), q.gens):
+                tables[g].extend(offset - 1 + p for p in perm.images)
+                tables[-g].extend(offset - 1 + p for p in inv.images)
+        for table in tables.values():
+            table.append(fixed)
+        # children reversed, so that the stack pops them in ball order
+        children = {
+            last: [(x, tables[x]) for x in reversed(letters) if x != -last]
+            for last in (0, *letters)
+        }
+        best_depth = n + 1
+        stack = [(0, 0, root, 0)]
+        while stack:
+            pos, depth, state, last = stack.pop()
+            if not values[pos] and state != root:
+                values[pos] = order
+                # preorder meets the words of one length in lex order
+                if depth < best_depth:
+                    best_depth, best_pos = depth, pos
+            if depth == n:
+                continue
+            step = itemgetter(*state)
+            size = sizes[depth + 1]
+            end = pos + sizes[depth]
+            for x, table in children[last]:
+                end -= size
+                if values.find(0, end, end + size) >= 0:
+                    stack.append((end, depth + 1, step(table), x))
+        if best_depth <= n:
+            lower, best = order, best_pos
+    unresolved = values.count(0) - 1
+    if best is None:
+        return lower, None, unresolved
+    # decode the preorder position back into its word
+    word = []
+    pos = depth = 0
+    while pos != best:
+        allowed = [x for x in letters if not word or x != -word[-1]]
+        i = (best - pos - 1) // sizes[depth + 1]
+        word.append(allowed[i])
+        pos += 1 + i * sizes[depth + 1]
+        depth += 1
+    return lower, FreeWord(rank, word), unresolved
+
+
 def max_divisibility(
     rank: int,
     n: int,
@@ -175,7 +260,12 @@ def max_divisibility(
 
     The row reports the max and its first witness word in word order; if
     any element stays unknown at the cap the max itself is unknown and
-    only a lower bound survives.  All work runs on one thread: the
+    only a lower bound survives.  The plain flavor searches once per
+    word.  The normal flavor enumerates each order's regular actions once
+    and walks the ball's prefix tree through all of them at once, stopping
+    when every word is resolved; it then searches the word it reports on
+    its own with `normal_divisibility` and raises InternalError unless
+    that gives the same value.  All work runs on one thread: the
     searches are pure Python and bound by the interpreter lock, so a
     thread pool measured slower.  `threads` is still validated and has no
     effect on the result.
@@ -184,17 +274,26 @@ def max_divisibility(
         raise InputError(f"radius must be positive, got {n}")
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
-    search = normal_divisibility if normal else divisibility
-    lower = None
-    first_max = None  # the first word in ball order attaining `lower`
-    unresolved = 0
-    for w in Ball(rank, n).nontrivial():
-        value = search(w, cap).value
-        if value is None:
-            unresolved += 1
-        elif lower is None or value > lower:
-            lower = value
-            first_max = w
+    ball = Ball(rank, n)  # rejects a bad rank
+    if normal:
+        # a rank whose words cannot be printed fails before any search
+        format_word(generator(rank, 1))
+        if cap < 1:
+            raise InputError(f"cap must be positive, got {cap}")
+        lower, first_max, unresolved = _normal_ball_maximum(rank, n, cap)
+        if first_max is not None and normal_divisibility(first_max, cap).value != lower:
+            raise InternalError("tree walk and per-word search disagree on the maximum")
+    else:
+        lower = None
+        first_max = None  # the first word in ball order attaining `lower`
+        unresolved = 0
+        for w in ball.nontrivial():
+            value = divisibility(w, cap).value
+            if value is None:
+                unresolved += 1
+            elif lower is None or value > lower:
+                lower = value
+                first_max = w
     row = {
         "rank": rank,
         "n": n,
@@ -232,11 +331,13 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     query = f"residual_girth(rank={rank}, n={n})"
     if n == 0:
         return SepResult(query, 1, _trivial_quotient(rank), cap)
+    size = word_growth(rank, n)
+    if size > cap:
+        # no quotient smaller than the ball is injective on it
+        return SepResult(query, None, None, cap)
     ball = list(Ball(rank, n))
     doubled = [w for w in Ball(rank, 2 * n) if not w.is_identity]
-    for order in range(1, cap + 1):
-        if order < len(ball):
-            continue
+    for order in range(size, cap + 1):
         for q in enumerate_normal(rank, order, max_degree=cap, kernel_radius=2 * n):
             images = {eval_word(q, w) for w in ball}
             injective = len(images) == len(ball)

@@ -224,22 +224,36 @@ def enumerate_ball(
         raise InputError(f"prefix rank {prefix.rank} does not match {rank}")
     alphabet = _ordered_letters(rank)
     start = prefix.letters if prefix is not None else ()
+    # follow[p]: the letters that may come after p, in order (p = 0 before
+    # the first letter); after[p][x]: the one that comes next after x
+    follow = {p: [x for x in alphabet if x != -p] for p in (0, *alphabet)}
+    after = {p: dict(zip(xs, xs[1:])) for p, xs in follow.items()}
 
     def exact(length: int) -> Iterator[Letters]:
-        word = list(start)
-
-        def go(remaining: int) -> Iterator[Letters]:
-            if remaining == 0:
-                yield tuple(word)
+        k = len(start)
+        if length == k:
+            yield start
+            return
+        # an odometer over the positions between the prefix and the last
+        # letter: bump the rightmost one that has a later letter and refill
+        # the rest with the least ones, so no Python frame is held per letter
+        word = [*start, *[0] * (length - 1 - k)]
+        j = k - 1
+        while True:
+            for i in range(j + 1, length - 1):
+                word[i] = follow[word[i - 1] if i else 0][0]
+            head = tuple(word)
+            for x in follow[word[-1] if word else 0]:
+                yield head + (x,)
+            j = length - 2
+            while j >= k:
+                nxt = after[word[j - 1] if j else 0].get(word[j])
+                if nxt is not None:
+                    break
+                j -= 1
+            else:
                 return
-            for letter in alphabet:
-                if word and word[-1] == -letter:
-                    continue
-                word.append(letter)
-                yield from go(remaining - 1)
-                word.pop()
-
-        yield from go(length - len(start))
+            word[j] = nxt
 
     for length in range(len(start), n + 1):
         for letters in exact(length):

@@ -130,6 +130,16 @@ def test_dmax_unresolved_exits_two(capsys):
     assert "unknown" in out_of(capsys)
 
 
+def test_dmax_normal_deep_rank_one_ball(capsys):
+    # a radius far past the interpreter's recursion limit
+    assert run(["dmax", "--rank", "1", "--radius", "1500", "--cap", "16",
+                "--normal", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # 840 = lcm(1..8) is the least exponent whose smallest nondivisor is 9
+    assert captured.out.splitlines()[1] == "1,1500,true,16,true,0,9,9," + "a" * 840
+
+
 def test_env_degree_clamp(monkeypatch, capsys):
     monkeypatch.setenv("RESFIN_MAX_DEGREE", "4")
     assert run(["girth", "--rank", "2", "--radius", "1", "--cap", "12",

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from resfin.errors import InputError
+from resfin.errors import InputError, InternalError
 from resfin.lcmlib import lcm_ball_witness
 from resfin.lowindex import enumerate_subgroups
 from resfin.permrep import eval_word, from_record, image_order, is_regular, is_transitive
@@ -24,7 +24,7 @@ from resfin.separability import (
     residual_girth,
     smallest_nondivisor,
 )
-from resfin.words import Ball, SLBuilder, parse_word, word_growth
+from resfin.words import Ball, SLBuilder, format_word, parse_word, word_growth
 
 
 def W(text, rank=2):
@@ -146,6 +146,61 @@ def test_max_divisibility_rows():
     assert (row["value"], row["argmax"]) == (3, "aa")
 
 
+def reference_normal_row(rank, n, cap):
+    # one regular-action search per ball word, the first maximum kept
+    lower = first = None
+    unresolved = 0
+    for w in Ball(rank, n).nontrivial():
+        value = normal_divisibility(w, cap).value
+        if value is None:
+            unresolved += 1
+        elif lower is None or value > lower:
+            lower, first = value, w
+    resolved = unresolved == 0
+    return {
+        "rank": rank,
+        "n": n,
+        "normal": True,
+        "cap": cap,
+        "resolved": resolved,
+        "unresolved": unresolved,
+        "lower_bound": lower,
+        "value": lower if resolved else None,
+        "argmax": format_word(first) if resolved else None,
+    }
+
+
+def test_normal_max_matches_per_word_search():
+    cases = [(1, 12, 16), (1, 6, 3), (2, 4, 4), (2, 3, 2), (2, 2, 1), (3, 3, 12), (3, 2, 5)]
+    cases += [(2, n, 12) for n in range(1, 6)]
+    for rank, n, cap in cases:
+        expect = reference_normal_row(rank, n, cap)
+        assert max_divisibility(rank, n, cap, normal=True) == expect, (rank, n, cap)
+
+
+def test_normal_max_frozen_at_radius_ten():
+    assert max_divisibility(2, 10, 12, normal=True) == {
+        "rank": 2,
+        "n": 10,
+        "normal": True,
+        "cap": 12,
+        "resolved": True,
+        "unresolved": 0,
+        "lower_bound": 12,
+        "value": 12,
+        "argmax": "aabbAABB",
+    }
+
+
+def test_normal_max_rechecks_its_argmax(monkeypatch):
+    def wrong(w, cap):
+        return SepResult("normal_divisibility", 99, None, cap)
+
+    monkeypatch.setattr("resfin.separability.normal_divisibility", wrong)
+    with pytest.raises(InternalError):
+        max_divisibility(2, 2, normal=True)
+
+
 def test_max_divisibility_monotone_in_radius():
     values = [max_divisibility(2, n, normal=True)["value"] for n in range(1, 5)]
     assert values == sorted(values)
@@ -161,6 +216,10 @@ def test_max_divisibility_unresolved_row():
         max_divisibility(2, 0)
     with pytest.raises(InputError):
         max_divisibility(2, 2, threads=0)
+    with pytest.raises(InputError):
+        max_divisibility(2, 2, cap=0, normal=True)
+    with pytest.raises(InputError):
+        max_divisibility(0, 2, normal=True)
 
 
 def test_max_divisibility_thread_count_is_invisible():
@@ -179,6 +238,15 @@ def test_residual_girth_small():
     assert residual_girth(2, 1, 4).unknown
     with pytest.raises(InputError):
         residual_girth(2, -1)
+
+
+def test_residual_girth_unknown_without_listing_a_ball(monkeypatch):
+    # the 1,457 words of the radius-6 ball outnumber every order up to 12
+    def refuse(*args):
+        raise AssertionError("the ball was listed")
+
+    monkeypatch.setattr("resfin.separability.Ball", refuse)
+    assert residual_girth(2, 6, 12).unknown
 
 
 def test_residual_girth_meets_pigeonhole_floor():

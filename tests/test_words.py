@@ -6,6 +6,7 @@ two-line stack, and dedups. Counts and contents must then agree with the
 library's enumeration and the closed-form growth.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -164,6 +165,22 @@ def test_enumeration_count_matches_closed_form():
     for rank in (1, 2, 3):
         for n in range(9):
             assert sum(1 for _ in enumerate_ball(rank, n)) == word_growth(rank, n)
+
+
+def test_ball_order_is_frozen():
+    # sha256 of every word of the ball, one per line, in enumeration order
+    expect = {
+        (2, 6): "b0aba21dfb061626a9feddaac1aa858603a158deddf89a46fdc075ff20807527",
+        (3, 4): "b4149d5a27c2dd0f67d09bc3b2dfa176e3992d0c092fe9d66ace82af64069012",
+    }
+    for (rank, n), digest in expect.items():
+        text = "".join(format_word(w) + "\n" for w in Ball(rank, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_deep_ball_streams_without_recursion():
+    # one letter per step of depth must not cost a Python frame
+    assert sum(1 for _ in enumerate_ball(1, 2000)) == 4001
 
 
 def test_ball_prefix_partition():
