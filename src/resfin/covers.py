@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .lcmlib import lcm_witness
-from .lowindex import enumerate_normal, enumerate_subgroups
-from .permrep import PermQuotient, eval_word, is_transitive
+from .lowindex import enumerate_subgroups
+from .permrep import PermQuotient, is_transitive
+from .separability import normal_divisibility
 from .words import generator, power
 
 
@@ -177,19 +178,12 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
     for j in range(1, n + 1):
         ell = lcm_upto(j)
         cert = lcm_witness([power(x, i) for i in range(1, ell + 1)])
-        lower = order_cap + 1
-        for q in range(2, order_cap + 1):
-            survivor = any(
-                not eval_word(quot, cert.word).is_identity
-                for quot in enumerate_normal(2, q, max_degree=order_cap)
+        value = normal_divisibility(cert.word, order_cap).value
+        if value is not None and value <= ell:
+            raise InternalError(
+                f"quotient of order {value} kept the witness for lcm {ell} alive"
             )
-            if survivor:
-                if q <= ell:
-                    raise InternalError(
-                        f"quotient of order {q} kept the witness for lcm {ell} alive"
-                    )
-                lower = q
-                break
+        lower = value or order_cap + 1
         rows.append(
             {
                 "n": j,

@@ -12,7 +12,7 @@ encodes a normal subgroup, its kernel.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .words import FreeWord, SLWord, sl_eval
@@ -321,11 +321,3 @@ def from_record(record: dict) -> PermQuotient:
     if q.degree != record.get("degree", q.degree):
         raise InputError("record degree disagrees with its generators")
     return q
-
-
-def quotients_agree(a: PermQuotient, b: PermQuotient, words: Iterable[FreeWord]) -> bool:
-    """Whether two quotients kill exactly the same words from a sample."""
-    for w in words:
-        if eval_word(a, w).is_identity != eval_word(b, w).is_identity:
-            return False
-    return True

@@ -83,13 +83,17 @@ def _escape_tables(w: FreeWord, degree: int):
     bwd = [dict() for _ in range(w.rank)]
 
     def walk(i: int, p: int, used: int) -> bool:
-        if i == len(letters):
-            return p != 0
-        letter = letters[i]
-        g = abs(letter) - 1
-        src, dst = (fwd[g], bwd[g]) if letter > 0 else (bwd[g], fwd[g])
-        if p in src:
-            return walk(i + 1, src[p], used)
+        # follow the letters whose entry is already defined; recurse only
+        # where an entry is chosen, so the depth is at most the entries
+        while True:
+            if i == len(letters):
+                return p != 0
+            letter = letters[i]
+            g = abs(letter) - 1
+            src, dst = (fwd[g], bwd[g]) if letter > 0 else (bwd[g], fwd[g])
+            if p not in src:
+                break
+            i, p = i + 1, src[p]
         candidates = [t for t in range(used) if t not in dst]
         if used < degree:
             candidates.append(used)

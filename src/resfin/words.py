@@ -9,14 +9,18 @@ identity.
 Alongside flat words this module provides straight-line words (SLWord): a
 DAG of build instructions that can describe words whose flat length is
 astronomically large while staying cheap to evaluate in any target group.
-Flat forms are only ever materialized under an explicit length cap.
+One interpreter, sl_eval, reads them: flattening under an explicit length
+cap (sl_flatten), length bounds (sl_length_bound) and images in a quotient
+(permrep.eval_word) each only supply the group it evaluates in.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import InputError, ResourceError
 
 DEFAULT_FLAT_CAP = 1_000_000
 
@@ -26,14 +30,6 @@ Letters = tuple[int, ...]
 def _check_rank(rank: int) -> None:
     if not isinstance(rank, int) or rank < 1:
         raise InputError(f"rank must be a positive integer, got {rank!r}")
-
-
-def _reduce_letters(rank: int, raw: Iterable[int]) -> Letters:
-    raw = tuple(raw)
-    for letter in raw:
-        if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
-            raise InputError(f"letter {letter!r} out of range for rank {rank}")
-    return _free_reduce(raw)
 
 
 def _free_reduce(raw: Iterable[int]) -> Letters:
@@ -116,7 +112,11 @@ def generator(rank: int, i: int) -> FreeWord:
 
 def reduce(rank: int, raw: Iterable[int]) -> FreeWord:
     """Freely reduce a raw letter sequence. Idempotent."""
-    return FreeWord(rank, _reduce_letters(rank, raw))
+    raw = tuple(raw)
+    for letter in raw:
+        if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
+            raise InputError(f"letter {letter!r} out of range for rank {rank}")
+    return FreeWord(rank, _free_reduce(raw))
 
 
 def _same_rank(u: FreeWord, v: FreeWord) -> None:
@@ -287,11 +287,7 @@ class Ball:
         return enumerate_ball(self.rank, self.radius)
 
     def nontrivial(self) -> Iterator[FreeWord]:
-        it = iter(self)
-        first = next(it, None)
-        if first is not None and not first.is_identity:
-            yield first
-        yield from it
+        return itertools.islice(self, 1, None)  # the identity comes first
 
     def __repr__(self) -> str:
         return f"Ball(rank={self.rank}, radius={self.radius})"
@@ -451,88 +447,15 @@ def sl_build(u: FreeWord) -> SLWord:
     return builder.build(builder.word(u))
 
 
-def sl_length_bound(w: SLWord) -> int:
-    """Upper bound on the flat reduced length, computed per node."""
-    bound = [0] * len(w.nodes)
-    for idx, node in enumerate(w.nodes):
-        op = node[0]
-        if op == "gen":
-            bound[idx] = 1
-        elif op == "inv":
-            bound[idx] = bound[node[1]]
-        elif op == "mul":
-            bound[idx] = bound[node[1]] + bound[node[2]]
-        elif op == "pow":
-            bound[idx] = abs(node[2]) * bound[node[1]]
-        elif op == "conj":
-            bound[idx] = bound[node[1]] + 2 * bound[node[2]]
-        else:  # comm
-            bound[idx] = 2 * bound[node[1]] + 2 * bound[node[2]]
-    return bound[w.root]
-
-
-def sl_flatten(w: SLWord, cap: int) -> FreeWord | None:
-    """Reduced flat form if its length fits cap, else None (overflow).
-
-    Intermediate nodes get a working budget of max(cap, DEFAULT_FLAT_CAP);
-    an intermediate larger than that reports overflow even if the root
-    would have been short, which no witness built here comes close to.
-    """
-    if cap < 0:
-        raise InputError(f"cap must be nonnegative, got {cap}")
-    budget = max(cap, DEFAULT_FLAT_CAP)
-    vals: list[FreeWord | None] = [None] * len(w.nodes)
-
-    needed = [False] * len(w.nodes)
-    needed[w.root] = True
-    for idx in range(len(w.nodes) - 1, -1, -1):
-        if not needed[idx]:
-            continue
-        node = w.nodes[idx]
-        if node[0] == "pow":
-            needed[node[1]] = True
-        elif node[0] != "gen":
-            for ref in node[1:]:
-                needed[ref] = True
-
-    for idx, node in enumerate(w.nodes):
-        if not needed[idx]:
-            continue
-        op = node[0]
-        try:
-            if op == "gen":
-                val = generator(w.rank, node[1])
-            elif op == "inv":
-                val = inverse(vals[node[1]])
-            elif op == "mul":
-                val = multiply(vals[node[1]], vals[node[2]])
-            elif op == "pow":
-                val = power(vals[node[1]], node[2], cap=budget)
-            elif op == "conj":
-                val = conjugate(vals[node[1]], vals[node[2]])
-            else:
-                val = commutator(vals[node[1]], vals[node[2]])
-        except ResourceError:
-            return None
-        if len(val) > budget:
-            return None
-        vals[idx] = val
-    flat = vals[w.root]
-    return flat if len(flat) <= cap else None
-
-
-def sl_eval(
-    w: SLWord,
-    *,
-    gen: Callable[[int], object],
-    mul: Callable[[object, object], object],
-    inv: Callable[[object], object],
-    ident: object,
-):
+def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: object):
     """Evaluate an SLWord in any group given by gen/mul/inv/identity.
 
-    Powers run in O(log e) multiplications, so exponents like lcm(1..n)
-    stay cheap.
+    This is the one interpreter of the instruction set: flattening
+    (sl_flatten), length bounds (sl_length_bound) and images in a quotient
+    (permrep.eval_word) are all instances of it.  Only the nodes the root
+    depends on are evaluated.  Powers run in O(log e) multiplications with
+    no squaring past the top bit of e, so exponents like lcm(1..n) stay
+    cheap and no operand grows beyond the power itself.
     """
 
     def powered(base, e: int):
@@ -542,12 +465,23 @@ def sl_eval(
         while e:
             if e & 1:
                 acc = mul(acc, base)
-            base = mul(base, base)
             e >>= 1
+            if e:
+                base = mul(base, base)
         return acc
 
-    vals = [None] * len(w.nodes)
-    for idx, node in enumerate(w.nodes):
+    # a backward pass marks the nodes the root depends on
+    nodes, root = w.nodes, w.root
+    needed = [False] * root + [True]
+    for idx in range(root, -1, -1):
+        node = nodes[idx]
+        if needed[idx] and node[0] != "gen":
+            for ref in node[1:2] if node[0] == "pow" else node[1:]:
+                needed[ref] = True
+    vals: list = [None] * (root + 1)
+    for idx, node in enumerate(nodes[: root + 1]):
+        if not needed[idx]:
+            continue
         op = node[0]
         if op == "gen":
             vals[idx] = gen(node[1])
@@ -563,7 +497,41 @@ def sl_eval(
         else:
             u, v = vals[node[1]], vals[node[2]]
             vals[idx] = mul(mul(u, v), mul(inv(u), inv(v)))
-    out = vals[w.root]
-    if out is None:  # pragma: no cover
-        raise InternalError("evaluation missed the root")
-    return out
+    return vals[root]
+
+
+def sl_length_bound(w: SLWord) -> int:
+    """Upper bound on the flat reduced length: w evaluated over the
+    integers, a generator counting 1 and a product the sum of its parts."""
+    return sl_eval(w, gen=lambda i: 1, mul=operator.add, inv=lambda b: b, ident=0)
+
+
+def sl_flatten(w: SLWord, cap: int) -> FreeWord | None:
+    """Reduced flat form if its length fits cap, else None (overflow).
+
+    w is evaluated over FreeWord with a working budget of
+    max(cap, DEFAULT_FLAT_CAP): any product longer than the budget reports
+    overflow, even if the root would have been short, which no witness
+    built here comes close to.
+    """
+    if cap < 0:
+        raise InputError(f"cap must be nonnegative, got {cap}")
+    budget = max(cap, DEFAULT_FLAT_CAP)
+
+    def bounded(u: FreeWord, v: FreeWord) -> FreeWord:
+        uv = multiply(u, v)
+        if len(uv) > budget:
+            raise ResourceError(f"product of length {len(uv)} exceeds {budget}")
+        return uv
+
+    try:
+        flat = sl_eval(
+            w,
+            gen=lambda i: generator(w.rank, i),
+            mul=bounded,
+            inv=inverse,
+            ident=identity(w.rank),
+        )
+    except ResourceError:
+        return None
+    return flat if len(flat) <= cap else None

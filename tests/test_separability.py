@@ -60,6 +60,14 @@ def test_divisibility_of_powers_is_smallest_nondivisor():
         assert divisibility(W("a" * k, 2), 8).value == expect
 
 
+def test_divisibility_of_a_long_power_does_not_recurse_per_letter():
+    # a^1200: the escape walk follows 1200 letters but defines few entries;
+    # the least non-divisor of 1200 = 2^4 * 3 * 5^2 is 7
+    expect = next(q for q in range(2, 17) if 1200 % q)
+    assert expect == 7
+    assert divisibility(W("a" * 1200, 1), 16).value == expect
+
+
 def test_divisibility_witness_properties():
     for text in ("a", "aa", "abAB", "aabb", "aBab"):
         res = divisibility(W(text))

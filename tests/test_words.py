@@ -18,6 +18,7 @@ from resfin import (
     InputError,
     ResourceError,
     SLBuilder,
+    SLWord,
     commutator,
     conjugate,
     enumerate_ball,
@@ -269,7 +270,27 @@ def test_sl_eval_integers():
     assert val == (40, -1)
 
 
-def test_sl_eval_agrees_with_flatten():
+def oracle_expand(nodes, idx):
+    """Raw letters of node idx, spelled out letter by letter."""
+    node = nodes[idx]
+    if node[0] == "gen":
+        return [node[1]]
+    u = oracle_expand(nodes, node[1])
+    u_inv = [-x for x in reversed(u)]
+    if node[0] == "inv":
+        return u_inv
+    if node[0] == "pow":
+        return (u if node[2] > 0 else u_inv) * abs(node[2])
+    v = oracle_expand(nodes, node[2])
+    v_inv = [-x for x in reversed(v)]
+    if node[0] == "mul":
+        return u + v
+    if node[0] == "conj":
+        return v + u + v_inv
+    return u + v + u_inv + v_inv
+
+
+def test_sl_eval_agrees_with_letter_expansion():
     rng = random.Random(13)
     for _ in range(60):
         b = SLBuilder(2)
@@ -285,7 +306,8 @@ def test_sl_eval_agrees_with_flatten():
             else:
                 nodes.append(getattr(b, op)(a, c))
         slw = b.build(nodes[-1])
-        flat = sl_flatten(slw, cap=10**5)
+        expect = reduce(2, oracle_expand(slw.nodes, slw.root))
+        assert sl_flatten(slw, cap=10**5) == expect
         via_eval = sl_eval(
             slw,
             gen=lambda i: generator(2, i),
@@ -293,4 +315,19 @@ def test_sl_eval_agrees_with_flatten():
             inv=inverse,
             ident=identity(2),
         )
-        assert flat == via_eval
+        assert via_eval == expect
+
+
+def test_sl_eval_skips_nodes_the_root_does_not_use():
+    slw = SLWord(2, [("gen", 1), ("gen", 2), ("pow", 0, 10**30), ("comm", 0, 1)], 3)
+    assert sl_flatten(slw, cap=4) == parse_word("abAB")
+    assert sl_length_bound(slw) == 4
+    calls = []
+
+    def counting_mul(u, v):
+        calls.append((u, v))
+        return u + v
+
+    assert sl_eval(slw, gen=lambda i: 1, mul=counting_mul, inv=lambda u: u, ident=0) == 4
+    # the commutator takes three products; the power would take about 200
+    assert len(calls) == 3
