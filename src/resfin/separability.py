@@ -2,12 +2,12 @@
 
 Divisibility of a word is the least index of a subgroup missing it, found
 by searching pointed transitive actions where the word moves the
-basepoint.  The normal flavor searches regular actions instead.  Its
-maximum over a ball enumerates each order once and walks the ball's
-prefix tree through all of that order's quotients together, one table
-lookup per word and quotient; the word it reports is searched again on
-its own, and the two routes must agree.  Residual girth is the least
-order of a quotient injective on a ball; injectivity is computed two
+basepoint.  The normal flavor searches regular actions instead.  The
+maximum of either over a ball enumerates the actions of each degree once
+and walks the ball's prefix tree through all of them together, one table
+lookup per word and action; the word it reports is searched again on its
+own, and the two routes must agree.  Residual girth is the least order
+of a quotient injective on a ball; injectivity is computed two
 independent ways (pairwise images, kernel-free doubled ball) which must
 agree.  The inequality checkers wire these searches to the
 common-multiple witnesses, one link at a time, and report `unknown`
@@ -16,11 +16,12 @@ rather than extrapolate past a cap.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from .errors import InputError, InternalError
 from .lcmlib import lcm_ball_witness
-from .lowindex import enumerate_normal, normal_subgroup_growth
+from .lowindex import enumerate_normal, enumerate_subgroups, normal_subgroup_growth
 from .permrep import Permutation, PermQuotient, eval_word, is_transitive, to_record
 from .words import (
     Ball,
@@ -34,6 +35,9 @@ from .words import (
 )
 
 DEFAULT_SEARCH_CAP = 12
+# actions per walk of the ball tree, which bounds its tables and states
+# however many actions a degree has
+_WALK_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -148,12 +152,6 @@ def divisibility(w: FreeWord, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
     return SepResult(query, None, None, cap)
 
 
-def _sl_identity_guard(w: SLWord) -> None:
-    flat = sl_flatten(w, 0)
-    if flat is not None and flat.is_identity:
-        raise InputError("divisibility is defined for nontrivial words only")
-
-
 def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
     """Least order of a quotient group where w survives, via regular actions."""
     if isinstance(w, FreeWord):
@@ -161,7 +159,9 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
             raise InputError("divisibility is defined for nontrivial words only")
         query = f"normal_divisibility({format_word(w)})"
     elif isinstance(w, SLWord):
-        _sl_identity_guard(w)
+        flat = sl_flatten(w, 0)
+        if flat is not None and flat.is_identity:
+            raise InputError("divisibility is defined for nontrivial words only")
         query = f"normal_divisibility(straight-line word, {len(w.nodes)} nodes)"
     else:
         raise InputError(f"need a FreeWord or SLWord, got {type(w).__name__}")
@@ -174,18 +174,20 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
     return SepResult(query, None, None, cap)
 
 
-def _normal_ball_maximum(rank: int, n: int, cap: int) -> tuple[int | None, FreeWord | None, int]:
-    """Max normal divisibility over the nontrivial radius-n ball.
+def _ball_maximum(rank: int, n: int, cap: int, actions) -> tuple[int | None, FreeWord | None, int]:
+    """Max divisibility over the nontrivial radius-n ball.
 
-    Returns the max over the words resolved within the cap (None if
-    none is), the first word in ball order attaining it, and how many
-    words stay unresolved.  A regular action kills w exactly when w
-    fixes the basepoint, so a word's state at one order is the tuple of
-    its basepoint images, one per quotient, over the disjoint union of
-    the quotients' points; a child's state is one lookup per quotient in
-    its letter's glued table.  The tree is walked in preorder with an
-    explicit stack, the value of each word sits at its preorder position,
-    and a subtree whose words are all resolved is skipped.
+    Returns the max over the words resolved within the cap (None if none
+    is), the first word in ball order attaining it, and how many words
+    stay unresolved.  `actions(rank, d, max_degree=cap)` yields the
+    degree-d actions: pointed transitive ones for plain divisibility,
+    regular ones for the normal flavor.  Either way w escapes an action
+    exactly when it moves the basepoint, so a word's state in a batch of
+    actions is the tuple of its basepoint images over the disjoint union
+    of their points, and a child's state is one lookup per action in its
+    letter's glued table.  The tree is walked in preorder with an explicit
+    stack, each word's degree sits at its preorder position, and a subtree
+    whose words are all resolved is skipped.
     """
     letters = _ordered_letters(rank)
     # sizes[k]: the nodes in the subtree of a length-k word; the tree
@@ -193,50 +195,51 @@ def _normal_ball_maximum(rank: int, n: int, cap: int) -> tuple[int | None, FreeW
     sizes = [1] * (n + 1)
     for k in range(n - 1, -1, -1):
         sizes[k] = 1 + (2 * rank - (k > 0)) * sizes[k + 1]
-    # each word's order, 0 while unresolved (the identity stays 0); a byte
-    # suffices, since enumerate_normal refuses orders past 255
+    # each word's degree, 0 while unresolved (the identity stays 0); a byte
+    # suffices, since the enumerators refuse degrees past 255
     values = bytearray(sizes[0])
     lower = best = None
-    for order in range(2, cap + 1):
+    for degree in range(2, cap + 1):
         if values.find(0, 1) < 0:
             break
-        quotients = list(enumerate_normal(rank, order, max_degree=cap))
-        # a fixed point after the quotients keeps every state a tuple of
-        # at least two entries, which itemgetter needs to return a tuple
-        fixed = order * len(quotients)
-        root = (*range(0, fixed, order), fixed)
-        tables = {x: [] for x in letters}
-        for offset, q in zip(root, quotients):
-            for g, inv, perm in zip(range(1, rank + 1), q._gen_inverses(), q.gens):
-                tables[g].extend(offset - 1 + p for p in perm.images)
-                tables[-g].extend(offset - 1 + p for p in inv.images)
-        for table in tables.values():
-            table.append(fixed)
-        # children reversed, so that the stack pops them in ball order
-        children = {
-            last: [(x, tables[x]) for x in reversed(letters) if x != -last]
-            for last in (0, *letters)
-        }
-        best_depth = n + 1
-        stack = [(0, 0, root, 0)]
-        while stack:
-            pos, depth, state, last = stack.pop()
-            if not values[pos] and state != root:
-                values[pos] = order
-                # preorder meets the words of one length in lex order
-                if depth < best_depth:
-                    best_depth, best_pos = depth, pos
-            if depth == n:
-                continue
-            step = itemgetter(*state)
-            size = sizes[depth + 1]
-            end = pos + sizes[depth]
-            for x, table in children[last]:
-                end -= size
-                if values.find(0, end, end + size) >= 0:
-                    stack.append((end, depth + 1, step(table), x))
-        if best_depth <= n:
-            lower, best = order, best_pos
+        stream = actions(rank, degree, max_degree=cap)
+        first = (n + 1, 0)  # least (depth, position) resolved at this degree
+        while batch := list(islice(stream, _WALK_BATCH)):
+            # a fixed point after the actions keeps every state a tuple of
+            # at least two entries, which itemgetter needs to return a tuple
+            fixed = degree * len(batch)
+            root = (*range(0, fixed, degree), fixed)
+            tables = {x: [] for x in letters}
+            for offset, q in zip(root, batch):
+                for g, inv, perm in zip(range(1, rank + 1), q._gen_inverses(), q.gens):
+                    tables[g].extend(offset - 1 + p for p in perm.images)
+                    tables[-g].extend(offset - 1 + p for p in inv.images)
+            for table in tables.values():
+                table.append(fixed)
+            # children reversed, so that the stack pops them in ball order
+            children = {
+                last: [(x, tables[x]) for x in reversed(letters) if x != -last]
+                for last in (0, *letters)
+            }
+            stack = [(0, 0, root, 0)]
+            while stack:
+                pos, depth, state, last = stack.pop()
+                if not values[pos] and state != root:
+                    values[pos] = degree
+                    # positions order the words of one length lexicographically
+                    if (depth, pos) < first:
+                        first = (depth, pos)
+                if depth == n:
+                    continue
+                step = itemgetter(*state)
+                size = sizes[depth + 1]
+                end = pos + sizes[depth]
+                for x, table in children[last]:
+                    end -= size
+                    if values.find(0, end, end + size) >= 0:
+                        stack.append((end, depth + 1, step(table), x))
+        if first[0] <= n:
+            lower, best = degree, first[1]
     unresolved = values.count(0) - 1
     if best is None:
         return lower, None, unresolved
@@ -264,41 +267,28 @@ def max_divisibility(
 
     The row reports the max and its first witness word in word order; if
     any element stays unknown at the cap the max itself is unknown and
-    only a lower bound survives.  The plain flavor searches once per
-    word.  The normal flavor enumerates each order's regular actions once
-    and walks the ball's prefix tree through all of them at once, stopping
-    when every word is resolved; it then searches the word it reports on
-    its own with `normal_divisibility` and raises InternalError unless
-    that gives the same value.  All work runs on one thread: the
-    searches are pure Python and bound by the interpreter lock, so a
-    thread pool measured slower.  `threads` is still validated and has no
-    effect on the result.
+    only a lower bound survives.  Both flavors walk the ball's prefix tree
+    through the actions of each degree (`enumerate_subgroups` for plain,
+    `enumerate_normal` for normal) until every word is resolved, then
+    search the word they report again on its own (`divisibility`,
+    `normal_divisibility`) and raise InternalError unless that gives the
+    same value.  All work runs on one thread, bound by the interpreter
+    lock; `threads` is still validated and has no effect on the result.
     """
     if n < 1:
         raise InputError(f"radius must be positive, got {n}")
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
-    ball = Ball(rank, n)  # rejects a bad rank
-    if normal:
-        # a rank whose words cannot be printed fails before any search
-        format_word(generator(rank, 1))
-        if cap < 1:
-            raise InputError(f"cap must be positive, got {cap}")
-        lower, first_max, unresolved = _normal_ball_maximum(rank, n, cap)
-        if first_max is not None and normal_divisibility(first_max, cap).value != lower:
-            raise InternalError("tree walk and per-word search disagree on the maximum")
-    else:
-        lower = None
-        first_max = None  # the first word in ball order attaining `lower`
-        unresolved = 0
-        for w in ball.nontrivial():
-            value = divisibility(w, cap).value
-            if value is None:
-                unresolved += 1
-            elif lower is None or value > lower:
-                lower = value
-                first_max = w
-    row = {
+    Ball(rank, n)  # rejects a bad rank
+    format_word(generator(rank, 1))  # so does one past 26, before any search
+    if cap < 1:
+        raise InputError(f"cap must be positive, got {cap}")
+    actions = enumerate_normal if normal else enumerate_subgroups
+    search = normal_divisibility if normal else divisibility
+    lower, first_max, unresolved = _ball_maximum(rank, n, cap, actions)
+    if first_max is not None and search(first_max, cap).value != lower:
+        raise InternalError("tree walk and per-word search disagree on the maximum")
+    return {
         "rank": rank,
         "n": n,
         "normal": normal,
@@ -307,11 +297,8 @@ def max_divisibility(
         "unresolved": unresolved,
         "lower_bound": lower,
         "value": lower if unresolved == 0 else None,
-        "argmax": None,
+        "argmax": format_word(first_max) if unresolved == 0 else None,
     }
-    if row["value"] is not None:
-        row["argmax"] = format_word(first_max)
-    return row
 
 
 def _trivial_quotient(rank: int) -> PermQuotient:

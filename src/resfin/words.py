@@ -64,6 +64,14 @@ class FreeWord:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _reduced(cls, rank: int, letters: Letters) -> "FreeWord":
+        """Trusted constructor for a tuple already reduced and in range."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "rank", rank)
+        object.__setattr__(u, "letters", letters)
+        return u
+
     def __setattr__(self, name, value):
         raise AttributeError("FreeWord is immutable")
 
@@ -131,11 +139,11 @@ def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     while a and i < len(b) and a[-1] == -b[i]:
         a.pop()
         i += 1
-    return FreeWord(u.rank, tuple(a) + b[i:])
+    return FreeWord._reduced(u.rank, tuple(a) + b[i:])
 
 
 def inverse(u: FreeWord) -> FreeWord:
-    return FreeWord(u.rank, tuple(-letter for letter in reversed(u.letters)))
+    return FreeWord._reduced(u.rank, tuple(-letter for letter in reversed(u.letters)))
 
 
 def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -173,7 +181,7 @@ def power(u: FreeWord, k: int, *, cap: int = DEFAULT_FLAT_CAP) -> FreeWord:
             f"power of length {projected} exceeds cap {cap}; keep it straight-line"
         )
     body = core * abs(k)
-    return FreeWord(u.rank, prefix + body + tuple(-x for x in reversed(prefix)))
+    return FreeWord._reduced(u.rank, prefix + body + tuple(-x for x in reversed(prefix)))
 
 
 def letter_key(letter: int) -> tuple[int, int]:
@@ -201,11 +209,7 @@ def word_growth(rank: int, n: int) -> int:
 
 
 def _ordered_letters(rank: int) -> list[int]:
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return out
+    return [x for i in range(1, rank + 1) for x in (i, -i)]
 
 
 def enumerate_ball(
@@ -257,7 +261,7 @@ def enumerate_ball(
 
     for length in range(len(start), n + 1):
         for letters in exact(length):
-            yield FreeWord(rank, letters)
+            yield FreeWord._reduced(rank, letters)
 
 
 class Ball:
@@ -453,9 +457,10 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
     This is the one interpreter of the instruction set: flattening
     (sl_flatten), length bounds (sl_length_bound) and images in a quotient
     (permrep.eval_word) are all instances of it.  Only the nodes the root
-    depends on are evaluated.  Powers run in O(log e) multiplications with
-    no squaring past the top bit of e, so exponents like lcm(1..n) stay
-    cheap and no operand grows beyond the power itself.
+    depends on are evaluated, each value is dropped after its last read,
+    and powers run in O(log e) multiplications with no squaring past the
+    top bit of e, so exponents like lcm(1..n) stay cheap and no operand
+    grows beyond the power itself.
     """
 
     def powered(base, e: int):
@@ -470,17 +475,17 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
                 base = mul(base, base)
         return acc
 
-    # a backward pass marks the nodes the root depends on
+    # a backward pass counts the reads of each node the root depends on
     nodes, root = w.nodes, w.root
-    needed = [False] * root + [True]
+    refs = [() if x[0] == "gen" else x[1:2] if x[0] == "pow" else x[1:] for x in nodes]
+    readers = [0] * root + [1]  # the caller reads the root
     for idx in range(root, -1, -1):
-        node = nodes[idx]
-        if needed[idx] and node[0] != "gen":
-            for ref in node[1:2] if node[0] == "pow" else node[1:]:
-                needed[ref] = True
+        if readers[idx]:
+            for ref in refs[idx]:
+                readers[ref] += 1
     vals: list = [None] * (root + 1)
     for idx, node in enumerate(nodes[: root + 1]):
-        if not needed[idx]:
+        if not readers[idx]:
             continue
         op = node[0]
         if op == "gen":
@@ -497,6 +502,10 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
         else:
             u, v = vals[node[1]], vals[node[2]]
             vals[idx] = mul(mul(u, v), mul(inv(u), inv(v)))
+        for ref in refs[idx]:
+            readers[ref] -= 1
+            if not readers[ref]:
+                vals[ref] = None
     return vals[root]
 
 

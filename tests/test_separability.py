@@ -12,7 +12,7 @@ import pytest
 
 from resfin.errors import InputError, InternalError
 from resfin.lcmlib import lcm_ball_witness
-from resfin.lowindex import enumerate_subgroups
+from resfin.lowindex import enumerate_subgroups, subgroup_count
 from resfin.permrep import eval_word, from_record, image_order, is_regular, is_transitive
 from resfin.separability import (
     SepResult,
@@ -154,12 +154,13 @@ def test_max_divisibility_rows():
     assert (row["value"], row["argmax"]) == (3, "aa")
 
 
-def reference_normal_row(rank, n, cap):
-    # one regular-action search per ball word, the first maximum kept
+def reference_row(rank, n, cap, normal):
+    # one search per ball word, the first maximum kept
+    search = normal_divisibility if normal else divisibility
     lower = first = None
     unresolved = 0
     for w in Ball(rank, n).nontrivial():
-        value = normal_divisibility(w, cap).value
+        value = search(w, cap).value
         if value is None:
             unresolved += 1
         elif lower is None or value > lower:
@@ -168,7 +169,7 @@ def reference_normal_row(rank, n, cap):
     return {
         "rank": rank,
         "n": n,
-        "normal": True,
+        "normal": normal,
         "cap": cap,
         "resolved": resolved,
         "unresolved": unresolved,
@@ -178,12 +179,25 @@ def reference_normal_row(rank, n, cap):
     }
 
 
-def test_normal_max_matches_per_word_search():
+def test_ball_max_matches_per_word_search():
     cases = [(1, 12, 16), (1, 6, 3), (2, 4, 4), (2, 3, 2), (2, 2, 1), (3, 3, 12), (3, 2, 5)]
     cases += [(2, n, 12) for n in range(1, 6)]
     for rank, n, cap in cases:
-        expect = reference_normal_row(rank, n, cap)
-        assert max_divisibility(rank, n, cap, normal=True) == expect, (rank, n, cap)
+        for normal in (False, True):
+            expect = reference_row(rank, n, cap, normal)
+            got = max_divisibility(rank, n, cap, normal=normal)
+            assert got == expect, (rank, n, cap, normal)
+
+
+def test_ball_max_does_not_depend_on_the_batch_size(monkeypatch):
+    # index 4 of F2 has more actions than one batch of 7, so the walk splits
+    assert subgroup_count(2, 4) > 7
+    cases = [(2, 6, 12, False), (2, 6, 12, True), (3, 3, 12, False), (1, 12, 16, True)]
+    whole = [max_divisibility(rank, n, cap, normal=normal) for rank, n, cap, normal in cases]
+    for batch in (1, 7):
+        monkeypatch.setattr("resfin.separability._WALK_BATCH", batch)
+        split = [max_divisibility(rank, n, cap, normal=normal) for rank, n, cap, normal in cases]
+        assert split == whole, batch
 
 
 def test_normal_max_frozen_at_radius_ten():
@@ -200,6 +214,21 @@ def test_normal_max_frozen_at_radius_ten():
     }
 
 
+def test_plain_max_frozen_at_radius_eleven():
+    # reference_row(2, 11, 12, False) gives the same row, too slowly for the suite
+    assert max_divisibility(2, 11, 12) == {
+        "rank": 2,
+        "n": 11,
+        "normal": False,
+        "cap": 12,
+        "resolved": True,
+        "unresolved": 0,
+        "lower_bound": 4,
+        "value": 4,
+        "argmax": "aaaaaa",
+    }
+
+
 def test_normal_max_rechecks_its_argmax(monkeypatch):
     def wrong(w, cap):
         return SepResult("normal_divisibility", 99, None, cap)
@@ -207,6 +236,15 @@ def test_normal_max_rechecks_its_argmax(monkeypatch):
     monkeypatch.setattr("resfin.separability.normal_divisibility", wrong)
     with pytest.raises(InternalError):
         max_divisibility(2, 2, normal=True)
+
+
+def test_plain_max_rechecks_its_argmax(monkeypatch):
+    def wrong(w, cap):
+        return SepResult("divisibility", 99, None, cap)
+
+    monkeypatch.setattr("resfin.separability.divisibility", wrong)
+    with pytest.raises(InternalError):
+        max_divisibility(2, 2)
 
 
 def test_max_divisibility_monotone_in_radius():

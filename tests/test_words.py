@@ -331,3 +331,29 @@ def test_sl_eval_skips_nodes_the_root_does_not_use():
     assert sl_eval(slw, gen=lambda i: 1, mul=counting_mul, inv=lambda u: u, ident=0) == 4
     # the commutator takes three products; the power would take about 200
     assert len(calls) == 3
+
+
+def test_sl_eval_drops_values_after_their_last_read():
+    # a chain of squarings: each node is read twice, by the next one only
+    class Tracked:
+        live = peak = 0
+
+        def __init__(self, n):
+            self.n = n
+            Tracked.live += 1
+            Tracked.peak = max(Tracked.peak, Tracked.live)
+
+        def __del__(self):
+            Tracked.live -= 1
+
+    nodes = [("gen", 1)] + [("mul", i, i) for i in range(100)]
+    root = sl_eval(
+        SLWord(1, nodes, 100),
+        gen=lambda i: Tracked(1),
+        mul=lambda u, v: Tracked(u.n + v.n),
+        inv=lambda u: u,
+        ident=Tracked(0),
+    )
+    assert root.n == 2**100
+    # the identity, the last value and the one being made; 101 if none is dropped
+    assert Tracked.peak <= 3
