@@ -29,6 +29,7 @@ Regular mode adds sound pruning devices on top:
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator
 
 from .errors import InputError, InternalError, ResourceError
@@ -300,6 +301,20 @@ def enumerate_normal(
 
 def subgroup_count(rank: int, index: int, *, max_degree: int = DEFAULT_DEGREE_CAP) -> int:
     return sum(1 for _ in enumerate_subgroups(rank, index, max_degree=max_degree))
+
+
+def hall_counts(rank: int) -> Iterator[int]:
+    """Subgroup counts of F_rank at index 1, 2, ..., without enumerating:
+    Hall's recursion a_n = n (n!)^(rank-1) - sum_{k<n} ((n-k)!)^(rank-1) a_k.
+    a_n is how many actions `enumerate_subgroups(rank, n)` yields.
+    """
+    if not isinstance(rank, int) or rank < 1:
+        raise InputError(f"rank must be a positive integer, got {rank!r}")
+    powers, counts = [1], []  # powers[m] = (m!)^(rank-1)
+    for n in itertools.count(1):
+        powers.append(powers[-1] * n ** (rank - 1))
+        counts.append(n * powers[n] - sum(powers[n - k] * a for k, a in enumerate(counts, 1)))
+        yield counts[-1]
 
 
 def normal_count(rank: int, order: int, *, max_degree: int = DEFAULT_DEGREE_CAP) -> int:

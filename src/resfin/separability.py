@@ -5,13 +5,14 @@ by searching pointed transitive actions where the word moves the
 basepoint.  The normal flavor searches regular actions instead.  The
 maximum of either over a ball enumerates the actions of each degree once
 and walks the ball's prefix tree through all of them together, one table
-lookup per word and action; the word it reports is searched again on its
-own, and the two routes must agree.  Residual girth is the least order
-of a quotient injective on a ball; injectivity is computed two
-independent ways (pairwise images, kernel-free doubled ball) which must
-agree.  The inequality checkers wire these searches to the
-common-multiple witnesses, one link at a time, and report `unknown`
-rather than extrapolate past a cap.
+lookup per word and action.  A plain degree with more subgroups than
+words left unresolved leaves those words to the per-word search.  The
+word reported is searched again on its own, and the two routes must
+agree.  Residual girth is the least order of a quotient injective on a
+ball; injectivity is computed two independent ways (pairwise images,
+kernel-free doubled ball) which must agree.  The inequality checkers wire
+these searches to the common-multiple witnesses, one link at a time, and
+report `unknown` rather than extrapolate past a cap.
 """
 
 import math
@@ -21,7 +22,7 @@ from operator import itemgetter
 
 from .errors import InputError, InternalError
 from .lcmlib import lcm_ball_witness
-from .lowindex import enumerate_normal, enumerate_subgroups, normal_subgroup_growth
+from .lowindex import enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth
 from .permrep import Permutation, PermQuotient, eval_word, is_transitive, to_record
 from .words import (
     Ball,
@@ -174,33 +175,71 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
     return SepResult(query, None, None, cap)
 
 
-def _ball_maximum(rank: int, n: int, cap: int, actions) -> tuple[int | None, FreeWord | None, int]:
+def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None, FreeWord | None, int]:
     """Max divisibility over the nontrivial radius-n ball.
 
     Returns the max over the words resolved within the cap (None if none
     is), the first word in ball order attaining it, and how many words
-    stay unresolved.  `actions(rank, d, max_degree=cap)` yields the
-    degree-d actions: pointed transitive ones for plain divisibility,
-    regular ones for the normal flavor.  Either way w escapes an action
-    exactly when it moves the basepoint, so a word's state in a batch of
-    actions is the tuple of its basepoint images over the disjoint union
-    of their points, and a child's state is one lookup per action in its
-    letter's glued table.  The tree is walked in preorder with an explicit
-    stack, each word's degree sits at its preorder position, and a subtree
-    whose words are all resolved is skipped.
+    stay unresolved.  Each degree's actions come from `enumerate_normal`
+    (regular ones) for the normal flavor and from `enumerate_subgroups`
+    (pointed transitive ones) for plain divisibility.  Either way w
+    escapes an action exactly when it moves the basepoint, so a word's
+    state in a batch of actions is the tuple of its basepoint images over
+    the disjoint union of their points, and a child's state is one lookup
+    per action in its letter's glued table.  The tree is walked in
+    preorder with an explicit stack, each word's degree sits at its
+    preorder position, and a subtree whose words are all resolved is
+    skipped.  A plain degree with more actions than words left unresolved
+    (Hall's count, known before any is built) ends the walk: those words
+    are searched one at a time with `divisibility` instead.
     """
     letters = _ordered_letters(rank)
+    actions = enumerate_normal if normal else enumerate_subgroups
     # sizes[k]: the nodes in the subtree of a length-k word; the tree
     # branches 2*rank ways at the root and 2*rank - 1 ways below it
     sizes = [1] * (n + 1)
     for k in range(n - 1, -1, -1):
         sizes[k] = 1 + (2 * rank - (k > 0)) * sizes[k + 1]
+
+    # the letters that may follow each last letter (0 at the root), in order
+    after = {last: [x for x in letters if x != -last] for last in (0, *letters)}
+
+    def word_at(target: int) -> tuple[int, ...]:
+        # decode a preorder position back into its word
+        word = []
+        pos = depth = last = 0
+        while pos != target:
+            i = (target - pos - 1) // sizes[depth + 1]
+            last = after[last][i]
+            word.append(last)
+            pos += 1 + i * sizes[depth + 1]
+            depth += 1
+        return tuple(word)
+
     # each word's degree, 0 while unresolved (the identity stays 0); a byte
     # suffices, since the enumerators refuse degrees past 255
     values = bytearray(sizes[0])
     lower = best = None
-    for degree in range(2, cap + 1):
-        if values.find(0, 1) < 0:
+    # Hall's counts from index 2 on
+    counts = islice(hall_counts(rank), 1, None)
+    for degree, count in zip(range(2, cap + 1), counts):
+        unresolved = values.count(0) - 1
+        if not unresolved:
+            break
+        if not normal and count > unresolved:
+            # the first maximum in ball order: shorter words, then preorder
+            top = (0,)
+            pos = values.find(0, 1)
+            while pos >= 0:
+                word = word_at(pos)
+                value = divisibility(FreeWord._reduced(rank, word), cap).value
+                if value is not None:
+                    values[pos] = value
+                    top = max(top, (value, -len(word), -pos))
+                pos = values.find(0, pos + 1)
+            # every value found here exceeds those of the walk
+            if top[0]:
+                lower, best = top[0], -top[2]
             break
         stream = actions(rank, degree, max_degree=cap)
         first = (n + 1, 0)  # least (depth, position) resolved at this degree
@@ -217,10 +256,7 @@ def _ball_maximum(rank: int, n: int, cap: int, actions) -> tuple[int | None, Fre
             for table in tables.values():
                 table.append(fixed)
             # children reversed, so that the stack pops them in ball order
-            children = {
-                last: [(x, tables[x]) for x in reversed(letters) if x != -last]
-                for last in (0, *letters)
-            }
+            children = {last: [(x, tables[x]) for x in reversed(xs)] for last, xs in after.items()}
             stack = [(0, 0, root, 0)]
             while stack:
                 pos, depth, state, last = stack.pop()
@@ -243,16 +279,7 @@ def _ball_maximum(rank: int, n: int, cap: int, actions) -> tuple[int | None, Fre
     unresolved = values.count(0) - 1
     if best is None:
         return lower, None, unresolved
-    # decode the preorder position back into its word
-    word = []
-    pos = depth = 0
-    while pos != best:
-        allowed = [x for x in letters if not word or x != -word[-1]]
-        i = (best - pos - 1) // sizes[depth + 1]
-        word.append(allowed[i])
-        pos += 1 + i * sizes[depth + 1]
-        depth += 1
-    return lower, FreeWord(rank, word), unresolved
+    return lower, FreeWord._reduced(rank, word_at(best)), unresolved
 
 
 def max_divisibility(
@@ -269,10 +296,12 @@ def max_divisibility(
     any element stays unknown at the cap the max itself is unknown and
     only a lower bound survives.  Both flavors walk the ball's prefix tree
     through the actions of each degree (`enumerate_subgroups` for plain,
-    `enumerate_normal` for normal) until every word is resolved, then
-    search the word they report again on its own (`divisibility`,
-    `normal_divisibility`) and raise InternalError unless that gives the
-    same value.  All work runs on one thread, bound by the interpreter
+    `enumerate_normal` for normal) until every word is resolved; the
+    plain flavor stops walking at the first degree with more subgroups
+    than unresolved words and searches those words one at a time.  The
+    word reported is searched again on its own (`divisibility`,
+    `normal_divisibility`), and InternalError is raised unless that gives
+    the same value.  All work runs on one thread, bound by the interpreter
     lock; `threads` is still validated and has no effect on the result.
     """
     if n < 1:
@@ -280,12 +309,15 @@ def max_divisibility(
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
     Ball(rank, n)  # rejects a bad rank
-    format_word(generator(rank, 1))  # so does one past 26, before any search
+    # so do a rank past 26, whose words cannot be printed, and a cap below
+    # 1, in the order of each flavor's per-word search
+    if normal:
+        format_word(generator(rank, 1))
     if cap < 1:
         raise InputError(f"cap must be positive, got {cap}")
-    actions = enumerate_normal if normal else enumerate_subgroups
+    format_word(generator(rank, 1))
     search = normal_divisibility if normal else divisibility
-    lower, first_max, unresolved = _ball_maximum(rank, n, cap, actions)
+    lower, first_max, unresolved = _ball_maximum(rank, n, cap, normal)
     if first_max is not None and search(first_max, cap).value != lower:
         raise InternalError("tree walk and per-word search disagree on the maximum")
     return {

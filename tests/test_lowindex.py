@@ -19,6 +19,7 @@ from resfin.lowindex import (
     _search,
     enumerate_normal,
     enumerate_subgroups,
+    hall_counts,
     kernel_fingerprint,
     normal_count,
     normal_subgroup_growth,
@@ -121,6 +122,15 @@ def test_subgroup_counts_match_recursion():
 
 def test_rank_three_subgroup_counts_match_recursion():
     assert [subgroup_count(3, d) for d in (1, 2, 3)] == _recursion_counts(3, 3)
+
+
+def test_hall_counts_match_enumeration():
+    for rank, upto in ((1, 5), (2, 6), (3, 3), (4, 2)):
+        expect = [subgroup_count(rank, d) for d in range(1, upto + 1)]
+        assert list(itertools.islice(hall_counts(rank), upto)) == expect
+    assert list(itertools.islice(hall_counts(3), 4)) == _recursion_counts(3, 4)
+    with pytest.raises(InputError):
+        next(hall_counts(0))
 
 
 def test_normal_counts_match_raw_sweep():

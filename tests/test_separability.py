@@ -7,12 +7,13 @@ exactly.  Inequality reports are frozen for the cases small caps resolve.
 """
 
 import math
+from itertools import islice
 
 import pytest
 
 from resfin.errors import InputError, InternalError
 from resfin.lcmlib import lcm_ball_witness
-from resfin.lowindex import enumerate_subgroups, subgroup_count
+from resfin.lowindex import enumerate_subgroups, hall_counts, subgroup_count
 from resfin.permrep import eval_word, from_record, image_order, is_regular, is_transitive
 from resfin.separability import (
     SepResult,
@@ -200,6 +201,21 @@ def test_ball_max_does_not_depend_on_the_batch_size(monkeypatch):
         assert split == whole, batch
 
 
+def test_plain_max_searches_few_words_one_at_a_time(monkeypatch):
+    # after degree 2, the radius-2 ball of F7 keeps its 14 squares, far
+    # fewer than the index-3 subgroups; the walk must not build those
+    assert list(islice(hall_counts(7), 3)) == [1, 127, 139777]
+    asked = []
+
+    def spy(rank, degree, **kwargs):
+        asked.append(degree)
+        return enumerate_subgroups(rank, degree, **kwargs)
+
+    monkeypatch.setattr("resfin.separability.enumerate_subgroups", spy)
+    assert max_divisibility(7, 2, 12) == reference_row(7, 2, 12, False)
+    assert asked == [2]
+
+
 def test_normal_max_frozen_at_radius_ten():
     assert max_divisibility(2, 10, 12, normal=True) == {
         "rank": 2,
@@ -244,7 +260,9 @@ def test_plain_max_rechecks_its_argmax(monkeypatch):
 
     monkeypatch.setattr("resfin.separability.divisibility", wrong)
     with pytest.raises(InternalError):
-        max_divisibility(2, 2)
+        # the walk resolves the whole radius-4 ball, so only the re-check
+        # runs the per-word search
+        max_divisibility(2, 4)
 
 
 def test_max_divisibility_monotone_in_radius():
