@@ -32,8 +32,8 @@ def chebyshev(n: int) -> tuple[int, float]:
     return value, math.log(value)
 
 
-def pnt_window(max_n: int, *, lo: float = 0.5, hi: float = 1.5) -> dict:
-    """log lcm(1..n) / n against [lo, hi] for every n up to max_n.
+def pnt_window(max_n: int) -> dict:
+    """log lcm(1..n) / n against [0.5, 1.5] for every n up to max_n.
 
     `verified_from` is the first threshold from which the ratio stays in
     the window all the way to max_n, or None if even max_n misses it.
@@ -51,7 +51,7 @@ def pnt_window(max_n: int, *, lo: float = 0.5, hi: float = 1.5) -> dict:
                 "lcm": acc,
                 "log_lcm": log,
                 "ratio": log / n,
-                "in_window": lo <= log / n <= hi,
+                "in_window": 0.5 <= log / n <= 1.5,
             }
         )
     verified_from = None
@@ -59,7 +59,7 @@ def pnt_window(max_n: int, *, lo: float = 0.5, hi: float = 1.5) -> dict:
         if not row["in_window"]:
             break
         verified_from = row["n"]
-    return {"lo": lo, "hi": hi, "rows": rows, "verified_from": verified_from}
+    return {"lo": 0.5, "hi": 1.5, "rows": rows, "verified_from": verified_from}
 
 
 @dataclass(frozen=True)

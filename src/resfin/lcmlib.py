@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 from .lowindex import enumerate_normal
 from .permrep import eval_word
 from .words import (
@@ -96,7 +96,7 @@ def _ground(node: int) -> dict:
     return {"rule": "ground", "node": node, "premises": []}
 
 
-def _witness_rank_one(targets: tuple[FreeWord, ...], budget: int) -> WitnessCertificate:
+def _witness_rank_one(targets: tuple[FreeWord, ...]) -> WitnessCertificate:
     exponents = [len(t) if t.letters[0] > 0 else -len(t) for t in targets]
     m = math.lcm(*(abs(e) for e in exponents))
     builder = SLBuilder(1)
@@ -111,7 +111,7 @@ def _witness_rank_one(targets: tuple[FreeWord, ...], budget: int) -> WitnessCert
                 {"rule": "power", "node": root, "premises": [node], "exponent": m // e}
             )
         derivations.append(tuple(steps))
-    flat = power(generator(1, 1), m) if m <= budget else None
+    flat = power(generator(1, 1), m) if m <= DEFAULT_FLAT_CAP else None
     return WitnessCertificate(
         rank=1,
         targets=targets,
@@ -136,20 +136,17 @@ def _pick_conjugator(u_flat: FreeWord, v_flat: FreeWord) -> FreeWord | None:
     )
 
 
-def lcm_witness(targets, *, flat_cap: int | None = None) -> WitnessCertificate:
+def lcm_witness(targets) -> WitnessCertificate:
     """Build a witness in the normal closure of every target.
 
-    The reduced form is tracked while it fits the budget; once it does,
+    The reduced form is tracked while it fits DEFAULT_FLAT_CAP; once it does,
     nontriviality is guaranteed because every pairing commutes its two
     entries only after checking they do not commute.
     """
     targets = _check_targets(targets)
     rank = targets[0].rank
-    budget = flat_cap if flat_cap is not None else DEFAULT_FLAT_CAP
-    if budget < 1:
-        raise InputError(f"flat cap must be positive, got {budget}")
     if rank == 1:
-        return _witness_rank_one(targets, budget)
+        return _witness_rank_one(targets)
 
     builder = SLBuilder(rank)
     elements = [
@@ -183,7 +180,7 @@ def lcm_witness(targets, *, flat_cap: int | None = None) -> WitnessCertificate:
             flat = None
             if tracked:
                 z_flat = v["flat"] if mu is None else conjugate(v["flat"], mu)
-                if 2 * (len(u["flat"]) + len(z_flat)) <= budget:
+                if 2 * (len(u["flat"]) + len(z_flat)) <= DEFAULT_FLAT_CAP:
                     flat = commutator(u["flat"], z_flat)
                     if flat.is_identity:
                         raise InternalError("pairing collapsed despite the check")
@@ -226,11 +223,11 @@ def lcm_witness(targets, *, flat_cap: int | None = None) -> WitnessCertificate:
     )
 
 
-def lcm_ball_witness(rank: int, n: int, *, flat_cap: int | None = None) -> WitnessCertificate:
+def lcm_ball_witness(rank: int, n: int) -> WitnessCertificate:
     """Witness for every nontrivial word of length at most n at once."""
     if n < 1:
         raise InputError(f"radius must be positive, got {n}")
-    return lcm_witness(Ball(rank, n).nontrivial(), flat_cap=flat_cap)
+    return lcm_witness(Ball(rank, n).nontrivial())
 
 
 def _node_flat(w: SLWord, node: int, cap: int) -> FreeWord | None:
@@ -262,12 +259,6 @@ def _replay(cert: WitnessCertificate, index: int, cap: int) -> list[str]:
             flat = _node_flat(w, node, max(len(target), 1))
             if flat != target:
                 failures.append(f"{where}: ground node is not the target")
-        elif rule == "inverse":
-            if shape[0] != "inv" or premises != [shape[1]]:
-                failures.append(f"{where}: node is not the inverse of the premise")
-        elif rule == "product":
-            if shape[0] != "mul" or premises != [shape[1], shape[2]]:
-                failures.append(f"{where}: node is not the product of the premises")
         elif rule == "power":
             e = step.get("exponent")
             ok = (
@@ -310,7 +301,7 @@ def _power_step_ok(nodes, node, premise, e, w: SLWord, cap: int) -> bool:
         return False
     try:
         return power(premise_flat, e, cap=cap) == node_flat
-    except Exception:
+    except ResourceError:
         return False
 
 
@@ -469,12 +460,12 @@ def _in_power_closure(w: FreeWord, gen: int, modulus: int) -> bool:
         work = step
 
 
-def closure_membership(w: FreeWord, target: FreeWord, *, order_cap: int = 6) -> bool | None:
+def closure_membership(w: FreeWord, target: FreeWord) -> bool | None:
     """Is w in the normal closure of the target?
 
     Exact when the target is a power of one generator.  Otherwise scan
-    small quotients for one killing the target but not w, which refutes
-    membership; absent a refutation the answer is None.
+    the quotients of order at most 6 for one killing the target but not
+    w, which refutes membership; absent a refutation the answer is None.
     """
     if w.rank != target.rank:
         raise InputError(f"rank mismatch: {w.rank} vs {target.rank}")
@@ -485,18 +476,18 @@ def closure_membership(w: FreeWord, target: FreeWord, *, order_cap: int = 6) -> 
     pt = _power_target(target)
     if pt is not None:
         return _in_power_closure(w, pt[0], pt[1])
-    for q in range(2, order_cap + 1):
+    for q in range(2, 7):
         for quot in enumerate_normal(w.rank, q):
             if eval_word(quot, target).is_identity and not eval_word(quot, w).is_identity:
                 return False
     return None
 
 
-def exact_lcm_small(targets, *, radius_cap: int = 6) -> FreeWord | None:
+def exact_lcm_small(targets) -> FreeWord | None:
     """First word in word order inside every target's normal closure.
 
     Every target must be a power of a single generator so membership is
-    exact; returns None when nothing within the radius qualifies.
+    exact; returns None when nothing within radius 6 qualifies.
     """
     targets = _check_targets(targets)
     pts = []
@@ -508,7 +499,7 @@ def exact_lcm_small(targets, *, radius_cap: int = 6) -> FreeWord | None:
             )
         pts.append(pt)
     rank = targets[0].rank
-    for w in Ball(rank, radius_cap).nontrivial():
+    for w in Ball(rank, 6).nontrivial():
         if all(_in_power_closure(w, g, m) for g, m in pts):
             return w
     return None

@@ -42,21 +42,11 @@ from .permrep import (
     is_regular,
     is_transitive,
 )
-from .words import FreeWord, _free_reduce, enumerate_ball
+from .words import FreeWord, _cyclic_split, _free_reduce, enumerate_ball
 
 DEFAULT_DEGREE_CAP = 16
 
-_CACHE_PLAIN_LIMIT = 6
 _CACHE_REGULAR_LIMIT = 12
-
-
-def _cyclic_length(rel: tuple[int, ...]) -> int:
-    """Length of a freely reduced nontrivial word after cyclic reduction."""
-    n = len(rel)
-    i = 0
-    while n - 2 * i > 1 and rel[i] == -rel[n - 1 - i]:
-        i += 1
-    return n - 2 * i
 
 
 def _search(
@@ -109,7 +99,7 @@ def _search(
         rel = _free_reduce(bfs_word[a] + (g + 1,) + inv_b)
         if not rel or rel in relator_set:
             return True
-        if kernel_radius and _cyclic_length(rel) <= kernel_radius:
+        if kernel_radius and len(_cyclic_split(rel)[1]) <= kernel_radius:
             return False
         relator_set.add(rel)
         trail.append(("rel", rel))
@@ -242,8 +232,10 @@ def _search(
 
 
 @functools.lru_cache(maxsize=None)
-def _materialized(rank: int, degree: int, regular: bool) -> tuple[PermQuotient, ...]:
-    return tuple(_search(rank, degree, regular))
+def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
+    """Every regular action of one order, kept for the queries that read
+    an order again (argmax re-checks, growth counts, theorem4 rows)."""
+    return tuple(_search(rank, order, True))
 
 
 def _checked(rank: int, degree: int, max_degree: int, what: str) -> None:
@@ -266,8 +258,6 @@ def enumerate_subgroups(
     `index`. Raise the keyword cap explicitly to go beyond the default.
     """
     _checked(rank, index, max_degree, "index")
-    if index <= _CACHE_PLAIN_LIMIT:
-        return iter(_materialized(rank, index, False))
     return _search(rank, index, False)
 
 
@@ -295,7 +285,7 @@ def enumerate_normal(
     if kernel_radius:
         return _search(rank, order, True, kernel_radius)
     if order <= _CACHE_REGULAR_LIMIT:
-        return iter(_materialized(rank, order, True))
+        return iter(_materialized(rank, order))
     return _search(rank, order, True)
 
 

@@ -84,9 +84,6 @@ class UnipotentMatrix:
         a, b, c = self.triple
         return UnipotentMatrix._from_triple((-a, -b, a * b - c))
 
-    def max_entry(self) -> int:
-        return _max_entry(self.triple)
-
     def reduce_mod(self, m: int) -> "UnipotentMatrix":
         return UnipotentMatrix._from_triple(_reduce(self.triple, m))
 

@@ -300,9 +300,9 @@ def canonical_key(q: PermQuotient) -> bytes:
     return b"".join(parts)
 
 
-def to_record(q: PermQuotient, *, order_cap: int = DEFAULT_ORDER_CAP) -> dict:
+def to_record(q: PermQuotient) -> dict:
     """JSON-ready description of the quotient."""
-    order = image_order(q, cap=order_cap)
+    order = image_order(q)
     return {
         "degree": q.degree,
         "gens": [list(g.images) for g in q.gens],

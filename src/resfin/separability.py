@@ -191,7 +191,8 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
     preorder position, and a subtree whose words are all resolved is
     skipped.  A plain degree with more actions than words left unresolved
     (Hall's count, known before any is built) ends the walk: those words
-    are searched one at a time with `divisibility` instead.
+    are searched one at a time with `_escape_tables` instead, from that
+    degree up.
     """
     letters = _ordered_letters(rank)
     actions = enumerate_normal if normal else enumerate_subgroups
@@ -227,12 +228,15 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
         if not unresolved:
             break
         if not normal and count > unresolved:
-            # the first maximum in ball order: shorter words, then preorder
+            # every lower degree was walked in full, so each search starts
+            # here; the first maximum in ball order: shorter words, then
+            # preorder
             top = (0,)
             pos = values.find(0, 1)
             while pos >= 0:
                 word = word_at(pos)
-                value = divisibility(FreeWord._reduced(rank, word), cap).value
+                w = FreeWord._reduced(rank, word)
+                value = next((d for d in range(degree, cap + 1) if _escape_tables(w, d)), None)
                 if value is not None:
                     values[pos] = value
                     top = max(top, (value, -len(word), -pos))
@@ -378,9 +382,7 @@ def _link(lhs: float, rhs: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
 
 
-def check_basic_inequality(
-    rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP, *, girth_cap: int | None = None
-) -> dict:
+def check_basic_inequality(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> dict:
     """Ball size and girth against the count-weighted divisibility bound.
 
     Separating every pair in the radius-n ball needs quotients of order up
@@ -392,7 +394,6 @@ def check_basic_inequality(
     """
     if n < 1:
         raise InputError(f"radius must be positive, got {n}")
-    girth_cap = cap if girth_cap is None else girth_cap
     row = max_divisibility(rank, 2 * n, cap, normal=True)
     ball_size = word_growth(rank, n)
     report = {
@@ -409,12 +410,12 @@ def check_basic_inequality(
     if not row["resolved"]:
         return report
     m = row["value"]
-    s = normal_subgroup_growth(rank, m)
+    s = normal_subgroup_growth(rank, m, max_degree=m)
     rhs = s * math.log(m)
     report["growth_count"] = s
     report["growth_link"] = _link(math.log(ball_size), rhs)
 
-    girth = residual_girth(rank, n, girth_cap)
+    girth = residual_girth(rank, n, cap)
     if girth.value is not None:
         link = _link(math.log(girth.value), rhs)
         report["girth_link"] = {

@@ -156,9 +156,8 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     return multiply(multiply(u, v), multiply(inverse(u), inverse(v)))
 
 
-def _cyclic_split(u: FreeWord) -> tuple[Letters, Letters]:
-    """Split u = p c p^-1 with c cyclically reduced; returns (p, c)."""
-    letters = u.letters
+def _cyclic_split(letters: Letters) -> tuple[Letters, Letters]:
+    """Split a reduced word p c p^-1 with c cyclically reduced; returns (p, c)."""
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i] == -letters[j - 1]:
         i += 1
@@ -173,7 +172,7 @@ def power(u: FreeWord, k: int, *, cap: int = DEFAULT_FLAT_CAP) -> FreeWord:
     if k == 0 or u.is_identity:
         return identity(u.rank)
     base = u if k > 0 else inverse(u)
-    prefix, core = _cyclic_split(base)
+    prefix, core = _cyclic_split(base.letters)
     # p c p^-1 to the |k| is p c^|k| p^-1 and c^|k| is already reduced.
     projected = 2 * len(prefix) + abs(k) * len(core)
     if projected > cap:
@@ -212,37 +211,26 @@ def _ordered_letters(rank: int) -> list[int]:
     return [x for i in range(1, rank + 1) for x in (i, -i)]
 
 
-def enumerate_ball(
-    rank: int, n: int, *, prefix: FreeWord | None = None
-) -> Iterator[FreeWord]:
-    """Yield every reduced word of length <= n once, in (length, lex) order.
-
-    With a prefix, yields only the ball members that start with it (the
-    prefix itself included); partitioning by the length-1 prefixes plus the
-    identity recovers the whole ball.
-    """
+def enumerate_ball(rank: int, n: int) -> Iterator[FreeWord]:
+    """Yield every reduced word of length <= n once, in (length, lex) order."""
     _check_rank(rank)
     if n < 0:
         raise InputError(f"radius must be nonnegative, got {n}")
-    if prefix is not None and prefix.rank != rank:
-        raise InputError(f"prefix rank {prefix.rank} does not match {rank}")
     alphabet = _ordered_letters(rank)
-    start = prefix.letters if prefix is not None else ()
     # follow[p]: the letters that may come after p, in order (p = 0 before
     # the first letter); after[p][x]: the one that comes next after x
     follow = {p: [x for x in alphabet if x != -p] for p in (0, *alphabet)}
     after = {p: dict(zip(xs, xs[1:])) for p, xs in follow.items()}
 
     def exact(length: int) -> Iterator[Letters]:
-        k = len(start)
-        if length == k:
-            yield start
+        if not length:
+            yield ()
             return
-        # an odometer over the positions between the prefix and the last
-        # letter: bump the rightmost one that has a later letter and refill
-        # the rest with the least ones, so no Python frame is held per letter
-        word = [*start, *[0] * (length - 1 - k)]
-        j = k - 1
+        # an odometer over every position but the last letter: bump the
+        # rightmost one that has a later letter and refill the rest with
+        # the least ones, so no Python frame is held per letter
+        word = [0] * (length - 1)
+        j = -1
         while True:
             for i in range(j + 1, length - 1):
                 word[i] = follow[word[i - 1] if i else 0][0]
@@ -250,7 +238,7 @@ def enumerate_ball(
             for x in follow[word[-1] if word else 0]:
                 yield head + (x,)
             j = length - 2
-            while j >= k:
+            while j >= 0:
                 nxt = after[word[j - 1] if j else 0].get(word[j])
                 if nxt is not None:
                     break
@@ -259,7 +247,7 @@ def enumerate_ball(
                 return
             word[j] = nxt
 
-    for length in range(len(start), n + 1):
+    for length in range(n + 1):
         for letters in exact(length):
             yield FreeWord._reduced(rank, letters)
 

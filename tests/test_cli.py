@@ -5,6 +5,8 @@ compared as whole strings where the table is small enough to freeze.
 """
 
 import json
+import shlex
+from pathlib import Path
 
 from resfin.cli import run
 
@@ -224,3 +226,15 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     path = tmp_path / "table.csv"
     assert run(argv + ["--out", str(path)]) == 0
     assert path.read_text() == direct
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # the README's command block, line by line and in order: verify reads
+    # the certificate that lcm-witness writes
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [x for x in readme.read_text().splitlines() if x.startswith("resfin ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, line

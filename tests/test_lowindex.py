@@ -35,7 +35,7 @@ from resfin.permrep import (
     is_regular,
     is_transitive,
 )
-from resfin.words import Ball, generator
+from resfin.words import Ball, _free_reduce, generator
 
 
 # --- independent oracles ---------------------------------------------------
@@ -192,6 +192,25 @@ def test_regular_search_sequence_is_frozen():
     assert _sequence_digest(3, range(1, 9)) == (
         "37da6e7e71773ff0fa382a9c38a36cd5ae2f5b2c7e2603e16c39a2692808bba7"
     )
+
+
+def test_regular_deductions_are_frozen(monkeypatch):
+    # each relator the regular search meets costs one _free_reduce call;
+    # weaker deductions branch more, meet more relators and change the
+    # count while the emitted (canonical) sequence stays the same
+    calls = []
+
+    def counting(raw):
+        calls.append(None)
+        return _free_reduce(raw)
+
+    monkeypatch.setattr("resfin.lowindex._free_reduce", counting)
+    for rank, top, expect in ((2, 16, 8802), (3, 8, 7240)):
+        calls.clear()
+        for order in range(2, top + 1):
+            for _ in _search(rank, order, True):
+                pass
+        assert len(calls) == expect, rank
 
 
 # --- the kernel-length cut -------------------------------------------------

@@ -17,6 +17,7 @@ from resfin.lowindex import enumerate_subgroups, hall_counts, subgroup_count
 from resfin.permrep import eval_word, from_record, image_order, is_regular, is_transitive
 from resfin.separability import (
     SepResult,
+    _complete_action,
     check_basic_inequality,
     check_girth_inequality,
     divisibility,
@@ -216,6 +217,21 @@ def test_plain_max_searches_few_words_one_at_a_time(monkeypatch):
     assert asked == [2]
 
 
+def test_plain_max_completes_only_its_argmax(monkeypatch):
+    # the per-word stage needs each word's degree only, so the one action
+    # completed is the argmax re-check's
+    expect = reference_row(7, 2, 12, False)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _complete_action(*args)
+
+    monkeypatch.setattr("resfin.separability._complete_action", spy)
+    assert max_divisibility(7, 2, 12) == expect
+    assert len(calls) == 1
+
+
 def test_normal_max_frozen_at_radius_ten():
     assert max_divisibility(2, 10, 12, normal=True) == {
         "rank": 2,
@@ -373,6 +389,19 @@ def test_basic_inequality_inconclusive_when_max_unresolved():
     assert report["growth_link"] is None
     with pytest.raises(InputError):
         check_basic_inequality(2, 0)
+
+
+def test_basic_inequality_counts_past_the_default_degree_cap(monkeypatch):
+    # a max normal divisibility above 16 needs normal subgroups of index
+    # past the enumerators' default cap; F1 has one for each index
+    def row(rank, n, cap, normal):
+        return {"resolved": True, "value": 17}
+
+    monkeypatch.setattr("resfin.separability.max_divisibility", row)
+    report = check_basic_inequality(1, 2, cap=24)
+    assert report["growth_count"] == 17
+    assert report["girth_link"]["value"] == 5
+    assert report["status"] == "pass"
 
 
 def test_girth_inequality_rank_two():

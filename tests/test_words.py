@@ -184,15 +184,6 @@ def test_deep_ball_streams_without_recursion():
     assert sum(1 for _ in enumerate_ball(1, 2000)) == 4001
 
 
-def test_ball_prefix_partition():
-    rank, n = 2, 4
-    whole = list(enumerate_ball(rank, n))
-    parts = [w for w in whole if w.is_identity]
-    for letter in (1, -1, 2, -2):
-        parts.extend(enumerate_ball(rank, n, prefix=FreeWord(rank, (letter,))))
-    assert sorted(parts, key=word_key) == whole
-
-
 def test_ball_object():
     ball = Ball(2, 2)
     assert ball.size == 17
