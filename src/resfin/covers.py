@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .lcmlib import lcm_witness
-from .lowindex import enumerate_subgroups
+from .lowindex import DEFAULT_DEGREE_CAP, _checked, enumerate_subgroups
 from .permrep import PermQuotient, is_transitive
 from .separability import normal_divisibility
 from .words import generator, power
@@ -118,6 +118,7 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
     """
     if m < 1:
         raise InputError(f"m must be positive, got {m}")
+    _checked(2, max_degree, DEFAULT_DEGREE_CAP, "index")  # before any degree runs
     ell = lcm_upto(m)
     rows = []
     total_points = 0

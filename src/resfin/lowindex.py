@@ -4,9 +4,11 @@ Subgroups of index d in F_m are enumerated as pointed transitive actions on
 d points, normal subgroups of index q as regular actions on q points. The
 search fills a partial permutation table slot by slot in a fixed scan order
 (point by point, each generator forward then backward), introducing fresh
-points only at their first reference. That discipline makes every finished
-table its own canonical form, so each subgroup and each kernel is produced
-exactly once, with no abstract-group catalog anywhere.
+points only at their first reference. Slots fill in scan order from a
+cursor: a node resumes the scan just past its parent's slot, since every
+slot before it stays filled in the whole subtree. That discipline makes
+every finished table its own canonical form, so each subgroup and each
+kernel is produced exactly once, with no abstract-group catalog anywhere.
 
 Regular mode adds sound pruning devices on top:
   - every table entry that joins two known points yields a word fixing the
@@ -150,14 +152,14 @@ def _search(
                 return False
         return True
 
-    def first_slot():
-        used = state["used"]
-        for p in range(used):
-            for g in range(m):
-                if fwd[g][p] < 0:
-                    return p, g, True
-                if bwd[g][p] < 0:
-                    return p, g, False
+    # slot s is entry p = s // (2m) of slot_rows[s % (2m)]
+    slot_rows = [row for g in range(m) for row in (fwd[g], bwd[g])]
+    width = 2 * m
+
+    def first_slot(start: int) -> int | None:
+        for s in range(start, width * state["used"]):
+            if slot_rows[s % width][s // width] < 0:
+                return s
         return None
 
     def build() -> PermQuotient:
@@ -173,13 +175,13 @@ def _search(
             raise InternalError("search produced an intransitive table")
         return q
 
-    def rec() -> Iterator[PermQuotient]:
-        slot = first_slot()
-        if slot is None:
+    def rec(start: int) -> Iterator[PermQuotient]:
+        s = first_slot(start)
+        if s is None:
             if state["used"] == degree:
                 yield build()
             return
-        p, g, forward = slot
+        p, g, forward = s // width, s % width // 2, s % 2 == 0
         used = state["used"]
         if forward:
             candidates = [r for r in range(used) if bwd[g][r] < 0]
@@ -209,7 +211,7 @@ def _search(
                 ok = ok and propagate()
             pending.clear()
             if ok:
-                yield from rec()
+                yield from rec(s + 1)
             while len(trail) > mark:
                 entry = trail.pop()
                 kind = entry[0]
@@ -228,7 +230,7 @@ def _search(
                     bfs_word.pop()
                     state["used"] -= 1
 
-    return rec()
+    return rec(0)
 
 
 @functools.lru_cache(maxsize=None)

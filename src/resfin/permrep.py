@@ -276,28 +276,25 @@ def canonical_key(q: PermQuotient) -> bytes:
     Relabels points by breadth-first discovery order from the basepoint,
     scanning each point's neighbors as (g1 forward, g1 backward, g2
     forward, ...). Two transitive quotients get equal keys exactly when
-    some relabeling fixing the basepoint carries one to the other.
+    some relabeling fixing the basepoint carries one to the other. The
+    same pass decides transitivity, which is cached for is_transitive.
     """
     if q.degree > MAX_ENCODABLE_DEGREE:
         raise InputError(f"degree {q.degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
-    if not is_transitive(q):
-        raise InputError("canonical_key needs a transitive quotient")
     inverses = q._gen_inverses()
-    label = {0: 0}
+    rows = [t._map for g, ginv in zip(q.gens, inverses) for t in (g, ginv)]
+    label = [0] + [-1] * (q.degree - 1)
     order = [0]
-    i = 0
-    while i < len(order):
-        p = order[i]
-        i += 1
-        for g, ginv in zip(q.gens, inverses):
-            for nxt in (g._map[p], ginv._map[p]):
-                if nxt not in label:
-                    label[nxt] = len(order)
-                    order.append(nxt)
-    parts = []
-    for g in q.gens:
-        parts.append(bytes(label[g._map[order[new]]] for new in range(q.degree)))
-    return b"".join(parts)
+    for p in order:  # order grows while it is walked
+        for row in rows:
+            nxt = row[p]
+            if label[nxt] < 0:
+                label[nxt] = len(order)
+                order.append(nxt)
+    object.__setattr__(q, "_transitive", len(order) == q.degree)
+    if not q._transitive:
+        raise InputError("canonical_key needs a transitive quotient")
+    return b"".join(bytes(label[g._map[p]] for p in order) for g in q.gens)
 
 
 def to_record(q: PermQuotient) -> dict:

@@ -6,6 +6,7 @@ compared as whole strings where the table is small enough to freeze.
 
 import json
 import shlex
+import time
 from pathlib import Path
 
 from resfin.cli import run
@@ -217,6 +218,27 @@ def test_covers_scan_summary_in_json(capsys):
     data = json.loads(out_of(capsys))
     assert data["summary"]["violations"] == []
     assert [r["degree"] for r in data["rows"]] == [1, 2, 3, 4]
+
+
+def test_covers_scan_rejects_a_degree_out_of_range(monkeypatch, capsys):
+    for degree in ("0", "-1"):
+        assert run(["covers-scan", "--m", "3", "--max-degree", degree]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+    # index 16 alone has about 3 * 10^14 subgroups, so the cap must be met
+    # before the first degree is enumerated, not on reaching degree 17;
+    # a scan that starts enumerating fails here rather than running on
+    def no_enumeration(rank, index, **kw):
+        raise AssertionError(f"enumerated index {index} before the cap check")
+
+    monkeypatch.setattr("resfin.covers.enumerate_subgroups", no_enumeration)
+    monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
+    start = time.perf_counter()
+    assert run(["covers-scan", "--m", "3", "--max-degree", "17"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: index 17 exceeds the declared cap 16\n"
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -194,6 +194,22 @@ def test_regular_search_sequence_is_frozen():
     )
 
 
+def test_plain_search_sequence_is_frozen():
+    # raw rows rather than canonical_key, so that a change to the key cannot
+    # mask a change in which tables the search emits, or in what order
+    for rank, top, count, expect in (
+        (2, 6, 3996, "f4349a96608dee1f3844442122d9f144b28a6bab792ac362b820167ed378c5cd"),
+        (3, 4, 2248, "e32aade1812a509200734b2bc9c3580f303b22732810ad51a638602876d2497e"),
+    ):
+        digest = hashlib.sha256()
+        seen = 0
+        for d in range(1, top + 1):
+            for q in enumerate_subgroups(rank, d):
+                digest.update(b"".join(bytes(g._map) for g in q.gens))
+                seen += 1
+        assert (seen, digest.hexdigest()) == (count, expect), rank
+
+
 def test_regular_deductions_are_frozen(monkeypatch):
     # each relator the regular search meets costs one _free_reduce call;
     # weaker deductions branch more, meet more relators and change the
@@ -279,6 +295,26 @@ def test_enumeration_is_deterministic_and_duplicate_free():
     assert len(set(first)) == len(first)
     normals = [canonical_key(q) for q in enumerate_normal(2, 8)]
     assert len(set(normals)) == len(normals)
+
+
+def test_canonical_key_matches_the_reference_relabelling():
+    # _relabel_from_zero is the dict-based breadth-first definition of the
+    # key, kept apart from the one pass that also decides transitivity;
+    # a relabelling may move the basepoint, so both sides see new tables
+    rng = random.Random(11)
+    for rank, degree in ((2, 5), (3, 4)):
+        for q in enumerate_subgroups(rank, degree):
+            images = list(range(degree))
+            rng.shuffle(images)
+            s = Permutation._from_zero(tuple(images))
+            moved = PermQuotient([s.inverse() * g * s for g in q.gens])
+            reference = _relabel_from_zero([g._map for g in moved.gens], degree)
+            assert canonical_key(moved) == b"".join(bytes(row) for row in reference)
+            assert moved._transitive is True
+    q = PermQuotient([Permutation([2, 1, 3]), Permutation([1, 2, 3])])
+    with pytest.raises(InputError):
+        canonical_key(q)
+    assert q._transitive is False and not is_transitive(q)
 
 
 # --- kernel fingerprints ---------------------------------------------------
