@@ -31,7 +31,7 @@ from .separability import (
     max_divisibility,
     residual_girth,
 )
-from .words import parse_word, word_growth
+from .words import FreeWord, parse_word, word_growth
 
 
 def _degree_clamp() -> int | None:
@@ -89,7 +89,7 @@ def _parse_word_set(text: str):
         raise InputError("the target set is empty")
     words = [parse_word(p) for p in pieces]
     rank = max(w.rank for w in words)
-    return [parse_word(p, rank) for p in pieces]
+    return [FreeWord._reduced(rank, w.letters) for w in words]
 
 
 def _cmd_growth(args):
@@ -117,7 +117,7 @@ def _cmd_girth(args):
 
 def _cmd_lcm_witness(args):
     cert = lcm_witness(_parse_word_set(args.set))
-    check = verify_certificate(cert, flat_cap=args.verify_cap)
+    check = verify_certificate(cert)
     if not check:
         raise InternalError(
             "freshly built certificate failed its check: " + "; ".join(check.failures)
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lcm-witness", help="build and check a witness certificate", parents=[trailing])
     p.add_argument("--set", required=True, help='comma-separated words, e.g. "ab,aa,B"')
-    p.add_argument("--verify-cap", type=int, default=None, dest="verify_cap")
     p.set_defaults(fn=_cmd_lcm_witness)
 
     p = sub.add_parser("power-witness", help="witness for the powers x..x^n", parents=[trailing])

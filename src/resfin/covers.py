@@ -129,13 +129,16 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
         non_closing = 0
         for q in enumerate_subgroups(2, degree):
             covers += 1
-            for cycle in analyze_cover(q).cycles:
-                if ell % len(cycle) == 0:
+            lengths = [len(c) for c in q.gens[0].cycles()]
+            if sum(lengths) != degree:
+                raise InternalError("cycle lengths must add up to the degree")
+            for length in lengths:
+                if ell % length == 0:
                     continue
-                non_closing += len(cycle)
-                if len(cycle) <= m:
+                non_closing += length
+                if length <= m:
                     raise InternalError(
-                        f"non-closing lift on a cycle of length {len(cycle)} <= {m}"
+                        f"non-closing lift on a cycle of length {length} <= {m}"
                     )
         rows.append(
             {

@@ -25,6 +25,7 @@ from .words import (
     FreeWord,
     SLBuilder,
     SLWord,
+    _free_reduce,
     commutator,
     conjugate,
     format_word,
@@ -32,7 +33,6 @@ from .words import (
     multiply,
     parse_word,
     power,
-    reduce,
     sl_flatten,
     sl_length_bound,
 )
@@ -230,11 +230,7 @@ def lcm_ball_witness(rank: int, n: int) -> WitnessCertificate:
     return lcm_witness(Ball(rank, n).nontrivial())
 
 
-def _node_flat(w: SLWord, node: int, cap: int) -> FreeWord | None:
-    return sl_flatten(SLWord(w.rank, w.nodes[: node + 1], node), cap)
-
-
-def _replay(cert: WitnessCertificate, index: int, cap: int) -> list[str]:
+def _replay(cert: WitnessCertificate, index: int) -> list[str]:
     w = cert.word
     nodes = w.nodes
     target = cert.targets[index]
@@ -256,7 +252,7 @@ def _replay(cert: WitnessCertificate, index: int, cap: int) -> list[str]:
             failures.append(f"{where}: uses an underived premise")
             break
         if rule == "ground":
-            flat = _node_flat(w, node, max(len(target), 1))
+            flat = sl_flatten(SLWord._rooted(w, node), max(len(target), 1))
             if flat != target:
                 failures.append(f"{where}: ground node is not the target")
         elif rule == "power":
@@ -265,7 +261,7 @@ def _replay(cert: WitnessCertificate, index: int, cap: int) -> list[str]:
                 shape[0] == "pow"
                 and len(premises) == 1
                 and isinstance(e, int)
-                and _power_step_ok(nodes, node, premises[0], e, w, cap)
+                and _power_step_ok(nodes, node, premises[0], e, w)
             )
             if not ok:
                 failures.append(f"{where}: node is not the premise to the exponent")
@@ -287,7 +283,7 @@ def _replay(cert: WitnessCertificate, index: int, cap: int) -> list[str]:
     return failures
 
 
-def _power_step_ok(nodes, node, premise, e, w: SLWord, cap: int) -> bool:
+def _power_step_ok(nodes, node, premise, e, w: SLWord) -> bool:
     base, total = nodes[node][1], nodes[node][2]
     # structural case: premise is the same base, or a power of it
     if premise == base and e == total:
@@ -295,19 +291,18 @@ def _power_step_ok(nodes, node, premise, e, w: SLWord, cap: int) -> bool:
     p = nodes[premise]
     if p[0] == "pow" and p[1] == base and p[2] * e == total:
         return True
-    node_flat = _node_flat(w, node, cap)
-    premise_flat = _node_flat(w, premise, cap)
+    node_flat = sl_flatten(SLWord._rooted(w, node), DEFAULT_FLAT_CAP)
+    premise_flat = sl_flatten(SLWord._rooted(w, premise), DEFAULT_FLAT_CAP)
     if node_flat is None or premise_flat is None:
         return False
     try:
-        return power(premise_flat, e, cap=cap) == node_flat
+        return power(premise_flat, e, cap=DEFAULT_FLAT_CAP) == node_flat
     except ResourceError:
         return False
 
 
-def verify_certificate(cert: WitnessCertificate, *, flat_cap: int | None = None) -> VerifyResult:
+def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     """Replay every derivation and recheck the declared facts."""
-    cap = flat_cap if flat_cap is not None else DEFAULT_FLAT_CAP
     failures: list[str] = []
     if sl_length_bound(cert.word) != cert.declared_bound:
         failures.append("declared length bound does not match the straight-line word")
@@ -315,7 +310,7 @@ def verify_certificate(cert: WitnessCertificate, *, flat_cap: int | None = None)
         failures.append("one derivation per target is required")
     else:
         for i in range(len(cert.targets)):
-            failures.extend(_replay(cert, i, cap))
+            failures.extend(_replay(cert, i))
     if cert.flat is not None:
         recomputed = sl_flatten(cert.word, max(len(cert.flat), 1))
         if recomputed != cert.flat:
@@ -454,7 +449,7 @@ def _in_power_closure(w: FreeWord, gen: int, modulus: int) -> bool:
     """
     work = w.letters
     while True:
-        step = reduce(w.rank, _mod_reduce(work, gen, modulus)).letters
+        step = _free_reduce(_mod_reduce(work, gen, modulus))
         if step == work:
             return not work
         work = step

@@ -44,7 +44,7 @@ from .permrep import (
     is_regular,
     is_transitive,
 )
-from .words import FreeWord, _cyclic_split, _free_reduce, enumerate_ball
+from .words import FreeWord, _check_rank, _cyclic_split, _free_reduce, enumerate_ball
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -60,8 +60,7 @@ def _search(
     # step[x][p]: p moved by the letter x; a negative x indexes from the
     # end, where the backward rows sit in reverse order
     step = [None, *fwd, *reversed(bwd)]
-    state = {"used": 1}
-    bfs_word: list[tuple[int, ...]] = [()]
+    bfs_word: list[tuple[int, ...]] = [()]  # one word per point in use, basepoint first
     relator_set: set[tuple[int, ...]] = set()
     # letter -> every rotation of a relator that starts with that letter
     rotations: dict[int, list[tuple[int, ...]]] = {
@@ -107,7 +106,7 @@ def _search(
         trail.append(("rel", rel))
         for k, letter in enumerate(rel):
             rotations[letter].append(rel[k:] + rel[:k])
-        pending.extend((rel, start) for start in range(state["used"]))
+        pending.extend((rel, start) for start in range(len(bfs_word)))
         return True
 
     def deduce(letter: int, src: int, dst: int) -> bool:
@@ -157,7 +156,7 @@ def _search(
     width = 2 * m
 
     def first_slot(start: int) -> int | None:
-        for s in range(start, width * state["used"]):
+        for s in range(start, width * len(bfs_word)):
             if slot_rows[s % width][s // width] < 0:
                 return s
         return None
@@ -178,11 +177,11 @@ def _search(
     def rec(start: int) -> Iterator[PermQuotient]:
         s = first_slot(start)
         if s is None:
-            if state["used"] == degree:
+            if len(bfs_word) == degree:
                 yield build()
             return
         p, g, forward = s // width, s % width // 2, s % 2 == 0
-        used = state["used"]
+        used = len(bfs_word)
         if forward:
             candidates = [r for r in range(used) if bwd[g][r] < 0]
         else:
@@ -194,7 +193,6 @@ def _search(
             if r == used:
                 letter = (g + 1) if forward else -(g + 1)
                 bfs_word.append(bfs_word[p] + (letter,))
-                state["used"] = used + 1
                 trail.append(("fresh",))
             a, b = (p, r) if forward else (r, p)
             ok = add_edge(a, g, b)
@@ -228,7 +226,6 @@ def _search(
                         rotations[letter].pop()
                 else:
                     bfs_word.pop()
-                    state["used"] -= 1
 
     return rec(0)
 
@@ -241,8 +238,7 @@ def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
 
 
 def _checked(rank: int, degree: int, max_degree: int, what: str) -> None:
-    if not isinstance(rank, int) or rank < 1:
-        raise InputError(f"rank must be a positive integer, got {rank!r}")
+    _check_rank(rank)
     if not isinstance(degree, int) or degree < 1:
         raise InputError(f"{what} must be a positive integer, got {degree!r}")
     if degree > max_degree:
@@ -300,8 +296,7 @@ def hall_counts(rank: int) -> Iterator[int]:
     Hall's recursion a_n = n (n!)^(rank-1) - sum_{k<n} ((n-k)!)^(rank-1) a_k.
     a_n is how many actions `enumerate_subgroups(rank, n)` yields.
     """
-    if not isinstance(rank, int) or rank < 1:
-        raise InputError(f"rank must be a positive integer, got {rank!r}")
+    _check_rank(rank)
     powers, counts = [1], []  # powers[m] = (m!)^(rank-1)
     for n in itertools.count(1):
         powers.append(powers[-1] * n ** (rank - 1))

@@ -255,8 +255,8 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             tables = {x: [] for x in letters}
             for offset, q in zip(root, batch):
                 for g, inv, perm in zip(range(1, rank + 1), q._gen_inverses(), q.gens):
-                    tables[g].extend(offset - 1 + p for p in perm.images)
-                    tables[-g].extend(offset - 1 + p for p in inv.images)
+                    tables[g].extend(offset + p for p in perm._map)
+                    tables[-g].extend(offset + p for p in inv._map)
             for table in tables.values():
                 table.append(fixed)
             # children reversed, so that the stack pops them in ball order

@@ -4,7 +4,9 @@ Words in the free group F_m are stored freely reduced, as tuples of signed
 generator indices: +i is the i-th generator, -i its inverse. The textual
 syntax used by the CLI and the tests writes generators as lowercase letters
 and inverses as uppercase, so "abAB" is x y x^-1 y^-1 and "" is the
-identity.
+identity; the table _LETTER_OF ('a'..'z' -> 1..26, 'A'..'Z' -> -1..-26) is
+that alphabet. Input is checked once, where it enters (parse_word, reduce,
+FreeWord()); words made from checked ones use the trusted FreeWord._reduced.
 
 Alongside flat words this module provides straight-line words (SLWord): a
 DAG of build instructions that can describe words whose flat length is
@@ -25,6 +27,10 @@ from .errors import InputError, ResourceError
 DEFAULT_FLAT_CAP = 1_000_000
 
 Letters = tuple[int, ...]
+
+_LETTER_OF = {chr(ord("a") - 1 + i): i for i in range(1, 27)}
+_LETTER_OF |= {ch.upper(): -i for ch, i in _LETTER_OF.items()}
+_CHAR_OF = {letter: ch for ch, letter in _LETTER_OF.items()}
 
 
 def _check_rank(rank: int) -> None:
@@ -124,22 +130,19 @@ def reduce(rank: int, raw: Iterable[int]) -> FreeWord:
     for letter in raw:
         if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
             raise InputError(f"letter {letter!r} out of range for rank {rank}")
-    return FreeWord(rank, _free_reduce(raw))
-
-
-def _same_rank(u: FreeWord, v: FreeWord) -> None:
-    if u.rank != v.rank:
-        raise InputError(f"rank mismatch: {u.rank} vs {v.rank}")
+    _check_rank(rank)
+    return FreeWord._reduced(rank, _free_reduce(raw))
 
 
 def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
-    _same_rank(u, v)
-    a, b = list(u.letters), v.letters
-    i = 0
-    while a and i < len(b) and a[-1] == -b[i]:
-        a.pop()
+    if u.rank != v.rank:
+        raise InputError(f"rank mismatch: {u.rank} vs {v.rank}")
+    a, b = u.letters, v.letters
+    # slicing copies nothing when nothing cancels (a full slice is the tuple)
+    i, n = 0, min(len(a), len(b))
+    while i < n and a[-1 - i] == -b[i]:
         i += 1
-    return FreeWord._reduced(u.rank, tuple(a) + b[i:])
+    return FreeWord._reduced(u.rank, a[: len(a) - i] + b[i:])
 
 
 def inverse(u: FreeWord) -> FreeWord:
@@ -287,30 +290,24 @@ class Ball:
 
 def parse_word(text: str, rank: int | None = None) -> FreeWord:
     """Parse "abAB"-style syntax. Lowercase generator, uppercase inverse."""
-    letters = []
-    for ch in text.strip():
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - ord("a") + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch) - ord("A") + 1))
-        else:
-            raise InputError(f"unexpected character {ch!r} in word {text!r}")
-    inferred = max((abs(letter) for letter in letters), default=1)
+    stripped = text.strip()
+    letters = list(map(_LETTER_OF.get, stripped))
+    if None in letters:
+        ch = stripped[letters.index(None)]
+        raise InputError(f"unexpected character {ch!r} in word {text!r}")
+    inferred = max(map(abs, letters), default=1)
     if rank is None:
         rank = inferred
     elif inferred > rank:
         raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
-    return reduce(rank, letters)
+    _check_rank(rank)
+    return FreeWord._reduced(rank, _free_reduce(letters))
 
 
 def format_word(u: FreeWord) -> str:
     if u.rank > 26:
         raise InputError("textual syntax covers ranks up to 26")
-    out = []
-    for letter in u.letters:
-        base = ord("a") if letter > 0 else ord("A")
-        out.append(chr(base + abs(letter) - 1))
-    return "".join(out)
+    return "".join(map(_CHAR_OF.__getitem__, u.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +355,15 @@ class SLWord:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "root", root)
+
+    @classmethod
+    def _rooted(cls, w: "SLWord", root: int) -> "SLWord":
+        """Trusted constructor: w's checked nodes, read from another in-range root."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "rank", w.rank)
+        object.__setattr__(u, "nodes", w.nodes)
+        object.__setattr__(u, "root", root)
+        return u
 
     def __setattr__(self, name, value):
         raise AttributeError("SLWord is immutable")
@@ -463,8 +469,9 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
                 base = mul(base, base)
         return acc
 
-    # a backward pass counts the reads of each node the root depends on
-    nodes, root = w.nodes, w.root
+    # a backward pass counts the reads of each node the root depends on;
+    # nodes past the root (SLWord._rooted keeps them) are never read
+    nodes, root = w.nodes[: w.root + 1], w.root
     refs = [() if x[0] == "gen" else x[1:2] if x[0] == "pow" else x[1:] for x in nodes]
     readers = [0] * root + [1]  # the caller reads the root
     for idx in range(root, -1, -1):
@@ -472,7 +479,7 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
             for ref in refs[idx]:
                 readers[ref] += 1
     vals: list = [None] * (root + 1)
-    for idx, node in enumerate(nodes[: root + 1]):
+    for idx, node in enumerate(nodes):
         if not readers[idx]:
             continue
         op = node[0]

@@ -9,6 +9,7 @@ import shlex
 import time
 from pathlib import Path
 
+import resfin.cli
 from resfin.cli import run
 
 
@@ -107,6 +108,19 @@ def test_verify_reports_premises_that_are_not_a_list(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "premises 5 are not a list" in captured.out
+
+
+def test_word_set_parses_each_piece_once(monkeypatch):
+    parse, calls = resfin.cli.parse_word, []
+
+    def counting(text, rank=None):
+        calls.append((text, rank))
+        return parse(text, rank)
+
+    monkeypatch.setattr(resfin.cli, "parse_word", counting)
+    words = resfin.cli._parse_word_set(" ab, c ,A")
+    assert calls == [("ab", None), ("c", None), ("A", None)]
+    assert [(w.rank, w.letters) for w in words] == [(3, (1, 2)), (3, (3,)), (3, (-1,))]
 
 
 def test_rank_one_witness_with_lcm_one(capsys):

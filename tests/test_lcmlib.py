@@ -26,6 +26,7 @@ from resfin.lowindex import enumerate_normal
 from resfin.permrep import eval_word
 from resfin.words import (
     Ball,
+    SLWord,
     format_word,
     generator,
     parse_word,
@@ -203,6 +204,38 @@ def test_verifier_rejects_unbacked_nontriviality_claim():
     result = verify_certificate(cert_from_json(data))
     assert not result
     assert any("evidence" in f for f in result.failures)
+
+
+def test_verifier_rejects_a_ground_step_on_another_node():
+    data = cert_to_json(lcm_witness([X, Y]))
+    data["derivations"][0][0]["node"] = data["derivations"][1][0]["node"]
+    result = verify_certificate(cert_from_json(data))
+    assert "derivation 0 step 0: ground node is not the target" in result.failures
+
+
+def test_verifier_rejects_a_power_step_with_a_wrong_exponent():
+    x = generator(1, 1)
+    data = cert_to_json(lcm_witness([power(x, 2), power(x, 3)]))
+    step = data["derivations"][0][1]
+    assert (step["rule"], step["exponent"]) == ("power", 3)
+    step["exponent"] = 4
+    result = verify_certificate(cert_from_json(data))
+    assert result.failures == (
+        "derivation 0 step 1: node is not the premise to the exponent",
+    )
+
+
+def test_replay_builds_no_checked_straight_line_word(monkeypatch):
+    # the certificate's word was checked once when it was built; the
+    # replay reads its nodes from other roots without checking them again
+    certs = [lcm_ball_witness(2, 2), lcm_witness([power(generator(1, 1), 4)])]
+
+    def refuse(self, rank, nodes, root):
+        raise AssertionError("SLWord.__init__ called")
+
+    monkeypatch.setattr(SLWord, "__init__", refuse)
+    for cert in certs:
+        assert verify_certificate(cert)
 
 
 def test_malformed_json_is_an_input_error():

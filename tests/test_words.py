@@ -9,6 +9,7 @@ library's enumeration and the closed-form growth.
 import hashlib
 import itertools
 import random
+import string
 
 import pytest
 
@@ -204,6 +205,48 @@ def test_parse_format_roundtrip():
     for _ in range(100):
         w = random_word(rng, 3, 10)
         assert parse_word(format_word(w), rank=3) == w
+
+
+def _message(fn, *args):
+    with pytest.raises(InputError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_parse_word_boundary_messages():
+    # the message quotes the text as given, surrounding spaces included
+    assert _message(parse_word, " a1b ") == "unexpected character '1' in word ' a1b '"
+    assert _message(parse_word, "aé") == "unexpected character 'é' in word 'aé'"
+    assert _message(parse_word, "abc", 2) == "word 'abc' uses generator 3 beyond rank 2"
+    assert _message(parse_word, "a", 0) == "word 'a' uses generator 1 beyond rank 0"
+    assert _message(parse_word, "ab", 2.0) == "rank must be a positive integer, got 2.0"
+    assert _message(reduce, 2.0, [1]) == "rank must be a positive integer, got 2.0"
+    assert _message(reduce, 0, []) == "rank must be a positive integer, got 0"
+    assert _message(reduce, 2, [3]) == "letter 3 out of range for rank 2"
+
+
+def test_every_letter_round_trips_at_rank_26():
+    text = string.ascii_lowercase + string.ascii_uppercase
+    w = parse_word(text)
+    assert w.rank == 26
+    assert w.letters == tuple(range(1, 27)) + tuple(range(-1, -27, -1))
+    assert format_word(w) == text
+    for ch, letter in zip(text, w.letters):
+        assert parse_word(ch, 26).letters == (letter,)
+    assert format_word(FreeWord(26, (26, -25))) == "zY"
+    assert _message(format_word, generator(27, 1)) == "textual syntax covers ranks up to 26"
+
+
+def test_parse_and_reduce_skip_the_checking_constructor(monkeypatch):
+    # both check their input themselves, so they build with the trusted
+    # constructor; FreeWord() keeps its checks for outside callers
+    def refuse(self, rank, letters):
+        raise AssertionError("FreeWord.__init__ called")
+
+    monkeypatch.setattr(FreeWord, "__init__", refuse)
+    assert parse_word(" abBAc ").letters == (3,)
+    assert parse_word("aA", 2).rank == 2
+    assert reduce(3, [1, 2, -2, -3]).letters == (1, -3)
 
 
 def test_sl_build_flatten_roundtrip():
