@@ -6,6 +6,9 @@ dots, three-decimal logs in CSV, lowercase booleans, and the string
 "unknown" for values a cap left open.  Exit codes: 0 done, 1 bad input
 (or a certificate that fails its check), 2 inconclusive within the given
 caps, 3 broken internal invariant.
+
+Each handler imports the module it delegates to when it runs, so a
+process loads only what its subcommand needs: `growth` loads words alone.
 """
 
 import argparse
@@ -15,22 +18,7 @@ import json
 import os
 import sys
 
-from .covers import obstruction_scan, pnt_window, theorem4_experiment
 from .errors import InputError, InternalError, ResourceError
-from .lcmlib import (
-    cert_from_json,
-    cert_to_json,
-    lcm_witness,
-    power_set_witness,
-    verify_certificate,
-)
-from .nilpotent import girth_upper_bound_nilpotent
-from .separability import (
-    check_basic_inequality,
-    check_girth_inequality,
-    max_divisibility,
-    residual_girth,
-)
 from .words import FreeWord, parse_word, word_growth
 
 
@@ -102,6 +90,8 @@ def _cmd_growth(args):
 
 
 def _cmd_dmax(args):
+    from .separability import max_divisibility
+
     row = max_divisibility(
         args.rank, args.radius, _clamped(args.cap), normal=args.normal, threads=args.threads
     )
@@ -109,6 +99,8 @@ def _cmd_dmax(args):
 
 
 def _cmd_girth(args):
+    from .separability import residual_girth
+
     res = residual_girth(args.rank, args.radius, _clamped(args.cap))
     row = {"rank": args.rank, "n": args.radius, "cap": res.cap, "value": res.value}
     payload = {"rows": [row], "result": res.to_json()}
@@ -116,6 +108,8 @@ def _cmd_girth(args):
 
 
 def _cmd_lcm_witness(args):
+    from .lcmlib import cert_to_json, lcm_witness, verify_certificate
+
     cert = lcm_witness(_parse_word_set(args.set))
     check = verify_certificate(cert)
     if not check:
@@ -132,29 +126,39 @@ def _cmd_lcm_witness(args):
 
 
 def _cmd_power_witness(args):
+    from .lcmlib import cert_to_json, power_set_witness
+
     report = power_set_witness(2, args.n, scan_cap=_clamped(8))
     cert = report.pop("certificate")
     return {"rows": [report], "certificate": cert_to_json(cert)}, False
 
 
 def _cmd_covers_scan(args):
+    from .covers import obstruction_scan
+
     report = obstruction_scan(args.m, _clamped(args.max_degree))
     rows = report.pop("rows")
     return {"rows": rows, "summary": report}, False
 
 
 def _cmd_theorem4(args):
+    from .covers import theorem4_experiment
+
     rows = theorem4_experiment(args.n, order_cap=_clamped(args.cap))
     return {"rows": rows}, not all(r["resolved"] for r in rows)
 
 
 def _cmd_nilpotent_girth(args):
+    from .nilpotent import girth_upper_bound_nilpotent
+
     modulus, bound, injective = girth_upper_bound_nilpotent(args.n)
     row = {"n": args.n, "modulus": modulus, "bound": bound, "injective": injective}
     return {"rows": [row]}, False
 
 
 def _cmd_ineq(args):
+    from .separability import check_basic_inequality, check_girth_inequality
+
     if args.which == "1":
         report = check_basic_inequality(args.rank, args.n, _clamped(args.cap))
         row = {
@@ -185,6 +189,8 @@ def _cmd_ineq(args):
 
 
 def _cmd_pnt(args):
+    from .covers import pnt_window
+
     report = pnt_window(args.max)
     rows = report.pop("rows")
     rows = [
@@ -196,6 +202,8 @@ def _cmd_pnt(args):
 
 
 def _cmd_verify(args):
+    from .lcmlib import cert_from_json, verify_certificate
+
     try:
         with open(args.certificate, "r", encoding="ascii") as fh:
             data = json.load(fh)

@@ -10,7 +10,7 @@ of quotient orders that provably kill them.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .lcmlib import lcm_witness
@@ -62,18 +62,13 @@ def pnt_window(max_n: int) -> dict:
     return {"lo": 0.5, "hi": 1.5, "rows": rows, "verified_from": verified_from}
 
 
-@dataclass(frozen=True)
-class CoverAnalysis:
+class CoverAnalysis(NamedTuple):
     """Cycle data of the first loop in one cover."""
 
     cover: PermQuotient
     cycles: tuple[tuple[int, ...], ...]
     x_cycle_lengths: tuple[int, ...]
     basepoint_cycle_length: int
-
-    def __post_init__(self):
-        if sum(self.x_cycle_lengths) != self.cover.degree:
-            raise InternalError("cycle lengths must add up to the degree")
 
 
 def analyze_cover(q: PermQuotient) -> CoverAnalysis:
@@ -83,11 +78,14 @@ def analyze_cover(q: PermQuotient) -> CoverAnalysis:
     if not is_transitive(q):
         raise InputError("cover must be connected (transitive action)")
     cycles = tuple(sorted(q.gens[0].cycles(), key=lambda c: (-len(c), c[0])))
+    lengths = tuple(len(c) for c in cycles)
+    if sum(lengths) != q.degree:
+        raise InternalError("cycle lengths must add up to the degree")
     basepoint = next(len(c) for c in cycles if q.basepoint in c)
     return CoverAnalysis(
         cover=q,
         cycles=cycles,
-        x_cycle_lengths=tuple(len(c) for c in cycles),
+        x_cycle_lengths=lengths,
         basepoint_cycle_length=basepoint,
     )
 

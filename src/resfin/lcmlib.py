@@ -14,11 +14,9 @@ the right entry just enough to keep the pair from commuting.
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceError
-from .lowindex import enumerate_normal
-from .permrep import eval_word
 from .words import (
     DEFAULT_FLAT_CAP,
     Ball,
@@ -38,8 +36,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """A straight-line witness plus one membership derivation per target.
 
     `derivations[i]` replays to a proof that `word` lies in the normal
@@ -57,8 +54,7 @@ class WitnessCertificate:
     nontrivial_verified: bool
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
@@ -462,6 +458,10 @@ def closure_membership(w: FreeWord, target: FreeWord) -> bool | None:
     the quotients of order at most 6 for one killing the target but not
     w, which refutes membership; absent a refutation the answer is None.
     """
+    # imported here so that building and verifying witnesses loads neither
+    from .lowindex import enumerate_normal
+    from .permrep import eval_word
+
     if w.rank != target.rank:
         raise InputError(f"rank mismatch: {w.rank} vs {target.rank}")
     if target.is_identity:

@@ -11,8 +11,6 @@ order M^3, then witnesses a polynomial upper bound for residual girth on
 the nilpotent side.
 """
 
-from dataclasses import dataclass
-
 from .errors import InputError, InternalError
 from .words import FreeWord
 
@@ -36,15 +34,14 @@ def _reduce(t: tuple, m: int) -> tuple:
     return (t[0] % m, t[1] % m, t[2] % m)
 
 
-@dataclass(frozen=True)
 class UnipotentMatrix:
     """3x3 upper unitriangular integer matrix, a Heisenberg group element.
 
     Built from its rows; `triple` holds the upper entries (a, b, c) at
-    (0,1), (1,2) and (0,2), which determine it.
+    (0,1), (1,2) and (0,2), which determine it.  Immutable and hashable.
     """
 
-    triple: tuple
+    __slots__ = ("triple",)
 
     def __init__(self, entries):
         rows = tuple(tuple(int(v) for v in row) for row in entries)
@@ -67,6 +64,18 @@ class UnipotentMatrix:
     @classmethod
     def identity(cls) -> "UnipotentMatrix":
         return cls._from_triple((0, 0, 0))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UnipotentMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UnipotentMatrix) and self.triple == other.triple
+
+    def __hash__(self) -> int:
+        return hash(self.triple)
+
+    def __repr__(self) -> str:
+        return f"UnipotentMatrix(triple={self.triple!r})"
 
     @property
     def entries(self) -> tuple:

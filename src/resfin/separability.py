@@ -16,12 +16,11 @@ report `unknown` rather than extrapolate past a cap.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .lcmlib import lcm_ball_witness
 from .lowindex import enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth
 from .permrep import Permutation, PermQuotient, eval_word, is_transitive, to_record
 from .words import (
@@ -41,8 +40,7 @@ DEFAULT_SEARCH_CAP = 12
 _WALK_BATCH = 2048
 
 
-@dataclass(frozen=True)
-class SepResult:
+class SepResult(NamedTuple):
     """Outcome of a minimal-index or minimal-order search.
 
     `value` None means unknown within `cap`; a present value is minimal
@@ -451,6 +449,8 @@ def check_girth_inequality(
     proves (6 d 4^k) next to the quadratic form (6 n ball^2) and flags
     when the latter fails to cover the former.
     """
+    from .lcmlib import lcm_ball_witness  # only this checker builds witnesses
+
     if n < 2 or n % 2:
         raise InputError(f"n must be even and at least 2, got {n}")
     cert = lcm_ball_witness(rank, n)

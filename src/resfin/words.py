@@ -34,7 +34,7 @@ _CHAR_OF = {letter: ch for ch, letter in _LETTER_OF.items()}
 
 
 def _check_rank(rank: int) -> None:
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise InputError(f"rank must be a positive integer, got {rank!r}")
 
 
@@ -146,7 +146,7 @@ def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
 
 
 def inverse(u: FreeWord) -> FreeWord:
-    return FreeWord._reduced(u.rank, tuple(-letter for letter in reversed(u.letters)))
+    return FreeWord._reduced(u.rank, tuple(map(operator.neg, reversed(u.letters))))
 
 
 def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -291,17 +291,20 @@ class Ball:
 def parse_word(text: str, rank: int | None = None) -> FreeWord:
     """Parse "abAB"-style syntax. Lowercase generator, uppercase inverse."""
     stripped = text.strip()
-    letters = list(map(_LETTER_OF.get, stripped))
+    letters = tuple(map(_LETTER_OF.get, stripped))
     if None in letters:
         ch = stripped[letters.index(None)]
         raise InputError(f"unexpected character {ch!r} in word {text!r}")
-    inferred = max(map(abs, letters), default=1)
+    inferred = max(map(abs, letters), default=0)
     if rank is None:
-        rank = inferred
+        rank = inferred or 1
     elif inferred > rank:
         raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
     _check_rank(rank)
-    return FreeWord._reduced(rank, _free_reduce(letters))
+    # a letter next to its inverse sums to 0; reduced text is stored as is
+    if 0 in map(operator.add, letters, itertools.islice(letters, 1, None)):
+        letters = _free_reduce(letters)
+    return FreeWord._reduced(rank, letters)
 
 
 def format_word(u: FreeWord) -> str:

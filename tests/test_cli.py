@@ -1,16 +1,31 @@
 """End-to-end command-line runs, checked as exact bytes and exit codes.
 
-Everything goes through run(argv) in-process; stdout is captured and
-compared as whole strings where the table is small enough to freeze.
+Queries go through run(argv) in-process; stdout is captured and compared
+as whole strings where the table is small enough to freeze.  The
+cold-start and tracer tests start a fresh interpreter instead, because
+what they check is what a new process imports.
 """
 
+import importlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import pytest
+
+import resfin
 import resfin.cli
 from resfin.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBMODULES = (
+    "cli", "covers", "errors", "lcmlib", "lowindex", "nilpotent", "permrep",
+    "separability", "words",
+)
 
 
 def out_of(capsys):
@@ -96,6 +111,17 @@ def test_malformed_certificates_exit_one(tmp_path, capsys):
         assert run(["verify", "--certificate", str(bad)]) == 1, name
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("error:"), name
+
+
+def test_verify_refuses_a_bool_rank(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert run(["lcm-witness", "--set", "aa,aaa", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["certificate"]["rank"] = True  # an int subclass, which would check as rank 1
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--certificate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: malformed certificate: rank must be a positive integer, got True\n"
 
 
 def test_verify_reports_premises_that_are_not_a_list(tmp_path, capsys):
@@ -267,10 +293,76 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 def test_readme_commands_run(tmp_path, monkeypatch):
     # the README's command block, line by line and in order: verify reads
     # the certificate that lcm-witness writes
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     lines = [x for x in readme.read_text().splitlines() if x.startswith("resfin ")]
     assert lines
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
     for line in lines:
         assert run(shlex.split(line)[1:]) == 0, line
+
+
+def _fresh_python(args, cwd):
+    """Run python3 -S with only src/ on the path; -S keeps site hooks out."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("RESFIN_MAX_DEGREE", None)
+    return subprocess.run(
+        [sys.executable, "-S", *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+# runs the query in argv; the report below then lists the modules loaded
+_RUN = "import sys, resfin.cli\nif resfin.cli.run(sys.argv[1:]): sys.exit('query failed')\n"
+_IMPORT_ALL = "import resfin\nfrom resfin import *\nfor name in %r: getattr(resfin, name)\n" % (
+    SUBMODULES,
+)
+_REPORT = (
+    "import json, sys\n"
+    "loaded = sorted(m[7:] for m in sys.modules if m.startswith('resfin.'))\n"
+    "print(json.dumps([loaded, 'dataclasses' in sys.modules]), file=sys.stderr)\n"
+)
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    cert = str(tmp_path / "cert.json")
+    base = ["cli", "errors", "words"]
+    search = ["lowindex", "permrep", "separability"]
+    expected = [
+        (_RUN, ["growth", "--rank", "2", "--max", "2"], base),
+        (_RUN, ["dmax", "--rank", "2", "--radius", "2", "--cap", "6"], base + search),
+        (_RUN, ["lcm-witness", "--set", "ab,aa", "--out", cert], base + ["lcmlib"]),
+        (_RUN, ["verify", "--certificate", cert], base + ["lcmlib"]),
+        (_RUN, ["nilpotent-girth", "--n", "4"], base + ["nilpotent"]),
+        (_IMPORT_ALL, [], list(SUBMODULES)),
+    ]
+    for source, argv, modules in expected:
+        done = _fresh_python(["-c", source + _REPORT, *argv], tmp_path)
+        assert done.returncode == 0, (argv, done.stderr)
+        loaded, dataclasses = json.loads(done.stderr.splitlines()[-1])
+        assert loaded == sorted(modules), argv
+        assert not dataclasses, argv
+
+
+def test_every_export_and_submodule_resolves():
+    for name in resfin.__all__:
+        obj = getattr(resfin, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from resfin import *", namespace)
+    assert set(resfin.__all__) <= namespace.keys()
+    for name in SUBMODULES:
+        assert getattr(resfin, name) is importlib.import_module(f"resfin.{name}")
+    with pytest.raises(AttributeError):
+        resfin.no_such_name
+
+
+def test_traced_cli_writes_its_stats(tmp_path):
+    # bench/traced_cli.py rebinds functions inside src/ and reads its cache
+    stats = tmp_path / "stats.json"
+    done = _fresh_python(
+        [str(ROOT / "bench" / "traced_cli.py"), str(stats), "growth", "--rank", "1", "--max", "0"],
+        tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert {"import_s", "cache_hits", "cache_misses"} <= json.loads(stats.read_text()).keys()

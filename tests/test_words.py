@@ -219,6 +219,8 @@ def test_parse_word_boundary_messages():
     assert _message(parse_word, "aé") == "unexpected character 'é' in word 'aé'"
     assert _message(parse_word, "abc", 2) == "word 'abc' uses generator 3 beyond rank 2"
     assert _message(parse_word, "a", 0) == "word 'a' uses generator 1 beyond rank 0"
+    assert _message(parse_word, "", 0) == "rank must be a positive integer, got 0"
+    assert _message(parse_word, "aa", True) == "rank must be a positive integer, got True"
     assert _message(parse_word, "ab", 2.0) == "rank must be a positive integer, got 2.0"
     assert _message(reduce, 2.0, [1]) == "rank must be a positive integer, got 2.0"
     assert _message(reduce, 0, []) == "rank must be a positive integer, got 0"
