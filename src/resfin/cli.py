@@ -5,7 +5,8 @@ result; nothing is computed here.  Output is locale-independent: decimal
 dots, three-decimal logs in CSV, lowercase booleans, and the string
 "unknown" for values a cap left open.  Exit codes: 0 done, 1 bad input
 (or a certificate that fails its check), 2 inconclusive within the given
-caps, 3 broken internal invariant.
+caps, 3 broken internal invariant.  Each handler returns its payload and
+its exit code.
 
 Each handler imports the module it delegates to when it runs, so a
 process loads only what its subcommand needs: `growth` loads words alone.
@@ -86,16 +87,14 @@ def _cmd_growth(args):
     rows = [
         {"n": n, "ball_size": word_growth(args.rank, n)} for n in range(args.max + 1)
     ]
-    return {"rows": rows}, False
+    return {"rows": rows}, 0
 
 
 def _cmd_dmax(args):
     from .separability import max_divisibility
 
-    row = max_divisibility(
-        args.rank, args.radius, _clamped(args.cap), normal=args.normal, threads=args.threads
-    )
-    return {"rows": [row]}, not row["resolved"]
+    row = max_divisibility(args.rank, args.radius, _clamped(args.cap), normal=args.normal)
+    return {"rows": [row]}, 0 if row["resolved"] else 2
 
 
 def _cmd_girth(args):
@@ -104,7 +103,7 @@ def _cmd_girth(args):
     res = residual_girth(args.rank, args.radius, _clamped(args.cap))
     row = {"rank": args.rank, "n": args.radius, "cap": res.cap, "value": res.value}
     payload = {"rows": [row], "result": res.to_json()}
-    return payload, res.unknown
+    return payload, 2 if res.unknown else 0
 
 
 def _cmd_lcm_witness(args):
@@ -122,7 +121,7 @@ def _cmd_lcm_witness(args):
         "nontrivial_verified": cert.nontrivial_verified,
         "verified": bool(check),
     }
-    return {"rows": [row], "certificate": cert_to_json(cert)}, False
+    return {"rows": [row], "certificate": cert_to_json(cert)}, 0
 
 
 def _cmd_power_witness(args):
@@ -130,7 +129,7 @@ def _cmd_power_witness(args):
 
     report = power_set_witness(2, args.n, scan_cap=_clamped(8))
     cert = report.pop("certificate")
-    return {"rows": [report], "certificate": cert_to_json(cert)}, False
+    return {"rows": [report], "certificate": cert_to_json(cert)}, 0
 
 
 def _cmd_covers_scan(args):
@@ -138,14 +137,14 @@ def _cmd_covers_scan(args):
 
     report = obstruction_scan(args.m, _clamped(args.max_degree))
     rows = report.pop("rows")
-    return {"rows": rows, "summary": report}, False
+    return {"rows": rows, "summary": report}, 0
 
 
 def _cmd_theorem4(args):
     from .covers import theorem4_experiment
 
     rows = theorem4_experiment(args.n, order_cap=_clamped(args.cap))
-    return {"rows": rows}, not all(r["resolved"] for r in rows)
+    return {"rows": rows}, 0 if all(r["resolved"] for r in rows) else 2
 
 
 def _cmd_nilpotent_girth(args):
@@ -153,7 +152,7 @@ def _cmd_nilpotent_girth(args):
 
     modulus, bound, injective = girth_upper_bound_nilpotent(args.n)
     row = {"n": args.n, "modulus": modulus, "bound": bound, "injective": injective}
-    return {"rows": [row]}, False
+    return {"rows": [row]}, 0
 
 
 def _cmd_ineq(args):
@@ -185,7 +184,7 @@ def _cmd_ineq(args):
             "girth": report["girth"]["value"],
             "dnormal_lower": report["dnormal"]["lower_bound"],
         }
-    return {"rows": [row], "report": report}, report["status"] == "inconclusive"
+    return {"rows": [row], "report": report}, 2 if report["status"] == "inconclusive" else 0
 
 
 def _cmd_pnt(args):
@@ -193,12 +192,7 @@ def _cmd_pnt(args):
 
     report = pnt_window(args.max)
     rows = report.pop("rows")
-    rows = [
-        {"n": r["n"], "lcm": r["lcm"], "log_lcm": r["log_lcm"], "ratio": r["ratio"],
-         "in_window": r["in_window"]}
-        for r in rows
-    ]
-    return {"rows": rows, "window": report}, False
+    return {"rows": rows, "window": report}, 0
 
 
 def _cmd_verify(args):
@@ -221,7 +215,7 @@ def _cmd_verify(args):
         "ok": bool(check),
         "failures": "; ".join(check.failures),
     }
-    return {"rows": [row]}, False, not bool(check)
+    return {"rows": [row]}, 0 if check else 1
 
 
 def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
@@ -236,12 +230,11 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         default=d if suppress else None,
         help="write output to this file instead of stdout",
     )
-    parser.add_argument("--threads", type=int, default=d if suppress else 1)
     parser.add_argument(
-        "--seed",
+        "--threads",
         type=int,
-        default=d if suppress else None,
-        help="reserved for sampling subcommands; never changes search results",
+        default=d if suppress else 1,
+        help="accepted for compatibility; must be positive and changes nothing",
     )
 
 
@@ -331,13 +324,11 @@ def run(argv) -> int:
         except SystemExit as exc:
             return 0 if exc.code == 0 else 1
         _degree_clamp()  # reject a malformed limit before any work
-        result = args.fn(args)
-        payload, inconclusive = result[0], result[1]
-        failed = result[2] if len(result) > 2 else False
+        if args.threads < 1:
+            raise InputError(f"threads must be positive, got {args.threads}")
+        payload, code = args.fn(args)
         _emit(_render(payload, args.format), args.out)
-        if failed:
-            return 1
-        return 2 if inconclusive else 0
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

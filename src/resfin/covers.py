@@ -13,11 +13,6 @@ import math
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .lcmlib import lcm_witness
-from .lowindex import DEFAULT_DEGREE_CAP, _checked, enumerate_subgroups
-from .permrep import PermQuotient, is_transitive
-from .separability import normal_divisibility
-from .words import generator, power
 
 
 def lcm_upto(n: int) -> int:
@@ -65,14 +60,16 @@ def pnt_window(max_n: int) -> dict:
 class CoverAnalysis(NamedTuple):
     """Cycle data of the first loop in one cover."""
 
-    cover: PermQuotient
+    cover: "PermQuotient"
     cycles: tuple[tuple[int, ...], ...]
     x_cycle_lengths: tuple[int, ...]
     basepoint_cycle_length: int
 
 
-def analyze_cover(q: PermQuotient) -> CoverAnalysis:
+def analyze_cover(q: "PermQuotient") -> CoverAnalysis:
     """Cycle decomposition of the first generator, longest cycles first."""
+    from .permrep import is_transitive
+
     if q.rank != 2:
         raise InputError(f"covers of the figure eight have rank 2, got {q.rank}")
     if not is_transitive(q):
@@ -90,7 +87,7 @@ def analyze_cover(q: PermQuotient) -> CoverAnalysis:
     )
 
 
-def lift_closed(q: PermQuotient, point: int, exponent: int) -> bool:
+def lift_closed(q: "PermQuotient", point: int, exponent: int) -> bool:
     """Does the lift of the first loop's exponent-th power close at point?
 
     Closure happens exactly when the cycle length through the point
@@ -114,6 +111,8 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
     close must be longer than m; a counterexample is an internal error,
     and the report carries the counts that back the claim.
     """
+    from .lowindex import DEFAULT_DEGREE_CAP, _checked, enumerate_subgroups
+
     if m < 1:
         raise InputError(f"m must be positive, got {m}")
     _checked(2, max_degree, DEFAULT_DEGREE_CAP, "index")  # before any degree runs
@@ -171,20 +170,16 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
     internal error.  The row resolves when the witness is known nontrivial
     and the scan certifies divisibility at least lcm(1..j) + 1.
     """
+    from .lcmlib import _power_set_scan
+
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     if order_cap < 1:
         raise InputError(f"order cap must be positive, got {order_cap}")
-    x = generator(2, 1)
     rows = []
     for j in range(1, n + 1):
         ell = lcm_upto(j)
-        cert = lcm_witness([power(x, i) for i in range(1, ell + 1)])
-        value = normal_divisibility(cert.word, order_cap).value
-        if value is not None and value <= ell:
-            raise InternalError(
-                f"quotient of order {value} kept the witness for lcm {ell} alive"
-            )
+        cert, value = _power_set_scan(2, ell, order_cap)
         lower = value or order_cap + 1
         rows.append(
             {

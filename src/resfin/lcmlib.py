@@ -145,10 +145,10 @@ def lcm_witness(targets) -> WitnessCertificate:
         return _witness_rank_one(targets)
 
     builder = SLBuilder(rank)
-    elements = [
-        {"node": builder.word(t), "flat": t, "derivs": {i: (_ground(builder.word(t)),)}}
-        for i, t in enumerate(targets)
-    ]
+    elements = []
+    for i, t in enumerate(targets):
+        node = builder.word(t)
+        elements.append({"node": node, "flat": t, "derivs": {i: (_ground(node),)}})
     while len(elements) & (len(elements) - 1):
         elements.append(elements[0])
 
@@ -292,7 +292,7 @@ def _power_step_ok(nodes, node, premise, e, w: SLWord) -> bool:
     if node_flat is None or premise_flat is None:
         return False
     try:
-        return power(premise_flat, e, cap=DEFAULT_FLAT_CAP) == node_flat
+        return power(premise_flat, e) == node_flat
     except ResourceError:
         return False
 
@@ -375,6 +375,22 @@ def cert_from_json(data) -> WitnessCertificate:
         raise InputError(f"malformed certificate: {exc}") from exc
 
 
+def _power_set_scan(rank: int, n: int, cap: int) -> tuple[WitnessCertificate, int | None]:
+    """The witness for {x, ..., x^n} and its normal divisibility up to cap.
+
+    A group of order at most n kills one of the targets, and the witness
+    with it, so a survivor of order at most n is an InternalError.
+    """
+    from .separability import normal_divisibility  # separability imports this module
+
+    x = generator(rank, 1)
+    cert = lcm_witness([power(x, i) for i in range(1, n + 1)])
+    value = normal_divisibility(cert.word, cap).value
+    if value is not None and value <= n:
+        raise InternalError(f"a quotient of order {value} kept the witness for x..x^{n} alive")
+    return cert, value
+
+
 def power_set_witness(rank: int, n: int, *, scan_cap: int = 8) -> dict:
     """Witness for the target set {x, x^2, ..., x^n} and what it implies.
 
@@ -383,16 +399,10 @@ def power_set_witness(rank: int, n: int, *, scan_cap: int = 8) -> dict:
     divisibility is at least n + 1.  The scan re-checks a prefix of that
     claim against the actual quotient lists.
     """
-    from .separability import normal_divisibility  # separability imports this module
-
     if rank < 1 or n < 1:
         raise InputError(f"rank and n must be positive, got {rank}, {n}")
-    x = generator(rank, 1)
-    cert = lcm_witness([power(x, i) for i in range(1, n + 1)])
     cap = min(n, scan_cap)
-    survivor = normal_divisibility(cert.word, cap).value
-    if survivor is not None:
-        raise InternalError(f"a quotient of order {survivor} missed the power-set witness")
+    cert, _ = _power_set_scan(rank, n, cap)
     return {
         "rank": rank,
         "n": n,

@@ -168,8 +168,11 @@ def _cyclic_split(letters: Letters) -> tuple[Letters, Letters]:
     return letters[:i], letters[i:j]
 
 
-def power(u: FreeWord, k: int, *, cap: int = DEFAULT_FLAT_CAP) -> FreeWord:
-    """u^k, with the result length checked against cap before materializing."""
+def power(u: FreeWord, k: int) -> FreeWord:
+    """u^k, its length checked against DEFAULT_FLAT_CAP before it is built.
+
+    A longer power raises ResourceError; keep it straight-line instead.
+    """
     if not isinstance(k, int):
         raise InputError(f"exponent must be an integer, got {k!r}")
     if k == 0 or u.is_identity:
@@ -178,9 +181,9 @@ def power(u: FreeWord, k: int, *, cap: int = DEFAULT_FLAT_CAP) -> FreeWord:
     prefix, core = _cyclic_split(base.letters)
     # p c p^-1 to the |k| is p c^|k| p^-1 and c^|k| is already reduced.
     projected = 2 * len(prefix) + abs(k) * len(core)
-    if projected > cap:
+    if projected > DEFAULT_FLAT_CAP:
         raise ResourceError(
-            f"power of length {projected} exceeds cap {cap}; keep it straight-line"
+            f"power of length {projected} exceeds cap {DEFAULT_FLAT_CAP}; keep it straight-line"
         )
     body = core * abs(k)
     return FreeWord._reduced(u.rank, prefix + body + tuple(-x for x in reversed(prefix)))
@@ -298,7 +301,7 @@ def parse_word(text: str, rank: int | None = None) -> FreeWord:
     inferred = max(map(abs, letters), default=0)
     if rank is None:
         rank = inferred or 1
-    elif inferred > rank:
+    elif isinstance(rank, int) and inferred > rank:  # a non-integer rank is refused below
         raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
     _check_rank(rank)
     # a letter next to its inverse sums to 0; reduced text is stored as is

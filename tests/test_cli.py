@@ -33,6 +33,12 @@ def out_of(capsys):
     return captured.out
 
 
+def _readme_commands():
+    """The argv of each line of the README's command block, in order."""
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(x)[1:] for x in text.splitlines() if x.startswith("resfin ")]
+
+
 def test_growth_csv_table(capsys):
     assert run(["growth", "--rank", "2", "--max", "3", "--format", "csv"]) == 0
     assert out_of(capsys) == "n,ball_size\n0,1\n1,5\n2,17\n3,53\n"
@@ -155,22 +161,47 @@ def test_rank_one_witness_with_lcm_one(capsys):
         assert out_of(capsys).splitlines()[1].endswith(",1,true,true")
 
 
-def test_threads_and_seed_do_not_change_bytes(capsys):
+def test_threads_do_not_change_bytes(capsys):
     argv = ["dmax", "--rank", "2", "--radius", "2", "--cap", "8", "--normal",
             "--format", "csv"]
     assert run(argv) == 0
     base = out_of(capsys)
     assert run(argv + ["--threads", "8"]) == 0
     assert out_of(capsys) == base
-    assert run(["--seed", "5", "--threads", "3"] + argv) == 0
+    assert run(["--threads", "3"] + argv) == 0
     assert out_of(capsys) == base
     assert "aa" in base and base.splitlines()[1].endswith("3,aa")
+
+
+def test_every_subcommand_refuses_a_nonpositive_thread_count(tmp_path, monkeypatch, capsys):
+    # refused before the subcommand runs, so verify needs no certificate
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len({argv[0] for argv in commands}) == 11  # one line per subcommand
+    for argv in commands:
+        for threads in ("0", "-1"):
+            for bad in (["--threads", threads] + argv, argv + ["--threads", threads]):
+                assert run(bad) == 1, bad
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: threads must be positive, got {threads}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dmax_unresolved_exits_two(capsys):
     assert run(["dmax", "--rank", "2", "--radius", "2", "--cap", "2",
                 "--normal", "--format", "csv"]) == 2
     assert "unknown" in out_of(capsys)
+
+
+def test_dmax_past_an_indexable_ball_exits_two(capsys):
+    # the radius-40 ball of rank 2 has more words than sys.maxsize, so no
+    # array of its words can be allocated; refused before anything is
+    for flavour in (["--normal"], []):
+        assert run(["dmax", "--rank", "2", "--radius", "40", "--cap", "2", *flavour]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: the radius-40 ball has ")
 
 
 def test_dmax_normal_deep_rank_one_ball(capsys):
@@ -199,6 +230,8 @@ def test_input_error_exits(capsys):
     assert run(["nosuch-command"]) == 1
     assert run(["growth", "--rank", "2"]) == 1  # missing --max
     assert run(["covers-scan", "--m", "0", "--max-degree", "3"]) == 1
+    assert run(["--seed", "5", "growth", "--rank", "2", "--max", "2"]) == 1  # no such flag
+    assert run(["growth", "--rank", "2", "--max", "2", "--seed", "5"]) == 1
     assert run(["--help"]) == 0  # argparse's own exit path, remapped
 
 
@@ -271,7 +304,7 @@ def test_covers_scan_rejects_a_degree_out_of_range(monkeypatch, capsys):
     def no_enumeration(rank, index, **kw):
         raise AssertionError(f"enumerated index {index} before the cap check")
 
-    monkeypatch.setattr("resfin.covers.enumerate_subgroups", no_enumeration)
+    monkeypatch.setattr("resfin.lowindex.enumerate_subgroups", no_enumeration)
     monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
     start = time.perf_counter()
     assert run(["covers-scan", "--m", "3", "--max-degree", "17"]) == 2
@@ -291,15 +324,14 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):
-    # the README's command block, line by line and in order: verify reads
-    # the certificate that lcm-witness writes
-    readme = ROOT / "README.md"
-    lines = [x for x in readme.read_text().splitlines() if x.startswith("resfin ")]
-    assert lines
+    # line by line and in order: verify reads the certificate that
+    # lcm-witness writes
+    commands = _readme_commands()
+    assert commands
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
-    for line in lines:
-        assert run(shlex.split(line)[1:]) == 0, line
+    for argv in commands:
+        assert run(argv) == 0, argv
 
 
 def _fresh_python(args, cwd):
@@ -334,6 +366,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         (_RUN, ["lcm-witness", "--set", "ab,aa", "--out", cert], base + ["lcmlib"]),
         (_RUN, ["verify", "--certificate", cert], base + ["lcmlib"]),
         (_RUN, ["nilpotent-girth", "--n", "4"], base + ["nilpotent"]),
+        (_RUN, ["pnt", "--max", "3"], base + ["covers"]),
         (_IMPORT_ALL, [], list(SUBMODULES)),
     ]
     for source, argv, modules in expected:

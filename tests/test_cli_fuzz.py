@@ -1,7 +1,7 @@
 """Seeded contract fuzzing of the command-line boundary.
 
-Mutated `--set` values and mutated certificates go through run(argv) in
-process. Whatever the input, run() must return a documented exit code
+Mutated `--set` values, mutated certificates and small integer options
+go through run(argv) in process. Whatever the input, run() must return a documented exit code
 (0 done, 1 bad input or a failed check, 2 inconclusive) and no exception
 may escape it; an exit 3 would be a broken invariant on outside input.
 """
@@ -100,3 +100,38 @@ def test_fuzzed_certificates_keep_the_exit_contract(tmp_path, capsys):
         assert "Traceback" not in captured.err
         seen.add(code)
     assert 1 in seen
+
+
+# the integer options of each subcommand that takes any
+INTEGER_OPTIONS = {
+    "growth": ("--rank", "--max"),
+    "dmax": ("--rank", "--radius", "--cap"),
+    "girth": ("--rank", "--radius", "--cap"),
+    "power-witness": ("--n",),
+    "covers-scan": ("--m", "--max-degree"),
+    "theorem4": ("--n", "--cap"),
+    "nilpotent-girth": ("--n",),
+    "ineq": ("--rank", "--n", "--cap", "--order-cap", "--girth-cap"),
+    "pnt": ("--max",),
+}
+
+
+def test_fuzzed_integer_options_keep_the_exit_contract(monkeypatch, capsys):
+    monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(300):
+        command = rng.choice(sorted(INTEGER_OPTIONS))
+        argv = [command]
+        if command == "ineq":
+            argv += ["--which", rng.choice("12")]
+        for option in INTEGER_OPTIONS[command] + ("--threads",):
+            argv += [option, str(rng.randint(-3, 3))]
+        if command == "dmax" and rng.random() < 0.5:
+            argv.append("--normal")
+        code = run(argv + ["--format", rng.choice(["json", "csv"])])
+        captured = capsys.readouterr()
+        assert code in CONTRACT, (argv, captured.err)
+        assert "Traceback" not in captured.err, argv
+        seen.add(code)
+    assert seen == CONTRACT

@@ -295,16 +295,9 @@ def test_max_divisibility_unresolved_row():
     with pytest.raises(InputError):
         max_divisibility(2, 0)
     with pytest.raises(InputError):
-        max_divisibility(2, 2, threads=0)
-    with pytest.raises(InputError):
         max_divisibility(2, 2, cap=0, normal=True)
     with pytest.raises(InputError):
         max_divisibility(0, 2, normal=True)
-
-
-def test_max_divisibility_thread_count_is_invisible():
-    base = max_divisibility(2, 2, normal=True, threads=1)
-    assert max_divisibility(2, 2, normal=True, threads=4) == base
 
 
 def test_residual_girth_small():

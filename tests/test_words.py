@@ -133,7 +133,7 @@ def test_power_matches_repeated_multiplication():
 def test_power_cap():
     x = generator(2, 1)
     with pytest.raises(ResourceError):
-        power(x, 10**7, cap=10)
+        power(x, 10**7)  # past DEFAULT_FLAT_CAP
     # conjugates of a generator stay short under powering: (yxY)^k via the
     # cyclic core has length 2 + k, not 3k
     w = conjugate(x, generator(2, 2))
@@ -222,6 +222,7 @@ def test_parse_word_boundary_messages():
     assert _message(parse_word, "", 0) == "rank must be a positive integer, got 0"
     assert _message(parse_word, "aa", True) == "rank must be a positive integer, got True"
     assert _message(parse_word, "ab", 2.0) == "rank must be a positive integer, got 2.0"
+    assert _message(parse_word, "ab", "2") == "rank must be a positive integer, got '2'"
     assert _message(reduce, 2.0, [1]) == "rank must be a positive integer, got 2.0"
     assert _message(reduce, 0, []) == "rank must be a positive integer, got 0"
     assert _message(reduce, 2, [3]) == "letter 3 out of range for rank 2"
