@@ -5,18 +5,22 @@ by searching pointed transitive actions where the word moves the
 basepoint.  The normal flavor searches regular actions instead.  The
 maximum of either over a ball enumerates the actions of each degree once
 and walks the ball's prefix tree through all of them together, one table
-lookup per word and action.  A plain degree with more subgroups than
-words left unresolved leaves those words to the per-word search.  The
-word reported is searched again on its own, and the two routes must
-agree.  Residual girth is the least order of a quotient injective on a
-ball; injectivity is computed two independent ways (pairwise images,
-kernel-free doubled ball) which must agree.  The inequality checkers wire
-these searches to the common-multiple witnesses, one link at a time, and
-report `unknown` rather than extrapolate past a cap.
+lookup per word and action.  Both divisibilities are unchanged by the
+signed letter permutations, so the walk keeps only the least word of
+each orbit (generators first appearing as a, b, c, ..., each positive
+there), counts an unresolved one as its whole orbit, and still reports
+the first maximum in ball order, which is always such a word.  A plain
+degree with more subgroups than words left unresolved leaves those words
+to the per-word search.  The word reported is searched again on its own,
+and the two routes must agree.  Residual girth is the least order of a
+quotient injective on a ball; injectivity is computed two independent
+ways (pairwise images, kernel-free doubled ball) which must agree.  The
+inequality checkers wire these searches to the common-multiple
+witnesses, one link at a time, and report `unknown` rather than
+extrapolate past a cap.
 """
 
 import math
-import sys
 from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -40,6 +44,9 @@ DEFAULT_SEARCH_CAP = 12
 # actions per walk of the ball tree, which bounds its tables and states
 # however many actions a degree has
 _WALK_BATCH = 2048
+# the most words the ball walk indexes, one byte each: rank 2 fits to
+# radius 18 (9.7e7 words), not radius 20 (8.7e8)
+_INDEX_LIMIT = 1 << 27
 
 
 class SepResult(NamedTuple):
@@ -186,47 +193,80 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
     escapes an action exactly when it moves the basepoint, so a word's
     state in a batch of actions is the tuple of its basepoint images over
     the disjoint union of their points, and a child's state is one lookup
-    per action in its letter's glued table.  The tree is walked in
-    preorder with an explicit stack, each word's degree sits at its
-    preorder position, and a subtree whose words are all resolved is
-    skipped.  A plain degree with more actions than words left unresolved
-    (Hall's count, known before any is built) ends the walk: those words
-    are searched one at a time with `_escape_tables` instead, from that
-    degree up.
+    per action in its letter's glued table.
+
+    Both divisibilities are constant on the orbits of the signed letter
+    permutations, so only the least word of each orbit is walked: the one
+    whose generators first appear as a, b, c, ... in that order, each
+    positive there.  A word whose largest generator is g has, in ball
+    order, the children ending in a letter of the first g generators
+    (less the inverse of its last letter) and then the one ending in
+    generator g + 1.  The first maximum in ball order is such a word,
+    since the least word of its orbit has the same value and length and
+    comes no later.  An unresolved word using g generators stands for its
+    whole orbit, 2^g rank! / (rank - g)! ball words, in the unresolved
+    count.
+
+    The tree is walked in preorder with an explicit stack, each word's
+    degree sits at its preorder position, and a subtree whose words are
+    all resolved is skipped.  A plain degree with more actions than words
+    left unresolved (Hall's count, known before any is built) ends the
+    walk: those words are searched one at a time with `_escape_tables`
+    instead, from that degree up.  A tree of more than `_INDEX_LIMIT`
+    words raises ResourceError before anything is allocated.
     """
     letters = _ordered_letters(rank)
     actions = enumerate_normal if normal else enumerate_subgroups
-    # sizes[k]: the nodes in the subtree of a length-k word; the tree
-    # branches 2*rank ways at the root and 2*rank - 1 ways below it
-    sizes = [1] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        sizes[k] = 1 + (2 * rank - (k > 0)) * sizes[k + 1]
-    if sizes[0] > sys.maxsize:
-        raise ResourceError(f"the radius-{n} ball has {sizes[0]} words, too many to index")
+    most = min(rank, n)  # the most generators a word of the ball uses
+    # sizes[k][g]: the nodes in the subtree of a length-k word whose
+    # largest generator is g
+    sizes = [[0] * (most + 1) for _ in range(n + 2)]
+    for k in range(n, -1, -1):
+        for g in range(k > 0, min(k, most) + 1):
+            sizes[k][g] = 1 + (2 * g - (k > 0)) * sizes[k + 1][g]
+            if g < most:
+                sizes[k][g] += sizes[k + 1][g + 1]
+    if sizes[0][0] > _INDEX_LIMIT:
+        raise ResourceError(
+            f"the radius-{n} ball has {word_growth(rank, n)} words and"
+            f" {sizes[0][0]} orbits, too many to index"
+        )
+    # weight[g]: the orbit size of a word using g generators
+    weight = [2**g * math.perm(rank, g) for g in range(most + 1)]
 
-    # the letters that may follow each last letter (0 at the root), in order
-    after = {last: [x for x in letters if x != -last] for last in (0, *letters)}
+    # the children of a word by its last letter and largest generator (0
+    # and 0 at the root), in ball order
+    after = {(0, 0): [1]}
+    for g in range(1, most + 1):
+        for last in letters[: 2 * g]:
+            after[last, g] = [x for x in letters[: 2 * g] if x != -last]
+            if g < most:
+                after[last, g].append(g + 1)
 
     def word_at(target: int) -> tuple[int, ...]:
         # decode a preorder position back into its word
         word = []
-        pos = depth = last = 0
+        pos = depth = last = g = 0
         while pos != target:
-            i = (target - pos - 1) // sizes[depth + 1]
-            last = after[last][i]
-            word.append(last)
-            pos += 1 + i * sizes[depth + 1]
-            depth += 1
+            pos += 1
+            for x in after[last, g]:
+                h = max(g, abs(x))
+                size = sizes[depth + 1][h]
+                if target < pos + size:
+                    break
+                pos += size
+            word.append(x)
+            last, g, depth = x, h, depth + 1
         return tuple(word)
 
     # each word's degree, 0 while unresolved (the identity stays 0); a byte
     # suffices, since the enumerators refuse degrees past 255
-    values = bytearray(sizes[0])
+    values = bytearray(sizes[0][0])
+    unresolved = word_growth(rank, n) - 1
     lower = best = None
     # Hall's counts from index 2 on
     counts = islice(hall_counts(rank), 1, None)
     for degree, count in zip(range(2, cap + 1), counts):
-        unresolved = values.count(0) - 1
         if not unresolved:
             break
         if not normal and count > unresolved:
@@ -241,6 +281,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
                 value = next((d for d in range(degree, cap + 1) if _escape_tables(w, d)), None)
                 if value is not None:
                     values[pos] = value
+                    unresolved -= weight[max(map(abs, word))]
                     top = max(top, (value, -len(word), -pos))
                 pos = values.find(0, pos + 1)
             # every value found here exceeds those of the walk
@@ -254,35 +295,42 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             # at least two entries, which itemgetter needs to return a tuple
             fixed = degree * len(batch)
             root = (*range(0, fixed, degree), fixed)
-            tables = {x: [] for x in letters}
+            tables = {x: [] for x in letters[: 2 * most]}
             for offset, q in zip(root, batch):
-                for g, inv, perm in zip(range(1, rank + 1), q._gen_inverses(), q.gens):
+                for g, inv, perm in zip(range(1, most + 1), q._gen_inverses(), q.gens):
                     tables[g].extend(offset + p for p in perm._map)
                     tables[-g].extend(offset + p for p in inv._map)
             for table in tables.values():
                 table.append(fixed)
-            # children reversed, so that the stack pops them in ball order
-            children = {last: [(x, tables[x]) for x in reversed(xs)] for last, xs in after.items()}
-            stack = [(0, 0, root, 0)]
+            # each child as its letter's table, its largest generator and
+            # its own children, reversed so that the stack pops them in
+            # ball order
+            children = {key: [] for key in after}
+            for (last, g), xs in after.items():
+                for x in reversed(xs):
+                    h = max(g, abs(x))
+                    children[last, g].append((tables[x], h, children[x, h]))
+            stack = [(0, 0, root, 0, children[0, 0])]
             while stack:
-                pos, depth, state, last = stack.pop()
+                pos, depth, state, g, kids = stack.pop()
                 if not values[pos] and state != root:
                     values[pos] = degree
+                    unresolved -= weight[g]
                     # positions order the words of one length lexicographically
                     if (depth, pos) < first:
                         first = (depth, pos)
                 if depth == n:
                     continue
                 step = itemgetter(*state)
-                size = sizes[depth + 1]
-                end = pos + sizes[depth]
-                for x, table in children[last]:
+                below = sizes[depth + 1]
+                end = pos + sizes[depth][g]
+                for table, h, grand in kids:
+                    size = below[h]
                     end -= size
                     if values.find(0, end, end + size) >= 0:
-                        stack.append((end, depth + 1, step(table), x))
+                        stack.append((end, depth + 1, step(table), h, grand))
         if first[0] <= n:
             lower, best = degree, first[1]
-    unresolved = values.count(0) - 1
     if best is None:
         return lower, None, unresolved
     return lower, FreeWord._reduced(rank, word_at(best)), unresolved
@@ -299,14 +347,22 @@ def max_divisibility(
 
     The row reports the max and its first witness word in word order; if
     any element stays unknown at the cap the max itself is unknown and
-    only a lower bound survives.  Both flavors walk the ball's prefix tree
-    through the actions of each degree (`enumerate_subgroups` for plain,
-    `enumerate_normal` for normal) until every word is resolved; the
-    plain flavor stops walking at the first degree with more subgroups
-    than unresolved words and searches those words one at a time.  The
-    word reported is searched again on its own (`divisibility`,
+    only a lower bound survives, with `unresolved` counting ball words.
+    Both flavors walk the ball's prefix tree through the actions of each
+    degree (`enumerate_subgroups` for plain, `enumerate_normal` for
+    normal) until every word is resolved; the plain flavor stops walking
+    at the first degree with more subgroups than unresolved words and
+    searches those words one at a time.  The walk and the per-word stage
+    visit only orbit representatives under the signed letter
+    permutations, which leave both divisibilities unchanged: a word whose
+    generators first appear as a, b, c, ..., each positive there, stands
+    for 2^g rank! / (rank - g)! ball words when it uses g generators.
+    The first maximum in ball order is a representative, since the least
+    word of its orbit has the same value and length and comes no later.
+    The word reported is searched again on its own (`divisibility`,
     `normal_divisibility`), and InternalError is raised unless that gives
-    the same value.  A ball too large to index raises ResourceError.
+    the same value.  A ball with more representatives than the walk's
+    fixed index limit (`_INDEX_LIMIT`) raises ResourceError.
     """
     if n < 1:
         raise InputError(f"radius must be positive, got {n}")

@@ -204,6 +204,19 @@ def test_dmax_past_an_indexable_ball_exits_two(capsys):
         assert captured.err.startswith("resource limit: the radius-40 ball has ")
 
 
+def test_ball_walk_refuses_an_index_past_its_limit(capsys):
+    # the radius-20 ball of rank 2 has 8.7e8 orbit representatives, past
+    # the walk's fixed index limit; ineq 1 at n = 10 walks that ball
+    start = time.perf_counter()
+    for argv in (["dmax", "--rank", "2", "--radius", "20", "--cap", "2"],
+                 ["ineq", "--which", "1", "--rank", "2", "--n", "10"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: the radius-20 ball has ")
+    assert time.perf_counter() - start < 5
+
+
 def test_dmax_normal_deep_rank_one_ball(capsys):
     # a radius far past the interpreter's recursion limit
     assert run(["dmax", "--rank", "1", "--radius", "1500", "--cap", "16",

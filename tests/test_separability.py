@@ -18,6 +18,7 @@ from resfin.permrep import eval_word, from_record, image_order, is_regular, is_t
 from resfin.separability import (
     SepResult,
     _complete_action,
+    _escape_tables,
     check_basic_inequality,
     check_girth_inequality,
     divisibility,
@@ -184,11 +185,19 @@ def reference_row(rank, n, cap, normal):
 def test_ball_max_matches_per_word_search():
     cases = [(1, 12, 16), (1, 6, 3), (2, 4, 4), (2, 3, 2), (2, 2, 1), (3, 3, 12), (3, 2, 5)]
     cases += [(2, n, 12) for n in range(1, 6)]
-    for rank, n, cap in cases:
-        for normal in (False, True):
-            expect = reference_row(rank, n, cap, normal)
-            got = max_divisibility(rank, n, cap, normal=normal)
-            assert got == expect, (rank, n, cap, normal)
+    # the walk counts an unresolved word using g generators as its whole
+    # orbit: at cap 1 words using 1, 2 and 3 generators all stay
+    # unresolved; (3, 4, 3) and (2, 6, 4) leave words using 2 generators
+    # in the normal flavor, and (3, 6, 4) words using 2 and 3
+    cases += [(3, 3, 1), (4, 3, 1), (3, 4, 3), (2, 6, 4)]
+    rows = [(rank, n, cap, normal) for rank, n, cap in cases for normal in (False, True)]
+    rows.append((3, 6, 4, True))
+    for rank, n, cap, normal in rows:
+        expect = reference_row(rank, n, cap, normal)
+        got = max_divisibility(rank, n, cap, normal=normal)
+        assert got == expect, (rank, n, cap, normal)
+        if cap == 1:
+            assert got["unresolved"] == word_growth(rank, n) - 1
 
 
 def test_ball_max_does_not_depend_on_the_batch_size(monkeypatch):
@@ -206,15 +215,26 @@ def test_plain_max_searches_few_words_one_at_a_time(monkeypatch):
     # after degree 2, the radius-2 ball of F7 keeps its 14 squares, far
     # fewer than the index-3 subgroups; the walk must not build those
     assert list(islice(hall_counts(7), 3)) == [1, 127, 139777]
+    expect = reference_row(7, 2, 12, False)
     asked = []
 
     def spy(rank, degree, **kwargs):
         asked.append(degree)
         return enumerate_subgroups(rank, degree, **kwargs)
 
+    searched = []
+
+    def escape(w, degree):
+        searched.append((format_word(w), degree))
+        return _escape_tables(w, degree)
+
     monkeypatch.setattr("resfin.separability.enumerate_subgroups", spy)
-    assert max_divisibility(7, 2, 12) == reference_row(7, 2, 12, False)
+    monkeypatch.setattr("resfin.separability._escape_tables", escape)
+    assert max_divisibility(7, 2, 12) == expect
     assert asked == [2]
+    # the squares form one orbit, so only aa is searched, from degree 3;
+    # the argmax re-check then searches it again from degree 2
+    assert searched == [("aa", 3), ("aa", 2), ("aa", 3)]
 
 
 def test_plain_max_completes_only_its_argmax(monkeypatch):
@@ -258,6 +278,36 @@ def test_plain_max_frozen_at_radius_eleven():
         "lower_bound": 4,
         "value": 4,
         "argmax": "aaaaaa",
+    }
+
+
+def test_normal_max_frozen_at_radius_twelve():
+    # the README row, from the walk over every ball word and over orbit
+    # representatives alike
+    assert max_divisibility(2, 12, 16, normal=True) == {
+        "rank": 2,
+        "n": 12,
+        "normal": True,
+        "cap": 16,
+        "resolved": True,
+        "unresolved": 0,
+        "lower_bound": 12,
+        "value": 12,
+        "argmax": "aabbAABB",
+    }
+
+
+def test_plain_max_frozen_at_radius_twelve():
+    assert max_divisibility(2, 12, 12) == {
+        "rank": 2,
+        "n": 12,
+        "normal": False,
+        "cap": 12,
+        "resolved": True,
+        "unresolved": 0,
+        "lower_bound": 5,
+        "value": 5,
+        "argmax": "a" * 12,
     }
 
 
