@@ -16,29 +16,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .errors import InputError, InternalError, ResourceError
 from .words import FreeWord, parse_word, word_growth
-
-
-def _degree_clamp() -> int | None:
-    raw = os.environ.get("RESFIN_MAX_DEGREE")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"RESFIN_MAX_DEGREE must be an integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"RESFIN_MAX_DEGREE must be positive, got {value}")
-    return value
-
-
-def _clamped(cap: int) -> int:
-    limit = _degree_clamp()
-    return cap if limit is None else min(cap, limit)
 
 
 def _cell(value) -> str:
@@ -93,14 +74,14 @@ def _cmd_growth(args):
 def _cmd_dmax(args):
     from .separability import max_divisibility
 
-    row = max_divisibility(args.rank, args.radius, _clamped(args.cap), normal=args.normal)
+    row = max_divisibility(args.rank, args.radius, args.cap, normal=args.normal)
     return {"rows": [row]}, 0 if row["resolved"] else 2
 
 
 def _cmd_girth(args):
     from .separability import residual_girth
 
-    res = residual_girth(args.rank, args.radius, _clamped(args.cap))
+    res = residual_girth(args.rank, args.radius, args.cap)
     row = {"rank": args.rank, "n": args.radius, "cap": res.cap, "value": res.value}
     payload = {"rows": [row], "result": res.to_json()}
     return payload, 2 if res.unknown else 0
@@ -127,7 +108,7 @@ def _cmd_lcm_witness(args):
 def _cmd_power_witness(args):
     from .lcmlib import cert_to_json, power_set_witness
 
-    report = power_set_witness(2, args.n, scan_cap=_clamped(8))
+    report = power_set_witness(2, args.n)
     cert = report.pop("certificate")
     return {"rows": [report], "certificate": cert_to_json(cert)}, 0
 
@@ -135,7 +116,7 @@ def _cmd_power_witness(args):
 def _cmd_covers_scan(args):
     from .covers import obstruction_scan
 
-    report = obstruction_scan(args.m, _clamped(args.max_degree))
+    report = obstruction_scan(args.m, args.max_degree)
     rows = report.pop("rows")
     return {"rows": rows, "summary": report}, 0
 
@@ -143,7 +124,7 @@ def _cmd_covers_scan(args):
 def _cmd_theorem4(args):
     from .covers import theorem4_experiment
 
-    rows = theorem4_experiment(args.n, order_cap=_clamped(args.cap))
+    rows = theorem4_experiment(args.n, order_cap=args.cap)
     return {"rows": rows}, 0 if all(r["resolved"] for r in rows) else 2
 
 
@@ -159,7 +140,7 @@ def _cmd_ineq(args):
     from .separability import check_basic_inequality, check_girth_inequality
 
     if args.which == "1":
-        report = check_basic_inequality(args.rank, args.n, _clamped(args.cap))
+        report = check_basic_inequality(args.rank, args.n, args.cap)
         row = {
             "which": 1,
             "rank": args.rank,
@@ -172,8 +153,8 @@ def _cmd_ineq(args):
         report = check_girth_inequality(
             args.rank,
             args.n,
-            order_cap=_clamped(args.order_cap),
-            girth_cap=_clamped(args.girth_cap),
+            order_cap=args.order_cap,
+            girth_cap=args.girth_cap,
         )
         row = {
             "which": 2,
@@ -323,7 +304,6 @@ def run(argv) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code == 0 else 1
-        _degree_clamp()  # reject a malformed limit before any work
         if args.threads < 1:
             raise InputError(f"threads must be positive, got {args.threads}")
         payload, code = args.fn(args)

@@ -49,6 +49,10 @@ from .words import FreeWord, _check_rank, _cyclic_split, _free_reduce, enumerate
 DEFAULT_DEGREE_CAP = 16
 
 _CACHE_REGULAR_LIMIT = 12
+# the plain search nests one generator frame per table edge, rank * index
+# of them; past this many it would exhaust Python's default recursion
+# limit of 1000 frames, less room for the caller's own
+_PLAIN_EDGE_LIMIT = 900
 
 
 def _search(
@@ -254,8 +258,14 @@ def enumerate_subgroups(
 
     Deterministic order; every action is transitive of degree exactly
     `index`. Raise the keyword cap explicitly to go beyond the default.
+    A search of more than `_PLAIN_EDGE_LIMIT` edges raises ResourceError.
     """
     _checked(rank, index, max_degree, "index")
+    if rank * index > _PLAIN_EDGE_LIMIT:
+        raise ResourceError(
+            f"rank {rank} at index {index} needs {rank * index} table edges,"
+            f" past the plain search's limit {_PLAIN_EDGE_LIMIT}"
+        )
     return _search(rank, index, False)
 
 

@@ -58,6 +58,16 @@ def test_girth_known_and_unknown(capsys):
     assert run(["girth", "--rank", "2", "--radius", "1", "--cap", "3",
                 "--format", "csv"]) == 2
     assert out_of(capsys).splitlines()[1] == "2,1,3,unknown"
+    # the 17-word ball fits the cap, so orders 17..23 are all searched;
+    # the answer is 24
+    assert run(["girth", "--rank", "2", "--radius", "2", "--cap", "23",
+                "--format", "csv"]) == 2
+    assert out_of(capsys).splitlines()[1] == "2,2,23,unknown"
+    # 26 * 53 = 1378 table edges, past the plain search's limit; the
+    # regular search deduces most of them without nesting a frame
+    assert run(["girth", "--rank", "26", "--radius", "1", "--cap", "60",
+                "--format", "csv"]) == 0
+    assert out_of(capsys).splitlines()[1] == "26,1,60,53"
 
 
 def test_girth_json_carries_witness(capsys):
@@ -227,15 +237,31 @@ def test_dmax_normal_deep_rank_one_ball(capsys):
     assert captured.out.splitlines()[1] == "1,1500,true,16,true,0,9,9," + "a" * 840
 
 
-def test_env_degree_clamp(monkeypatch, capsys):
-    monkeypatch.setenv("RESFIN_MAX_DEGREE", "4")
-    assert run(["girth", "--rank", "2", "--radius", "1", "--cap", "12",
-                "--format", "csv"]) == 2
-    assert out_of(capsys).splitlines()[1] == "2,1,4,unknown"
-    monkeypatch.setenv("RESFIN_MAX_DEGREE", "oops")
-    assert run(["pnt", "--max", "5"]) == 1
-    monkeypatch.setenv("RESFIN_MAX_DEGREE", "0")
-    assert run(["pnt", "--max", "5"]) == 1
+def test_environment_sets_no_cap(monkeypatch, capsys):
+    # caps come from the arguments alone: a RESFIN_<OPTION> variable for
+    # any cap option, set small or malformed, changes no byte or exit code
+    names = [
+        "RESFIN_" + dest.upper() for dest in ("cap", "max_degree", "order_cap", "girth_cap")
+    ]
+    queries = [
+        ["girth", "--rank", "2", "--radius", "1", "--cap", "6"],
+        ["power-witness", "--n", "5"],
+        ["covers-scan", "--m", "3", "--max-degree", "5"],
+        ["theorem4", "--n", "3", "--cap", "6"],
+        ["ineq", "--which", "2", "--rank", "2", "--n", "2"],
+    ]
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    expected = []
+    for argv in queries:
+        code = run(argv + ["--format", "csv"])
+        expected.append((code, capsys.readouterr()))
+    assert [code for code, _ in expected] == [0] * len(queries)
+    for value in ("4", "oops"):
+        for name in names:
+            monkeypatch.setenv(name, value)
+        for argv, want in zip(queries, expected):
+            assert (run(argv + ["--format", "csv"]), capsys.readouterr()) == want, argv
 
 
 def test_input_error_exits(capsys):
@@ -318,7 +344,6 @@ def test_covers_scan_rejects_a_degree_out_of_range(monkeypatch, capsys):
         raise AssertionError(f"enumerated index {index} before the cap check")
 
     monkeypatch.setattr("resfin.lowindex.enumerate_subgroups", no_enumeration)
-    monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
     start = time.perf_counter()
     assert run(["covers-scan", "--m", "3", "--max-degree", "17"]) == 2
     assert time.perf_counter() - start < 1.0
@@ -342,7 +367,6 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     commands = _readme_commands()
     assert commands
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
     for argv in commands:
         assert run(argv) == 0, argv
 
@@ -350,7 +374,6 @@ def test_readme_commands_run(tmp_path, monkeypatch):
 def _fresh_python(args, cwd):
     """Run python3 -S with only src/ on the path; -S keeps site hooks out."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("RESFIN_MAX_DEGREE", None)
     return subprocess.run(
         [sys.executable, "-S", *args], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=120,

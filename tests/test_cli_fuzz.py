@@ -116,8 +116,7 @@ INTEGER_OPTIONS = {
 }
 
 
-def test_fuzzed_integer_options_keep_the_exit_contract(monkeypatch, capsys):
-    monkeypatch.delenv("RESFIN_MAX_DEGREE", raising=False)
+def test_fuzzed_integer_options_keep_the_exit_contract(capsys):
     rng = random.Random(20261020)
     seen = set()
     for _ in range(300):

@@ -108,6 +108,20 @@ def test_ball_witness_radius_two_bounds():
     assert verify_certificate(cert)
 
 
+def test_ball_witness_past_the_flat_cap():
+    # radius 6: the reduced forms outgrow the flat cap during pairing, so
+    # later levels conjugate by b unchecked and nontriviality stays open
+    cert = lcm_ball_witness(2, 6)
+    assert len(cert.targets) == 1456
+    assert cert.flat is None and not cert.nontrivial_verified
+    assert cert.declared_bound == 19_261_908
+    assert verify_certificate(cert)
+    # each quotient of order q <= 6 kills a^q, a target, and so the witness
+    for q in range(2, 7):
+        for quot in enumerate_normal(2, q):
+            assert eval_word(quot, cert.word).is_identity
+
+
 def test_rank_one_witness_is_the_numeric_lcm():
     x = generator(1, 1)
     cert = lcm_witness([power(x, 2), power(x, 3)])
@@ -222,6 +236,55 @@ def test_verifier_rejects_a_power_step_with_a_wrong_exponent():
     result = verify_certificate(cert_from_json(data))
     assert result.failures == (
         "derivation 0 step 1: node is not the premise to the exponent",
+    )
+
+
+def test_verifier_takes_a_power_step_only_along_pow_nodes():
+    # (aa)^3 is a^6, yet pow(a, 6) is not a power node over the premise
+    # aa, so only the second shape is accepted
+    for last, failures in (
+        (["pow", 0, 6], ("derivation 0 step 1: node is not the premise to the exponent",)),
+        (["pow", 1, 3], ()),
+    ):
+        data = {
+            "rank": 1,
+            "targets": ["aa"],
+            "nodes": [["gen", 1], ["mul", 0, 0], last],
+            "root": 2,
+            "declared_bound": 6,
+            "derivations": [[
+                {"rule": "ground", "node": 1, "premises": []},
+                {"rule": "power", "node": 2, "premises": [1], "exponent": 3},
+            ]],
+            "flat": "aaaaaa",
+            "nontrivial_verified": True,
+        }
+        assert verify_certificate(cert_from_json(data)).failures == failures
+
+
+def test_verifier_rejects_each_structural_rule_on_a_wrong_node():
+    # lcm(a, a) conjugates its right entry: derivation 0 is ground then
+    # commutator_left, derivation 1 ground, conjugate, commutator_right
+    fresh = cert_to_json(lcm_witness([X, X]))
+    for index, pos, rule, message in (
+        (1, 1, "conjugate", "node is not a conjugate of the premise"),
+        (0, 1, "commutator_left", "node is not a commutator with left premise"),
+        (1, 2, "commutator_right", "node is not a commutator with right premise"),
+    ):
+        data = json.loads(json.dumps(fresh))
+        steps = data["derivations"][index]
+        assert steps[pos]["rule"] == rule
+        steps[pos]["node"] = steps[0]["node"]
+        failures = verify_certificate(cert_from_json(data)).failures
+        assert failures[0] == f"derivation {index} step {pos}: {message}"
+    # conjugating by a itself leaves a pair that commutes: every step
+    # replays, but the witness is the identity
+    data = json.loads(json.dumps(fresh))
+    assert data["nodes"][2] == ["conj", 0, 1]
+    data["nodes"][2] = ["conj", 0, 0]
+    data["flat"] = ""
+    assert verify_certificate(cert_from_json(data)).failures == (
+        "witness reduces to the identity",
     )
 
 

@@ -362,3 +362,14 @@ def test_rejects_bad_arguments():
         enumerate_subgroups(2, DEFAULT_DEGREE_CAP + 1)
     with pytest.raises(ResourceError):
         enumerate_normal(2, 300, max_degree=300)
+
+
+def test_plain_search_refuses_a_nesting_past_the_recursion_limit():
+    # the plain search nests one frame per edge, rank * index of them;
+    # these raised RecursionError at the first table
+    for rank, index in ((26, 40), (4, 250), (26, 35)):
+        with pytest.raises(ResourceError, match="table edges"):
+            enumerate_subgroups(rank, index, max_degree=index)
+    # 900 edges, the most the limit admits, still build a table
+    first = next(enumerate_subgroups(25, 36, max_degree=36))
+    assert first.degree == 36 and first.rank == 25
