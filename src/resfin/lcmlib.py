@@ -253,12 +253,13 @@ def _replay(cert: WitnessCertificate, index: int) -> list[str]:
                 failures.append(f"{where}: ground node is not the target")
         elif rule == "power":
             e = step.get("exponent")
-            if not (
+            ok = (
                 shape[0] == "pow"
                 and len(premises) == 1
                 and isinstance(e, int)
                 and _power_step_ok(nodes, shape, premises[0], e)
-            ):
+            )
+            if not ok:
                 failures.append(f"{where}: node is not the premise to the exponent")
         elif rule == "conjugate":
             if shape[0] != "conj" or premises != [shape[1]]:
