@@ -164,11 +164,12 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
     """Power-set witness rows for each j up to n.
 
     Row j builds the witness for {x, ..., x^lcm(1..j)} and scans quotient
-    orders upward for the first one where it survives.  Any group of order
-    at most lcm(1..j) sends x to an element of such an order, killing a
-    target and the witness with it, so a survivor below that is an
-    internal error.  The row resolves when the witness is known nontrivial
-    and the scan certifies divisibility at least lcm(1..j) + 1.
+    orders upward for the first one where it survives; one pass per order
+    serves every row.  Any group of order at most lcm(1..j) sends x to an
+    element of such an order, killing a target and the witness with it, so
+    a survivor below that is an internal error.  The row resolves when the
+    witness is known nontrivial and the scan certifies divisibility at
+    least lcm(1..j) + 1.
     """
     from .lcmlib import _power_set_scan
 
@@ -176,10 +177,9 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
         raise InputError(f"n must be positive, got {n}")
     if order_cap < 1:
         raise InputError(f"order cap must be positive, got {order_cap}")
+    ells = [lcm_upto(j) for j in range(1, n + 1)]
     rows = []
-    for j in range(1, n + 1):
-        ell = lcm_upto(j)
-        cert, value = _power_set_scan(2, ell, order_cap)
+    for j, ell, (cert, value) in zip(range(1, n + 1), ells, _power_set_scan(2, ells, order_cap)):
         lower = value or order_cap + 1
         rows.append(
             {

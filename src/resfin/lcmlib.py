@@ -16,7 +16,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 from .words import (
     DEFAULT_FLAT_CAP,
     Ball,
@@ -367,20 +367,34 @@ def cert_from_json(data) -> WitnessCertificate:
         raise InputError(f"malformed certificate: {exc}") from exc
 
 
-def _power_set_scan(rank: int, n: int, cap: int) -> tuple[WitnessCertificate, int | None]:
-    """The witness for {x, ..., x^n} and its normal divisibility up to cap.
+def _power_set_scan(
+    rank: int, ns: list[int], cap: int
+) -> list[tuple[WitnessCertificate, int | None]]:
+    """The witness for each {x, ..., x^n} and its normal divisibility up to
+    cap, every witness scanned in the same pass over each order.
 
     A group of order at most n kills one of the targets, and the witness
-    with it, so a survivor of order at most n is an InternalError.
+    with it, so a survivor of order at most n is an InternalError.  Targets
+    totalling more than DEFAULT_FLAT_CAP letters raise ResourceError before
+    any is built.
     """
-    from .separability import normal_divisibility  # separability imports this module
+    from .separability import _first_survivals  # separability imports this module
 
+    top = max(ns)
+    total = top * (top + 1) // 2
+    if total > DEFAULT_FLAT_CAP:
+        raise ResourceError(
+            f"the targets x..x^{top} total {total} letters, past the flat cap {DEFAULT_FLAT_CAP}"
+        )
     x = generator(rank, 1)
-    cert = lcm_witness([power(x, i) for i in range(1, n + 1)])
-    value = normal_divisibility(cert.word, cap).value
-    if value is not None and value <= n:
-        raise InternalError(f"a quotient of order {value} kept the witness for x..x^{n} alive")
-    return cert, value
+    certs = [lcm_witness([power(x, i) for i in range(1, n + 1)]) for n in ns]
+    out = []
+    for n, cert, hit in zip(ns, certs, _first_survivals(rank, [c.word for c in certs], cap)):
+        value = None if hit is None else hit[0]
+        if value is not None and value <= n:
+            raise InternalError(f"a quotient of order {value} kept the witness for x..x^{n} alive")
+        out.append((cert, value))
+    return out
 
 
 POWER_SCAN_CAP = 8
@@ -397,7 +411,7 @@ def power_set_witness(rank: int, n: int) -> dict:
     if rank < 1 or n < 1:
         raise InputError(f"rank and n must be positive, got {rank}, {n}")
     cap = min(n, POWER_SCAN_CAP)
-    cert, _ = _power_set_scan(rank, n, cap)
+    [(cert, _)] = _power_set_scan(rank, [n], cap)
     return {
         "rank": rank,
         "n": n,

@@ -25,7 +25,12 @@ Regular mode adds sound pruning devices on top:
     length <= r cuts the branch: it is a nontrivial kernel element of
     every completion, so no completion is injective on the radius r/2
     ball,
-  - finished tables are still checked with is_regular before emission.
+  - every finished table, plain or regular, is checked on the search's
+    own rows before emission (`_check_rows`): a breadth-first walk from
+    the basepoint meets the points in label order (the table is its own
+    canonical form) and reaches all of them (the action is transitive),
+    and every backward row inverts its forward row. Regular tables are
+    then checked with is_regular.
 """
 
 from __future__ import annotations
@@ -35,15 +40,7 @@ import itertools
 from typing import Iterator
 
 from .errors import InputError, InternalError, ResourceError
-from .permrep import (
-    MAX_ENCODABLE_DEGREE,
-    PermQuotient,
-    Permutation,
-    canonical_key,
-    eval_word,
-    is_regular,
-    is_transitive,
-)
+from .permrep import MAX_ENCODABLE_DEGREE, PermQuotient, Permutation, eval_word, is_regular
 from .words import FreeWord, _check_rank, _cyclic_split, _free_reduce, enumerate_ball
 
 DEFAULT_DEGREE_CAP = 16
@@ -53,6 +50,33 @@ _CACHE_REGULAR_LIMIT = 12
 # of them; past this many it would exhaust Python's default recursion
 # limit of 1000 frames, less room for the caller's own
 _PLAIN_EDGE_LIMIT = 900
+
+
+def _check_rows(fwd: list[list[int]], bwd: list[list[int]]) -> None:
+    """Check a finished table on its own rows, or raise InternalError.
+
+    Every entry is filled and each backward row inverts its forward row.
+    A breadth-first walk from point 0, scanning each point's entries as
+    (g1 forward, g1 backward, g2 forward, ...) like `canonical_key`, meets
+    the points in label order, so the table is its own canonical form,
+    and reaches all of them, so the action is transitive.
+    """
+    points = list(range(len(fwd[0])))
+    for f, b in zip(fwd, bwd):
+        # with no -1 in f, b undoing f makes f a bijection and b its inverse
+        if -1 in f or [b[x] for x in f] != points:
+            raise InternalError("search produced a backward row that misses its inverse")
+    rows = [row for f, b in zip(fwd, bwd) for row in (f, b)]
+    met = 1  # points 0 .. met-1 have been met, in label order
+    for p in points:
+        if p == met:
+            raise InternalError("search produced an intransitive table")
+        for row in rows:
+            nxt = row[p]
+            if nxt >= met:
+                if nxt != met:
+                    raise InternalError("search produced a non-canonical table")
+                met += 1
 
 
 def _search(
@@ -166,16 +190,13 @@ def _search(
         return None
 
     def build() -> PermQuotient:
-        gens = tuple(Permutation._from_zero(tuple(row)) for row in fwd)
-        q = PermQuotient(gens)
-        raw = b"".join(bytes(row) for row in fwd)
-        if canonical_key(q) != raw:
-            raise InternalError("search produced a non-canonical table")
-        if regular:
-            if not is_regular(q):
-                raise InternalError("relator propagation let an irregular table through")
-        elif not is_transitive(q):
-            raise InternalError("search produced an intransitive table")
+        _check_rows(fwd, bwd)
+        q = PermQuotient._trusted(
+            tuple(Permutation._from_zero(tuple(row)) for row in fwd),
+            tuple(Permutation._from_zero(tuple(row)) for row in bwd),
+        )
+        if regular and not is_regular(q):
+            raise InternalError("relator propagation let an irregular table through")
         return q
 
     def rec(start: int) -> Iterator[PermQuotient]:
@@ -237,7 +258,7 @@ def _search(
 @functools.lru_cache(maxsize=None)
 def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
     """Every regular action of one order, kept for the queries that read
-    an order again (argmax re-checks, growth counts, theorem4 rows)."""
+    an order again (argmax re-checks, growth counts)."""
     return tuple(_search(rank, order, True))
 
 

@@ -164,6 +164,21 @@ class PermQuotient:
         object.__setattr__(self, "_transitive", None)
         object.__setattr__(self, "_order", None)
 
+    @classmethod
+    def _trusted(
+        cls, gens: tuple[Permutation, ...], inverses: tuple[Permutation, ...]
+    ) -> "PermQuotient":
+        """Trusted constructor for a transitive action whose generators and
+        their inverses, one shared degree, were checked by the caller."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "rank", len(gens))
+        object.__setattr__(q, "degree", gens[0].degree)
+        object.__setattr__(q, "gens", gens)
+        object.__setattr__(q, "_inverses", inverses)
+        object.__setattr__(q, "_transitive", True)
+        object.__setattr__(q, "_order", None)
+        return q
+
     def __setattr__(self, name, value):
         raise AttributeError("PermQuotient is immutable")
 

@@ -175,11 +175,32 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
         raise InputError(f"need a FreeWord or SLWord, got {type(w).__name__}")
     if cap < 1:
         raise InputError(f"cap must be positive, got {cap}")
+    value, witness = _first_survivals(w.rank, [w], cap)[0] or (None, None)
+    return SepResult(query, value, witness, cap)
+
+
+def _first_survivals(
+    rank: int, words: list[FreeWord | SLWord], cap: int
+) -> list[tuple[int, PermQuotient] | None]:
+    """For each word, the least order up to cap of a regular quotient where
+    it survives and the first such quotient, or None if it dies in all.
+
+    Each order is enumerated once for every word still dying, and only as
+    far as the last of them needs.
+    """
+    found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
+    left = list(range(len(words)))
     for order in range(2, cap + 1):
-        for q in enumerate_normal(w.rank, order, max_degree=cap):
-            if not eval_word(q, w).is_identity:
-                return SepResult(query, order, q, cap)
-    return SepResult(query, None, None, cap)
+        if not left:
+            break
+        for q in enumerate_normal(rank, order, max_degree=cap):
+            for i in left:
+                if not eval_word(q, words[i]).is_identity:
+                    found[i] = (order, q)
+            left = [i for i in left if found[i] is None]
+            if not left:
+                break
+    return found
 
 
 def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None, FreeWord | None, int]:

@@ -227,6 +227,19 @@ def test_ball_walk_refuses_an_index_past_its_limit(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_power_sets_past_the_flat_cap_exit_two(capsys):
+    # theorem4 --n 11 asks for x..x^27720, about 3.8e8 letters of targets,
+    # and ended in a MemoryError under a 1 GB address limit
+    start = time.perf_counter()
+    for argv, total in ((["theorem4", "--n", "11", "--cap", "8"], 384213060),
+                        (["power-witness", "--n", "2000"], 2001000)):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"total {total} letters" in captured.err
+    assert time.perf_counter() - start < 5
+
+
 def test_dmax_normal_deep_rank_one_ball(capsys):
     # a radius far past the interpreter's recursion limit
     assert run(["dmax", "--rank", "1", "--radius", "1500", "--cap", "16",

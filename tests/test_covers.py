@@ -4,9 +4,12 @@ The lift-closure law is verified against an independent oracle that walks
 the first generator step by step instead of using cycle arithmetic.
 """
 
+from collections import Counter
 from itertools import islice
 
 import pytest
+
+import resfin.lowindex
 
 from resfin.covers import (
     analyze_cover,
@@ -18,8 +21,11 @@ from resfin.covers import (
     theorem4_experiment,
 )
 from resfin.errors import InputError
+from resfin.lcmlib import lcm_witness
 from resfin.lowindex import enumerate_subgroups
 from resfin.permrep import PermQuotient, identity_perm, parse_permutation
+from resfin.separability import normal_divisibility
+from resfin.words import generator, power
 
 
 def _cover(x_text, y_text, degree):
@@ -130,6 +136,48 @@ def test_theorem4_scans_up_to_the_callers_cap():
 
 def test_theorem4_is_deterministic():
     assert theorem4_experiment(3) == theorem4_experiment(3)
+
+
+def _per_row_theorem4(n, cap):
+    # the route before the one-pass scan: each row builds its witness and
+    # searches the orders for it alone, with normal_divisibility
+    rows = []
+    for j in range(1, n + 1):
+        ell = lcm_upto(j)
+        cert = lcm_witness([power(generator(2, 1), i) for i in range(1, ell + 1)])
+        lower = normal_divisibility(cert.word, cap).value or cap + 1
+        rows.append(
+            {
+                "n": j,
+                "lcm": ell,
+                "witness_bound": cert.declared_bound,
+                "dnormal_lower": lower,
+                "resolved": cert.nontrivial_verified and lower >= ell + 1,
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("cap", [8, 12, 16, 17])
+def test_theorem4_one_pass_matches_the_per_row_route(cap):
+    for n in range(1, 5):
+        assert theorem4_experiment(n, order_cap=cap) == _per_row_theorem4(n, cap), n
+
+
+def test_theorem4_searches_each_order_once(monkeypatch):
+    # rows 3 and 4 both scan every order to 16; orders past the cache
+    # limit of 12 are searched afresh, so the rows share one search each
+    searched = Counter()
+    search = resfin.lowindex._search
+
+    def spy(rank, degree, regular, kernel_radius=0):
+        searched[degree] += 1
+        return search(rank, degree, regular, kernel_radius)
+
+    monkeypatch.setattr(resfin.lowindex, "_search", spy)
+    theorem4_experiment(4, order_cap=16)
+    assert [searched[order] for order in range(13, 17)] == [1, 1, 1, 1]
+    assert all(searched[order] <= 1 for order in range(2, 13))
 
 
 def test_chebyshev_values():

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
-from resfin.errors import InputError, ResourceError
+from resfin.errors import InputError, InternalError, ResourceError
 from resfin.lowindex import (
     DEFAULT_DEGREE_CAP,
+    _check_rows,
     _search,
     enumerate_normal,
     enumerate_subgroups,
@@ -227,6 +228,49 @@ def test_regular_deductions_are_frozen(monkeypatch):
             for _ in _search(rank, order, True):
                 pass
         assert len(calls) == expect, rank
+
+
+def _searched_quotients():
+    for rank, top in ((2, 6), (3, 4)):
+        for d in range(1, top + 1):
+            yield from _search(rank, d, False)
+    for order in range(1, 17):
+        yield from _search(2, order, True)
+    yield from enumerate_normal(2, 20, max_degree=20, kernel_radius=2)
+
+
+def test_row_check_agrees_with_the_permutation_check():
+    # the search checks each table on its own rows and hands the quotient
+    # its backward rows as inverses; the check it replaced built the
+    # inverses with Permutation.inverse and compared canonical_key with
+    # the raw rows, which also decided transitivity
+    seen = 0
+    for q in _searched_quotients():
+        assert q._gen_inverses() == tuple(g.inverse() for g in q.gens)
+        fresh = PermQuotient(q.gens)
+        assert canonical_key(fresh) == b"".join(bytes(g._map) for g in q.gens)
+        assert fresh._transitive is True and q._transitive is True
+        seen += 1
+    assert seen == 3996 + 2248 + sum(normal_count(2, o) for o in range(1, 17)) + 48
+
+
+def test_row_check_refuses_each_broken_table():
+    # a = (0 1 2), b = (1 2): a breadth-first walk meets 1 through a and
+    # 2 through a^-1, so the table is canonical
+    fwd = [[1, 2, 0], [0, 2, 1]]
+    bwd = [[2, 0, 1], [0, 2, 1]]
+    _check_rows(fwd, bwd)
+    for broken_fwd, broken_bwd, message in (
+        # the same action with points 1 and 2 swapped
+        ([[2, 0, 1], [0, 2, 1]], [[1, 2, 0], [0, 2, 1]], "non-canonical"),
+        # point 2 is fixed by both generators
+        ([[1, 0, 2], [0, 1, 2]], [[1, 0, 2], [0, 1, 2]], "intransitive"),
+        ([[1, 2, 0], [0, 2, 1]], [[1, 2, 0], [0, 2, 1]], "misses its inverse"),
+        # an empty entry that the backward row undoes by wrapping around
+        ([[-1, 0]], [[1, 0]], "misses its inverse"),
+    ):
+        with pytest.raises(InternalError, match=message):
+            _check_rows(broken_fwd, broken_bwd)
 
 
 # --- the kernel-length cut -------------------------------------------------
