@@ -371,7 +371,9 @@ def _power_set_scan(
     rank: int, ns: list[int], cap: int
 ) -> list[tuple[WitnessCertificate, int | None]]:
     """The witness for each {x, ..., x^n} and its normal divisibility up to
-    cap, every witness scanned in the same pass over each order.
+    cap, every witness scanned in the same pass over each order.  Each
+    distinct n is built and scanned once, and its pair serves every row
+    that asks for it.
 
     A group of order at most n kills one of the targets, and the witness
     with it, so a survivor of order at most n is an InternalError.  Targets
@@ -387,14 +389,15 @@ def _power_set_scan(
             f"the targets x..x^{top} total {total} letters, past the flat cap {DEFAULT_FLAT_CAP}"
         )
     x = generator(rank, 1)
-    certs = [lcm_witness([power(x, i) for i in range(1, n + 1)]) for n in ns]
-    out = []
-    for n, cert, hit in zip(ns, certs, _first_survivals(rank, [c.word for c in certs], cap)):
+    distinct = list(dict.fromkeys(ns))
+    certs = [lcm_witness([power(x, i) for i in range(1, n + 1)]) for n in distinct]
+    scanned = {}
+    for n, cert, hit in zip(distinct, certs, _first_survivals(rank, [c.word for c in certs], cap)):
         value = None if hit is None else hit[0]
         if value is not None and value <= n:
             raise InternalError(f"a quotient of order {value} kept the witness for x..x^{n} alive")
-        out.append((cert, value))
-    return out
+        scanned[n] = (cert, value)
+    return [scanned[n] for n in ns]
 
 
 POWER_SCAN_CAP = 8

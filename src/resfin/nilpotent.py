@@ -4,14 +4,22 @@ The integer Heisenberg group is the group of 3x3 upper unitriangular
 integer matrices; an element is stored as its three upper entries
 (a, b, c) at (0,1), (1,2) and (0,2).  Sending the two generators to the
 elementary matrices E12 and E23 embeds words into it.  Ball images have
-small entries (the exact maximum is found by walking distinct elements,
-not words), so reducing mod a modulus larger than twice that maximum
+small entries, so reducing mod a modulus larger than twice the maximum
 keeps distinct images distinct.  The finite Heisenberg group mod M, of
 order M^3, then witnesses a polynomial upper bound for residual girth on
 the nilpotent side.
+
+The exact maximum comes from walking distinct elements, not words.  Right
+multiplication by a letter moves a or b by one and, for y^+-1, moves c by
++-a; so |a| + |b| <= n and |c| <= n^2 on the radius-n ball.  The walk
+keeps one cell per (a, b): a Python-int bitset whose bit c + n^2 (the
+offset) marks the element (a, b, c).  A y-letter is then a shift of the
+whole cell.  The collapse check mod M folds each cell into its residue
+cell (a mod M, b mod M), M bits at a time; an overlapping bit is two
+images that reduce to one.
 """
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 from .words import FreeWord
 
 # upper entries (a, b, c) of x, x^-1, y, y^-1 under x to E12, y to E23
@@ -21,11 +29,6 @@ _GENERATOR_TRIPLES = {1: (1, 0, 0), -1: (-1, 0, 0), 2: (0, 1, 0), -2: (0, -1, 0)
 def _mul(u: tuple, v: tuple) -> tuple:
     """(a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab')."""
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1])
-
-
-def _max_entry(t: tuple) -> int:
-    # the unit diagonal counts, so the identity reads 1
-    return max(1, abs(t[0]), abs(t[1]), abs(t[2]))
 
 
 def _reduce(t: tuple, m: int) -> tuple:
@@ -118,28 +121,102 @@ def heisenberg_eval(w: FreeWord, *, modulus: int | None = None) -> UnipotentMatr
     return UnipotentMatrix._from_triple(out)
 
 
-def _ball_images(n: int) -> set:
-    """Distinct Heisenberg images of the radius-n ball as (a, b, c), by BFS."""
-    steps = tuple(_GENERATOR_TRIPLES.values())
-    seen = {(0, 0, 0)}
-    frontier = list(seen)
+# the most window bits, (2n^2+2n+1) cells of 2n^2+1 central entries each,
+# that the ball walk may span: radius 90 fits, radius 91 does not
+_WINDOW_LIMIT = 1 << 28
+
+
+def _shift(bits: int, s: int) -> int:
+    """bits moved by s places (c to c + s); a set bit shifted out is an error."""
+    if s >= 0:
+        return bits << s
+    if bits & ((1 << -s) - 1):
+        raise InternalError("a central entry fell below the ball's window")
+    return bits >> -s
+
+
+def _ball_cells(n: int) -> dict:
+    """The radius-n ball image as a map from (a, b) to a bitset of c + n^2.
+
+    Walked by layers: x^+-1 carries a cell's new bits to (a +- 1, b), y^+-1
+    shifts them by +-a into (a, b +- 1), and only unseen bits go on.  A
+    window past `_WINDOW_LIMIT` bits raises ResourceError up front.
+    """
+    window = (2 * n * n + 2 * n + 1) * (2 * n * n + 1)
+    if window > _WINDOW_LIMIT:
+        raise ResourceError(
+            f"the radius-{n} ball spans a window of {window} bits,"
+            f" past the limit {_WINDOW_LIMIT}"
+        )
+    seen = {(0, 0): 1 << (n * n)}
+    frontier = seen.copy()
     for _ in range(n):
-        nxt = []
-        for t in frontier:
-            for s in steps:
-                img = _mul(t, s)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
+        reach = {}
+        for (a, b), bits in frontier.items():
+            for cell, moved in (
+                ((a + 1, b), bits),
+                ((a - 1, b), bits),
+                ((a, b + 1), _shift(bits, a)),
+                ((a, b - 1), _shift(bits, -a)),
+            ):
+                reach[cell] = reach.get(cell, 0) | moved
+        frontier = {}
+        for cell, bits in reach.items():
+            old = seen.get(cell, 0)
+            new = bits & ~old
+            if new:
+                frontier[cell] = new
+                seen[cell] = old | new
     return seen
+
+
+def _ball_images(n: int) -> set:
+    """Distinct Heisenberg images of the radius-n ball as (a, b, c)."""
+    out = set()
+    for (a, b), bits in _ball_cells(n).items():
+        while bits:
+            low = bits & -bits
+            out.add((a, b, low.bit_length() - 1 - n * n))
+            bits ^= low
+    return out
+
+
+def _cells_max_entry(cells: dict, n: int) -> int:
+    """Max |entry| over the cells, from |a|, |b| and each bitset's end bits;
+    the unit diagonal counts, so the identity alone reads 1."""
+    off = n * n
+    return max(
+        max(1, abs(a), abs(b), off - (bits & -bits).bit_length() + 1, bits.bit_length() - 1 - off)
+        for (a, b), bits in cells.items()
+    )
+
+
+def _fold_collides(cells: dict, m: int) -> bool:
+    """Whether reducing mod m merges two images of the cells.
+
+    The offset n^2 shifts every cell alike, so folding each bitset m bits
+    at a time into its residue cell (a mod m, b mod m) meets a set bit
+    exactly where two images collide.
+    """
+    mask = (1 << m) - 1
+    residues = {}
+    for (a, b), bits in cells.items():
+        key = (a % m, b % m)
+        acc = residues.get(key, 0)
+        while bits:
+            if acc & bits & mask:
+                return True
+            acc |= bits & mask
+            bits >>= m
+        residues[key] = acc
+    return False
 
 
 def entry_bound(n: int) -> int:
     """Exact max absolute entry over the radius-n ball image."""
     if n < 0:
         raise InputError(f"radius must be nonnegative, got {n}")
-    exact = max(map(_max_entry, _ball_images(n)))
+    exact = _cells_max_entry(_ball_cells(n), n)
     analytic = n * (n + 1) // 2 + 1
     if exact > analytic:
         raise InternalError(
@@ -152,14 +229,13 @@ def girth_upper_bound_nilpotent(n: int) -> tuple:
     """(modulus, finite group order, injectivity verdict) at radius n.
 
     The modulus exceeds twice the exact entry maximum, so distinct integer
-    images stay distinct mod M; the check is still run pairwise.  The
-    order is the exact count of Heisenberg elements over Z/M, M^3.
+    images stay distinct mod M; the fold check still runs.  The order is
+    the exact count of Heisenberg elements over Z/M, M^3.
     """
     if n < 1:
         raise InputError(f"radius must be positive, got {n}")
-    images = _ball_images(n)
-    m = 2 * max(map(_max_entry, images)) + 1
-    reduced = {_reduce(t, m) for t in images}
-    if len(reduced) != len(images):
+    cells = _ball_cells(n)
+    m = 2 * _cells_max_entry(cells, n) + 1
+    if _fold_collides(cells, m):
         raise InternalError(f"reduction mod {m} collapsed distinct ball images")
     return (m, m ** 3, True)

@@ -240,6 +240,23 @@ def test_power_sets_past_the_flat_cap_exit_two(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_nilpotent_girth_at_radius_sixty(capsys):
+    # 5,544,471 elements in 7,321 (a, b) cells; one hashed triple per
+    # element ran out of a 1 GB address limit here
+    assert run(["nilpotent-girth", "--n", "60", "--format", "csv"]) == 0
+    assert out_of(capsys).splitlines()[1] == "60,1801,5841725401,true"
+
+
+def test_nilpotent_girth_past_the_window_limit_exits_two(capsys):
+    start = time.perf_counter()
+    for n in ("91", "1000000"):
+        assert run(["nilpotent-girth", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"resource limit: the radius-{n} ball spans a window of ")
+    assert time.perf_counter() - start < 5
+
+
 def test_dmax_normal_deep_rank_one_ball(capsys):
     # a radius far past the interpreter's recursion limit
     assert run(["dmax", "--rank", "1", "--radius", "1500", "--cap", "16",

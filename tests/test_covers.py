@@ -9,6 +9,7 @@ from itertools import islice
 
 import pytest
 
+import resfin.lcmlib
 import resfin.lowindex
 
 from resfin.covers import (
@@ -201,3 +202,22 @@ def test_pnt_window_threshold():
 def test_lcm_upto_input_check():
     with pytest.raises(InputError):
         lcm_upto(0)
+
+
+def test_theorem4_builds_each_distinct_lcm_once(monkeypatch):
+    # lcm(1..5) = lcm(1..6) = 60, so rows 5 and 6 share one witness
+    built = Counter()
+    build = resfin.lcmlib.lcm_witness
+
+    def spy(targets):
+        built[len(targets)] += 1
+        return build(targets)
+
+    monkeypatch.setattr(resfin.lcmlib, "lcm_witness", spy)
+    rows = theorem4_experiment(6, order_cap=12)
+    assert sorted(built) == [1, 2, 6, 12, 60] and sum(built.values()) == 5
+    assert rows[4]["lcm"] == rows[5]["lcm"] == 60
+    assert {k: v for k, v in rows[4].items() if k != "n"} == {
+        k: v for k, v in rows[5].items() if k != "n"
+    }
+

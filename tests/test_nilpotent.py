@@ -10,10 +10,15 @@ import random
 
 import pytest
 
-from resfin.errors import InputError
+from resfin.errors import InputError, InternalError, ResourceError
 from resfin.nilpotent import (
     UnipotentMatrix,
+    _ball_cells,
     _ball_images,
+    _cells_max_entry,
+    _fold_collides,
+    _reduce,
+    _shift,
     entry_bound,
     girth_upper_bound_nilpotent,
     heisenberg_eval,
@@ -162,3 +167,60 @@ def test_matrix_validation():
         heisenberg_eval(parse_word("abc", 3))
     with pytest.raises(InputError):
         heisenberg_eval("abAB")
+
+
+def reference_ball_images(n):
+    # the tuple walk the cell walk replaced: one hashed triple per element,
+    # (a, b, c) times x^+-1 or y^+-1 by the product rule written out
+    seen = {(0, 0, 0)}
+    frontier = [(0, 0, 0)]
+    for _ in range(n):
+        nxt = []
+        for a, b, c in frontier:
+            for t in ((a + 1, b, c), (a - 1, b, c), (a, b + 1, c + a), (a, b - 1, c - a)):
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def test_cells_expand_to_the_tuple_walk():
+    for n in range(13):
+        assert _ball_images(n) == reference_ball_images(n), n
+
+
+def test_fold_check_agrees_with_the_set_check():
+    for n in range(9):
+        cells = _ball_cells(n)
+        images = _ball_images(n)
+        top = _cells_max_entry(cells, n)
+        for m in range(2, 2 * top + 3):
+            collapsed = len({_reduce(t, m) for t in images}) < len(images)
+            assert _fold_collides(cells, m) == collapsed, (n, m)
+
+
+def test_shift_guard_refuses_to_drop_a_bit():
+    assert _shift(0b101, 2) == 0b10100
+    assert _shift(0b100, -2) == 0b1
+    with pytest.raises(InternalError):
+        _shift(0b110, -2)
+
+
+def test_closed_form_out_to_radius_sixty():
+    # max(n, floor(n^2/4)) from the letter recursion a+-1 / b+-1, c+-a: a
+    # word with k x-letters moves c by at most k per y-letter, so |c| <=
+    # k(n - k), and x^k y^(n-k) at k = n // 2 attains it
+    for n in range(1, 61):
+        closed = max(n, n * n // 4)
+        assert entry_bound(n) == closed, n
+        assert girth_upper_bound_nilpotent(n)[0] == 2 * closed + 1, n
+
+
+def test_walk_past_the_window_limit_is_refused():
+    # radius 90 spans 265,388,581 bits and radius 91 277,347,435, which
+    # passes the limit of 2^28 = 268,435,456
+    for call in (_ball_cells, entry_bound, girth_upper_bound_nilpotent):
+        with pytest.raises(ResourceError, match="radius-91 ball spans a window of 277347435 bits"):
+            call(91)
+
