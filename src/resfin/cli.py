@@ -39,18 +39,24 @@ def _row_json(row: dict) -> dict:
 
 
 def _render(payload: dict, fmt: str) -> str:
-    if fmt == "csv":
-        rows = payload["rows"]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if rows:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(_cell(v) for v in row.values())
-        return buf.getvalue()
-    payload = dict(payload)
-    payload["rows"] = [_row_json(r) for r in payload["rows"]]
-    return json.dumps(payload, indent=2) + "\n"
+    try:
+        if fmt == "csv":
+            rows = payload["rows"]
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            if rows:
+                writer.writerow(rows[0].keys())
+                for row in rows:
+                    writer.writerow(_cell(v) for v in row.values())
+            return buf.getvalue()
+        payload = dict(payload)
+        payload["rows"] = [_row_json(r) for r in payload["rows"]]
+        return json.dumps(payload, indent=2) + "\n"
+    except ValueError as exc:  # str() of an int past the digit limit; nothing else here raises one
+        raise ResourceError(
+            "the output holds an integer past the interpreter's limit of"
+            f" {sys.get_int_max_str_digits()} digits for printing one"
+        ) from exc
 
 
 def _parse_word_set(text: str):

@@ -9,6 +9,7 @@ non-closing lifts, and witnesses for power sets together with the range
 of quotient orders that provably kill them.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -177,7 +178,7 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
         raise InputError(f"n must be positive, got {n}")
     if order_cap < 1:
         raise InputError(f"order cap must be positive, got {order_cap}")
-    ells = [lcm_upto(j) for j in range(1, n + 1)]
+    ells = list(itertools.accumulate(range(1, n + 1), math.lcm))
     rows = []
     for j, ell, (cert, value) in zip(range(1, n + 1), ells, _power_set_scan(2, ells, order_cap)):
         lower = value or order_cap + 1

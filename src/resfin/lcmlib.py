@@ -367,6 +367,17 @@ def cert_from_json(data) -> WitnessCertificate:
         raise InputError(f"malformed certificate: {exc}") from exc
 
 
+def _decimal(k: int) -> str:
+    """Positive k in decimal, or as its digit count past the interpreter's
+    limit on converting an int to a string."""
+    try:
+        return str(k)
+    except ValueError:
+        digits = math.floor(math.log10(k)) + 1
+        digits += (10**digits <= k) - (10 ** (digits - 1) > k)  # float rounding
+        return f"<{digits} digits>"
+
+
 def _power_set_scan(
     rank: int, ns: list[int], cap: int
 ) -> list[tuple[WitnessCertificate, int | None]]:
@@ -380,13 +391,14 @@ def _power_set_scan(
     totalling more than DEFAULT_FLAT_CAP letters raise ResourceError before
     any is built.
     """
-    from .separability import _first_survivals  # separability imports this module
+    from .lowindex import _first_survivals
 
     top = max(ns)
     total = top * (top + 1) // 2
     if total > DEFAULT_FLAT_CAP:
         raise ResourceError(
-            f"the targets x..x^{top} total {total} letters, past the flat cap {DEFAULT_FLAT_CAP}"
+            f"the targets x..x^{_decimal(top)} total {_decimal(total)} letters,"
+            f" past the flat cap {DEFAULT_FLAT_CAP}"
         )
     x = generator(rank, 1)
     distinct = list(dict.fromkeys(ns))

@@ -29,8 +29,8 @@ Regular mode adds sound pruning devices on top:
     own rows before emission (`_check_rows`): a breadth-first walk from
     the basepoint meets the points in label order (the table is its own
     canonical form) and reaches all of them (the action is transitive),
-    and every backward row inverts its forward row. Regular tables are
-    then checked with is_regular.
+    and every backward row inverts its forward row. A regular table must
+    then have image order equal to its degree.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import itertools
 from typing import Iterator
 
 from .errors import InputError, InternalError, ResourceError
-from .permrep import MAX_ENCODABLE_DEGREE, PermQuotient, Permutation, eval_word, is_regular
-from .words import FreeWord, _check_rank, _cyclic_split, _free_reduce, enumerate_ball
+from .permrep import MAX_ENCODABLE_DEGREE, PermQuotient, Permutation, eval_word, image_order
+from .words import FreeWord, SLWord, _check_rank, _cyclic_split, _free_reduce, enumerate_ball
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -195,7 +195,8 @@ def _search(
             tuple(Permutation._from_zero(tuple(row)) for row in fwd),
             tuple(Permutation._from_zero(tuple(row)) for row in bwd),
         )
-        if regular and not is_regular(q):
+        # _check_rows proved transitivity, so regular means order == degree
+        if regular and image_order(q, cap=degree + 1) != degree:
             raise InternalError("relator propagation let an irregular table through")
         return q
 
@@ -316,6 +317,30 @@ def enumerate_normal(
     if order <= _CACHE_REGULAR_LIMIT:
         return iter(_materialized(rank, order))
     return _search(rank, order, True)
+
+
+def _first_survivals(
+    rank: int, words: list[FreeWord | SLWord], cap: int
+) -> list[tuple[int, PermQuotient] | None]:
+    """For each word, the least order up to cap of a regular quotient where
+    it survives and the first such quotient, or None if it dies in all.
+
+    Each order is enumerated once for every word still dying, and only as
+    far as the last of them needs.
+    """
+    found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
+    left = list(range(len(words)))
+    for order in range(2, cap + 1):
+        if not left:
+            break
+        for q in enumerate_normal(rank, order, max_degree=cap):
+            for i in left:
+                if not eval_word(q, words[i]).is_identity:
+                    found[i] = (order, q)
+            left = [i for i in left if found[i] is None]
+            if not left:
+                break
+    return found
 
 
 def subgroup_count(rank: int, index: int, *, max_degree: int = DEFAULT_DEGREE_CAP) -> int:

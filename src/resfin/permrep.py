@@ -148,7 +148,7 @@ def format_permutation(p: Permutation) -> str:
 class PermQuotient:
     """m permutations of common degree; the image of each generator."""
 
-    __slots__ = ("rank", "degree", "gens", "_inverses", "_transitive", "_order")
+    __slots__ = ("rank", "degree", "gens", "_inverses")
 
     def __init__(self, gens: Sequence[Permutation]):
         gens = tuple(gens)
@@ -160,23 +160,19 @@ class PermQuotient:
         object.__setattr__(self, "rank", len(gens))
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_inverses", None)
-        object.__setattr__(self, "_transitive", None)
-        object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_inverses", tuple(g.inverse() for g in gens))
 
     @classmethod
     def _trusted(
         cls, gens: tuple[Permutation, ...], inverses: tuple[Permutation, ...]
     ) -> "PermQuotient":
-        """Trusted constructor for a transitive action whose generators and
-        their inverses, one shared degree, were checked by the caller."""
+        """Trusted constructor for generators and their inverses, one shared
+        degree, that the caller has checked."""
         q = object.__new__(cls)
         object.__setattr__(q, "rank", len(gens))
         object.__setattr__(q, "degree", gens[0].degree)
         object.__setattr__(q, "gens", gens)
         object.__setattr__(q, "_inverses", inverses)
-        object.__setattr__(q, "_transitive", True)
-        object.__setattr__(q, "_order", None)
         return q
 
     def __setattr__(self, name, value):
@@ -185,13 +181,6 @@ class PermQuotient:
     @property
     def basepoint(self) -> int:
         return 1
-
-    def _gen_inverses(self) -> tuple[Permutation, ...]:
-        cached = self._inverses
-        if cached is None:
-            cached = tuple(g.inverse() for g in self.gens)
-            object.__setattr__(self, "_inverses", cached)
-        return cached
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PermQuotient) and self.gens == other.gens
@@ -216,7 +205,7 @@ def eval_word(q: PermQuotient, w: FreeWord | SLWord) -> Permutation:
             inv=lambda a: a.inverse(),
             ident=identity_perm(q.degree),
         )
-    inverses = q._gen_inverses()
+    inverses = q._inverses
     state = tuple(range(q.degree))
     for letter in w.letters:
         table = q.gens[letter - 1]._map if letter > 0 else inverses[-letter - 1]._map
@@ -228,18 +217,13 @@ def orbit(q: PermQuotient, point: int) -> frozenset[int]:
     """The set of points reachable from point under the generators."""
     if not 1 <= point <= q.degree:
         raise InputError(f"point {point} out of range 1..{q.degree}")
-    inverses = q._gen_inverses()
+    tables = [g._map for g in q.gens + q._inverses]
     seen = {point - 1}
     frontier = [point - 1]
     while frontier:
         p = frontier.pop()
-        for g in q.gens:
-            nxt = g._map[p]
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        for g in inverses:
-            nxt = g._map[p]
+        for table in tables:
+            nxt = table[p]
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -247,11 +231,7 @@ def orbit(q: PermQuotient, point: int) -> frozenset[int]:
 
 
 def is_transitive(q: PermQuotient) -> bool:
-    cached = q._transitive
-    if cached is None:
-        cached = len(orbit(q, 1)) == q.degree
-        object.__setattr__(q, "_transitive", cached)
-    return cached
+    return len(orbit(q, 1)) == q.degree
 
 
 def image_order(q: PermQuotient, cap: int = DEFAULT_ORDER_CAP) -> int | None:
@@ -276,13 +256,7 @@ def image_order(q: PermQuotient, cap: int = DEFAULT_ORDER_CAP) -> int | None:
 
 def is_regular(q: PermQuotient) -> bool:
     """Transitive with image order equal to the degree (trivial stabilizer)."""
-    if not is_transitive(q):
-        return False
-    cached = q._order
-    if cached is None:
-        cached = image_order(q, cap=q.degree + 1)
-        object.__setattr__(q, "_order", cached)
-    return cached == q.degree
+    return is_transitive(q) and image_order(q, cap=q.degree + 1) == q.degree
 
 
 def canonical_key(q: PermQuotient) -> bytes:
@@ -292,12 +266,11 @@ def canonical_key(q: PermQuotient) -> bytes:
     scanning each point's neighbors as (g1 forward, g1 backward, g2
     forward, ...). Two transitive quotients get equal keys exactly when
     some relabeling fixing the basepoint carries one to the other. The
-    same pass decides transitivity, which is cached for is_transitive.
+    same pass decides transitivity.
     """
     if q.degree > MAX_ENCODABLE_DEGREE:
         raise InputError(f"degree {q.degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
-    inverses = q._gen_inverses()
-    rows = [t._map for g, ginv in zip(q.gens, inverses) for t in (g, ginv)]
+    rows = [t._map for g, ginv in zip(q.gens, q._inverses) for t in (g, ginv)]
     label = [0] + [-1] * (q.degree - 1)
     order = [0]
     for p in order:  # order grows while it is walked
@@ -306,8 +279,7 @@ def canonical_key(q: PermQuotient) -> bytes:
             if label[nxt] < 0:
                 label[nxt] = len(order)
                 order.append(nxt)
-    object.__setattr__(q, "_transitive", len(order) == q.degree)
-    if not q._transitive:
+    if len(order) != q.degree:
         raise InputError("canonical_key needs a transitive quotient")
     return b"".join(bytes(label[g._map[p]] for p in order) for g in q.gens)
 
@@ -315,11 +287,13 @@ def canonical_key(q: PermQuotient) -> bytes:
 def to_record(q: PermQuotient) -> dict:
     """JSON-ready description of the quotient."""
     order = image_order(q)
+    transitive = is_transitive(q)
     return {
         "degree": q.degree,
         "gens": [list(g.images) for g in q.gens],
-        "transitive": is_transitive(q),
-        "regular": is_regular(q),
+        "transitive": transitive,
+        # None is an order past the cap, which a degree past the cap may equal
+        "regular": is_regular(q) if order is None else transitive and order == q.degree,
         "order": order,
     }
 

@@ -26,7 +26,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceError
-from .lowindex import enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth
+from .lowindex import (
+    _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth
+)
 from .permrep import Permutation, PermQuotient, eval_word, is_transitive, to_record
 from .words import (
     Ball,
@@ -179,30 +181,6 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
     return SepResult(query, value, witness, cap)
 
 
-def _first_survivals(
-    rank: int, words: list[FreeWord | SLWord], cap: int
-) -> list[tuple[int, PermQuotient] | None]:
-    """For each word, the least order up to cap of a regular quotient where
-    it survives and the first such quotient, or None if it dies in all.
-
-    Each order is enumerated once for every word still dying, and only as
-    far as the last of them needs.
-    """
-    found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
-    left = list(range(len(words)))
-    for order in range(2, cap + 1):
-        if not left:
-            break
-        for q in enumerate_normal(rank, order, max_degree=cap):
-            for i in left:
-                if not eval_word(q, words[i]).is_identity:
-                    found[i] = (order, q)
-            left = [i for i in left if found[i] is None]
-            if not left:
-                break
-    return found
-
-
 def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None, FreeWord | None, int]:
     """Max divisibility over the nontrivial radius-n ball.
 
@@ -318,7 +296,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             root = (*range(0, fixed, degree), fixed)
             tables = {x: [] for x in letters[: 2 * most]}
             for offset, q in zip(root, batch):
-                for g, inv, perm in zip(range(1, most + 1), q._gen_inverses(), q.gens):
+                for g, inv, perm in zip(range(1, most + 1), q._inverses, q.gens):
                     tables[g].extend(offset + p for p in perm._map)
                     tables[-g].extend(offset + p for p in inv._map)
             for table in tables.values():

@@ -240,6 +240,46 @@ def test_power_sets_past_the_flat_cap_exit_two(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_theorem4_refuses_past_the_digit_limit_at_once(capsys):
+    # lcm(1..N) comes from one running pass (building each from scratch
+    # took 4.5 s at N = 3000), and past 4,300 digits the message gives
+    # digit counts, checked against str() with the interpreter's limit lifted
+    start = time.perf_counter()
+    assert run(["theorem4", "--n", "3000", "--cap", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: the targets x..x^2284789446181393")
+    assert time.perf_counter() - start < 1
+    assert run(["theorem4", "--n", "10000", "--cap", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource limit: the targets x..x^<4349 digits> total <8698 digits> letters,"
+        " past the flat cap 1000000\n"
+    )
+
+
+def test_integers_past_the_digit_limit_exit_two(capsys):
+    # the interpreter refuses to convert an int of more than 4,300 digits
+    # to a string, and rendering ended in a traceback with exit 1
+    refusal = (
+        "resource limit: the output holds an integer past the interpreter's limit of"
+        f" {sys.get_int_max_str_digits()} digits for printing one\n"
+    )
+    for fmt in ("json", "csv"):
+        for argv in (["growth", "--rank", "1000000", "--max", "800"],
+                     ["pnt", "--max", "10000"],
+                     ["covers-scan", "--m", "20000", "--max-degree", "1"]):
+            code = run([*argv, "--format", fmt])
+            captured = capsys.readouterr()
+            if argv[0] == "covers-scan" and fmt == "csv":
+                # the lcm sits in the summary, which CSV leaves out
+                assert (code, captured.err) == (0, "")
+                assert captured.out == "degree,covers,points,non_closing_points\n1,1,1,0\n"
+            else:
+                assert (code, captured.out, captured.err) == (2, "", refusal), argv
+
+
 def test_nilpotent_girth_at_radius_sixty(capsys):
     # 5,544,471 elements in 7,321 (a, b) cells; one hashed triple per
     # element ran out of a 1 GB address limit here
@@ -433,6 +473,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         (_RUN, ["verify", "--certificate", cert], base + ["lcmlib"]),
         (_RUN, ["nilpotent-girth", "--n", "4"], base + ["nilpotent"]),
         (_RUN, ["pnt", "--max", "3"], base + ["covers"]),
+        (_RUN, ["theorem4", "--n", "3", "--cap", "12"], base + ["covers", "lcmlib", "lowindex", "permrep"]),
+        (_RUN, ["power-witness", "--n", "4"], base + ["lcmlib", "lowindex", "permrep"]),
         (_IMPORT_ALL, [], list(SUBMODULES)),
     ]
     for source, argv, modules in expected:

@@ -35,6 +35,8 @@ from resfin.permrep import (
     image_order,
     is_regular,
     is_transitive,
+    orbit,
+    to_record,
 )
 from resfin.words import Ball, _free_reduce, generator
 
@@ -246,12 +248,43 @@ def test_row_check_agrees_with_the_permutation_check():
     # the raw rows, which also decided transitivity
     seen = 0
     for q in _searched_quotients():
-        assert q._gen_inverses() == tuple(g.inverse() for g in q.gens)
+        assert q._inverses == tuple(g.inverse() for g in q.gens)
         fresh = PermQuotient(q.gens)
         assert canonical_key(fresh) == b"".join(bytes(g._map) for g in q.gens)
-        assert fresh._transitive is True and q._transitive is True
+        assert is_transitive(fresh) and is_transitive(q)
         seen += 1
     assert seen == 3996 + 2248 + sum(normal_count(2, o) for o in range(1, 17)) + 48
+
+
+def test_quotients_are_plain_values():
+    # a quotient holds its generators and their inverses, set when it is
+    # built; transitivity, order and regularity are computed on each call
+    assert PermQuotient.__slots__ == ("rank", "degree", "gens", "_inverses")
+    searched = [q for order in range(1, 13) for q in _search(2, order, True)]
+    searched += [q for index in range(1, 6) for q in _search(2, index, False)]
+    rng = random.Random(17)
+    built = []
+    for degree in (1, 2, 3, 4, 5, 6):
+        for _ in range(40):
+            images = [rng.sample(range(1, degree + 1), degree) for _ in range(2)]
+            built.append(PermQuotient([Permutation(row) for row in images]))
+    kinds = set()
+    for is_built, q in [(False, q) for q in searched] + [(True, q) for q in built]:
+        assert q._inverses == tuple(g.inverse() for g in q.gens)
+        order = image_order(q)
+        transitive = orbit(q, 1) == frozenset(range(1, q.degree + 1))
+        regular = transitive and order == q.degree
+        assert to_record(q) == {
+            "degree": q.degree,
+            "gens": [list(g.images) for g in q.gens],
+            "transitive": transitive,
+            "regular": regular,
+            "order": order,
+        }
+        kinds.add((is_built, transitive, regular))
+    # every searched quotient is transitive; the built ones take all three kinds
+    both = {(True, True), (True, False)}
+    assert kinds == {(False, *k) for k in both} | {(True, *k) for k in both | {(False, False)}}
 
 
 def test_row_check_refuses_each_broken_table():
@@ -354,11 +387,11 @@ def test_canonical_key_matches_the_reference_relabelling():
             moved = PermQuotient([s.inverse() * g * s for g in q.gens])
             reference = _relabel_from_zero([g._map for g in moved.gens], degree)
             assert canonical_key(moved) == b"".join(bytes(row) for row in reference)
-            assert moved._transitive is True
+            assert is_transitive(moved)
     q = PermQuotient([Permutation([2, 1, 3]), Permutation([1, 2, 3])])
     with pytest.raises(InputError):
         canonical_key(q)
-    assert q._transitive is False and not is_transitive(q)
+    assert not is_transitive(q)
 
 
 # --- kernel fingerprints ---------------------------------------------------
