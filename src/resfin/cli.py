@@ -19,7 +19,7 @@ import json
 import sys
 
 from .errors import InputError, InternalError, ResourceError
-from .words import FreeWord, parse_word, word_growth
+from .words import FreeWord, _ball_sizes, parse_word
 
 
 def _cell(value) -> str:
@@ -71,9 +71,8 @@ def _parse_word_set(text: str):
 def _cmd_growth(args):
     if args.max < 0:
         raise InputError(f"--max must be nonnegative, got {args.max}")
-    rows = [
-        {"n": n, "ball_size": word_growth(args.rank, n)} for n in range(args.max + 1)
-    ]
+    sizes = _ball_sizes(args.rank, args.max)
+    rows = [{"n": n, "ball_size": size} for n, size in enumerate(sizes)]
     return {"rows": rows}, 0
 
 

@@ -23,11 +23,10 @@ from .words import (
     FreeWord,
     SLBuilder,
     SLWord,
-    _free_reduce,
-    commutator,
     conjugate,
     format_word,
     generator,
+    inverse,
     multiply,
     parse_word,
     power,
@@ -119,16 +118,21 @@ def _witness_rank_one(targets: tuple[FreeWord, ...]) -> WitnessCertificate:
     )
 
 
-def _pick_conjugator(u_flat: FreeWord, v_flat: FreeWord) -> FreeWord | None:
-    """Identity or a generator g with u and g v g^-1 not commuting."""
-    rank = u_flat.rank
-    for mu in [None] + [generator(rank, i) for i in range(1, rank + 1)]:
-        z = v_flat if mu is None else conjugate(v_flat, mu)
-        if multiply(u_flat, z) != multiply(z, u_flat):
-            return mu
+def _pair(u: FreeWord, v: FreeWord) -> tuple[int | None, FreeWord | None]:
+    """The first g of none, 1, ..., rank with u and z = g v g^-1 not
+    commuting, and [u, z] = (uz)(zu)^-1 when 2(|u| + |z|) fits
+    DEFAULT_FLAT_CAP, else None in its place."""
+    for g in [None, *range(1, u.rank + 1)]:
+        z = v if g is None else conjugate(v, generator(u.rank, g))
+        uz, zu = multiply(u, z), multiply(z, u)
+        if uz != zu:
+            if 2 * (len(u) + len(z)) > DEFAULT_FLAT_CAP:
+                return g, None
+            zu = inverse(zu)  # rebound so that zu is not kept alongside its inverse
+            return g, multiply(uz, zu)
     raise InternalError(
         "no conjugator among the generators separates "
-        f"{format_word(u_flat)} from {format_word(v_flat)}"
+        f"{format_word(u)} from {format_word(v)}"
     )
 
 
@@ -148,74 +152,49 @@ def lcm_witness(targets) -> WitnessCertificate:
     elements = []
     for i, t in enumerate(targets):
         node = builder.word(t)
-        elements.append({"node": node, "flat": t, "derivs": {i: (_ground(node),)}})
+        elements.append((node, t, {i: (_ground(node),)}))
     while len(elements) & (len(elements) - 1):
         elements.append(elements[0])
 
     while len(elements) > 1:
         paired = []
-        for u, v in zip(elements[::2], elements[1::2]):
-            mu = None
-            tracked = u["flat"] is not None and v["flat"] is not None
-            if tracked:
-                mu = _pick_conjugator(u["flat"], v["flat"])
+        for (u_node, u_flat, u_derivs), (v_node, v_flat, v_derivs) in zip(
+            elements[::2], elements[1::2]
+        ):
+            if u_flat is None or v_flat is None:
+                g, flat = 2, None
             else:
-                mu = generator(rank, 2)
-            if mu is None:
-                z_node = v["node"]
-                conj_step = None
-            else:
-                z_node = builder.conj(v["node"], builder.gen(mu.letters[0]))
-                conj_step = {
-                    "rule": "conjugate",
-                    "node": z_node,
-                    "premises": [v["node"]],
-                }
-            node = builder.comm(u["node"], z_node)
-
-            flat = None
-            if tracked:
-                z_flat = v["flat"] if mu is None else conjugate(v["flat"], mu)
-                if 2 * (len(u["flat"]) + len(z_flat)) <= DEFAULT_FLAT_CAP:
-                    flat = commutator(u["flat"], z_flat)
-                    if flat.is_identity:
-                        raise InternalError("pairing collapsed despite the check")
+                g, flat = _pair(u_flat, v_flat)
+            z_node, tail = v_node, ()
+            if g is not None:
+                z_node = builder.conj(v_node, builder.gen(g))
+                tail = ({"rule": "conjugate", "node": z_node, "premises": [v_node]},)
+            node = builder.comm(u_node, z_node)
 
             derivs = {
                 t: steps
-                + ({"rule": "commutator_left", "node": node, "premises": [u["node"]]},)
-                for t, steps in u["derivs"].items()
+                + ({"rule": "commutator_left", "node": node, "premises": [u_node]},)
+                for t, steps in u_derivs.items()
             }
-            for t, steps in v["derivs"].items():
-                if t in derivs:
-                    continue
-                tail = () if conj_step is None else (conj_step,)
-                derivs[t] = (
-                    steps
-                    + tail
-                    + (
-                        {
-                            "rule": "commutator_right",
-                            "node": node,
-                            "premises": [z_node],
-                        },
-                    )
-                )
-            paired.append({"node": node, "flat": flat, "derivs": derivs})
+            for t, steps in v_derivs.items():
+                if t not in derivs:
+                    right = {"rule": "commutator_right", "node": node, "premises": [z_node]}
+                    derivs[t] = steps + tail + (right,)
+            paired.append((node, flat, derivs))
         elements = paired
 
-    top = elements[0]
-    if set(top["derivs"]) != set(range(len(targets))):
+    [(root, flat, derivs)] = elements
+    if set(derivs) != set(range(len(targets))):
         raise InternalError("a target lost its derivation during pairing")
-    word = builder.build(top["node"])
+    word = builder.build(root)
     return WitnessCertificate(
         rank=rank,
         targets=targets,
         word=word,
         declared_bound=sl_length_bound(word),
-        derivations=tuple(top["derivs"][i] for i in range(len(targets))),
-        flat=top["flat"],
-        nontrivial_verified=top["flat"] is not None,
+        derivations=tuple(derivs[i] for i in range(len(targets))),
+        flat=flat,
+        nontrivial_verified=flat is not None,
     )
 
 
@@ -448,41 +427,29 @@ def _power_target(t: FreeWord) -> tuple[int, int] | None:
     return abs(t.letters[0]), len(t)
 
 
-def _mod_reduce(letters: tuple[int, ...], gen: int, modulus: int) -> tuple[int, ...]:
-    out: list[int] = []
-    i = 0
-    while i < len(letters):
-        l = letters[i]
-        if abs(l) != gen:
-            out.append(l)
-            i += 1
-            continue
-        j = i
-        e = 0
-        while j < len(letters) and abs(letters[j]) == gen:
-            e += 1 if letters[j] > 0 else -1
-            j += 1
-        e %= modulus
-        if 2 * e > modulus:
-            e -= modulus
-        out.extend([gen] * e if e >= 0 else [-gen] * (-e))
-        i = j
-    return tuple(out)
-
-
 def _in_power_closure(w: FreeWord, gen: int, modulus: int) -> bool:
     """Exact membership in the normal closure of gen^modulus.
 
     Declaring gen^modulus trivial leaves the free product of Z/modulus
-    with the remaining free generators; reduce to its normal form and
-    test for emptiness.
+    with the remaining free generators.  One pass builds w's normal form
+    there on a stack of syllables, each a free letter or [gen, exponent
+    mod modulus]; w is a member exactly when the stack ends empty.
     """
-    work = w.letters
-    while True:
-        step = _free_reduce(_mod_reduce(work, gen, modulus))
-        if step == work:
-            return not work
-        work = step
+    stack: list = []
+    for letter in w.letters:
+        top = stack[-1] if stack else None
+        if abs(letter) != gen:
+            if top == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+        elif isinstance(top, list):
+            top[1] = (top[1] + letter // gen) % modulus
+            if not top[1]:
+                stack.pop()
+        elif modulus > 1:
+            stack.append([gen, letter // gen % modulus])
+    return not stack
 
 
 def closure_membership(w: FreeWord, target: FreeWord) -> bool | None:

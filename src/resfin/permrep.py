@@ -108,6 +108,13 @@ def identity_perm(degree: int) -> Permutation:
     return Permutation._from_zero(tuple(range(degree)))
 
 
+def _point(tok: str, text: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise InputError(f"bad point {tok!r} in permutation {text!r}") from None
+
+
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     """Accepts an image list "2 3 1 5 4" or cycle notation "(1 2 3)(4 5)"."""
     text = text.strip()
@@ -120,14 +127,18 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
             body = body.strip()
             if not body.startswith("("):
                 raise InputError(f"bad cycle notation {text!r}")
-            close = body.index(")")
-            inner = body[1:close].split()
-            cycles.append([int(tok) for tok in inner])
+            close = body.find(")")
+            if close < 0:
+                raise InputError(f"missing ')' in cycle notation {text!r}")
+            cycles.append([_point(tok, text) for tok in body[1:close].split()])
             body = body[close + 1 :]
-        maxpoint = max((p for c in cycles for p in c), default=1)
+        points = [p for c in cycles for p in c]
+        maxpoint = max(points, default=1)
         d = degree if degree is not None else maxpoint
         if maxpoint > d:
             raise InputError(f"cycle point {maxpoint} beyond degree {d}")
+        if min(points, default=1) < 1:
+            raise InputError(f"cycle point {min(points)} out of range 1..{d}")
         images = list(range(1, d + 1))
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
@@ -135,7 +146,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
             for i, p in enumerate(cycle):
                 images[p - 1] = cycle[(i + 1) % len(cycle)]
         return Permutation(images)
-    images = [int(tok) for tok in text.split()]
+    images = [_point(tok, text) for tok in text.split()]
     if degree is not None and len(images) != degree:
         raise InputError(f"expected degree {degree}, got {len(images)} images")
     return Permutation(images)

@@ -199,17 +199,24 @@ def word_key(u: FreeWord) -> tuple:
     return (len(u.letters), tuple(letter_key(letter) for letter in u.letters))
 
 
-def word_growth(rank: int, n: int) -> int:
-    """Number of reduced words of length <= n: 1 + sum 2m(2m-1)^(k-1)."""
+def _ball_sizes(rank: int, n: int) -> Iterator[int]:
+    """Number of reduced words of length <= r for r = 0..n, in one running
+    pass of 1 + sum 2m(2m-1)^(k-1)."""
     _check_rank(rank)
     if n < 0:
         raise InputError(f"radius must be nonnegative, got {n}")
-    m = rank
-    total = 1
-    term = 2 * m
+    total, term = 1, 2 * rank
+    yield total
     for _ in range(n):
         total += term
-        term *= 2 * m - 1
+        term *= 2 * rank - 1
+        yield total
+
+
+def word_growth(rank: int, n: int) -> int:
+    """Number of reduced words of length <= n: the last of _ball_sizes."""
+    for total in _ball_sizes(rank, n):
+        pass
     return total
 
 
@@ -457,10 +464,10 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
     This is the one interpreter of the instruction set: flattening
     (sl_flatten), length bounds (sl_length_bound) and images in a quotient
     (permrep.eval_word) are all instances of it.  Only the nodes the root
-    depends on are evaluated, each value is dropped after its last read,
-    and powers run in O(log e) multiplications with no squaring past the
-    top bit of e, so exponents like lcm(1..n) stay cheap and no operand
-    grows beyond the power itself.
+    depends on are evaluated, and each value is dropped at its last read,
+    before the node reading it is computed.  Powers run in O(log e)
+    multiplications with no squaring past the top bit of e, so exponents
+    like lcm(1..n) stay cheap and no operand grows beyond the power itself.
     """
 
     def powered(base, e: int):
@@ -475,6 +482,14 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
                 base = mul(base, base)
         return acc
 
+    def commutator(pair: list):
+        # [u, v] = (uv)(vu)^-1; the operands are cleared from the caller's
+        # list and vu rebound, so the last product sees only uv and (vu)^-1
+        uv, vu = mul(pair[0], pair[1]), mul(pair[1], pair[0])
+        pair.clear()
+        vu = inv(vu)
+        return mul(uv, vu)
+
     # a backward pass counts the reads of each node the root depends on;
     # nodes past the root (SLWord._rooted keeps them) are never read
     nodes, root = w.nodes[: w.root + 1], w.root
@@ -488,25 +503,24 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
     for idx, node in enumerate(nodes):
         if not readers[idx]:
             continue
-        op = node[0]
-        if op == "gen":
-            vals[idx] = gen(node[1])
-        elif op == "inv":
-            vals[idx] = inv(vals[node[1]])
-        elif op == "mul":
-            vals[idx] = mul(vals[node[1]], vals[node[2]])
-        elif op == "pow":
-            vals[idx] = powered(vals[node[1]], node[2])
-        elif op == "conj":
-            u, v = vals[node[1]], vals[node[2]]
-            vals[idx] = mul(mul(v, u), inv(v))
-        else:
-            u, v = vals[node[1]], vals[node[2]]
-            vals[idx] = mul(mul(u, v), mul(inv(u), inv(v)))
+        args = [vals[ref] for ref in refs[idx]]
         for ref in refs[idx]:
             readers[ref] -= 1
             if not readers[ref]:
                 vals[ref] = None
+        op = node[0]
+        if op == "gen":
+            vals[idx] = gen(node[1])
+        elif op == "inv":
+            vals[idx] = inv(args[0])
+        elif op == "mul":
+            vals[idx] = mul(args[0], args[1])
+        elif op == "pow":
+            vals[idx] = powered(args[0], node[2])
+        elif op == "conj":
+            vals[idx] = mul(mul(args[1], args[0]), inv(args[1]))
+        else:
+            vals[idx] = commutator(args)
     return vals[root]
 
 

@@ -280,6 +280,19 @@ def test_integers_past_the_digit_limit_exit_two(capsys):
                 assert (code, captured.out, captured.err) == (2, "", refusal), argv
 
 
+def test_growth_reaches_the_digit_limit_in_one_pass(capsys):
+    # each row used to recount its ball from radius 0, about 28 s here
+    start = time.perf_counter()
+    assert run(["growth", "--rank", "2", "--max", "9100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource limit: the output holds an integer past the interpreter's limit of"
+        f" {sys.get_int_max_str_digits()} digits for printing one\n"
+    )
+    assert time.perf_counter() - start < 5
+
+
 def test_nilpotent_girth_at_radius_sixty(capsys):
     # 5,544,471 elements in 7,321 (a, b) cells; one hashed triple per
     # element ran out of a 1 GB address limit here

@@ -5,6 +5,7 @@ whenever a finite quotient kills one of the targets it kills the witness,
 so the witness survives only where every target survives.
 """
 
+import hashlib
 import json
 import random
 
@@ -12,6 +13,7 @@ import pytest
 
 from resfin.errors import InputError
 from resfin.lcmlib import (
+    _in_power_closure,
     cert_from_json,
     cert_to_json,
     closure_membership,
@@ -27,6 +29,7 @@ from resfin.permrep import eval_word
 from resfin.words import (
     Ball,
     SLWord,
+    _free_reduce,
     format_word,
     generator,
     parse_word,
@@ -148,6 +151,35 @@ def test_input_validation():
         lcm_witness([X, generator(3, 1)])
     with pytest.raises(InputError):
         lcm_witness([X, power(X, 0)])
+
+
+def _frozen_target_sets():
+    sets = [
+        list(Ball(rank, n).nontrivial())
+        for rank, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+    ]
+    rng = random.Random(2009)
+    for rank in (2, 3):
+        pool = list(Ball(rank, 3).nontrivial())
+        for _ in range(40):
+            sets.append([rng.choice(pool) for _ in range(rng.randint(1, 9))])
+    sets += [[power(X, i) for i in range(1, k + 1)] for k in range(1, 30)]
+    # past the flat cap after one level, so the second conjugates by b unchecked
+    sets.append([power(X, 250_000 + i) for i in range(4)])
+    return sets
+
+
+def test_certificate_bytes_are_frozen():
+    digest = hashlib.sha256()
+    certs = [lcm_witness(s) for s in _frozen_target_sets()]
+    certs.append(lcm_ball_witness(2, 4))
+    for cert in certs:
+        digest.update(json.dumps(cert_to_json(cert)).encode())
+    assert sum(cert.flat is None for cert in certs) == 1
+    assert (len(certs), digest.hexdigest()) == (
+        116,
+        "b674e1331837dc33f91b6466bce54a7a72f28ee7a6194885edc7116d91cc7a69",
+    )
 
 
 # --- the overhead recursion --------------------------------------------------
@@ -341,6 +373,42 @@ def test_closure_membership_exact_cases():
     assert closure_membership(power(X, 6), power(X, 2)) is True
     assert closure_membership(power(X, 3), power(X, 2)) is False
     assert closure_membership(parse_word("baaB", 2), power(X, 2)) is True
+
+
+def _closure_by_fixpoint(letters, gen, modulus):
+    """Reference: fold each run of gen letters to its balanced residue mod
+    modulus, freely reduce, and repeat until the word stops changing."""
+    while True:
+        out, i = [], 0
+        while i < len(letters):
+            if abs(letters[i]) != gen:
+                out.append(letters[i])
+                i += 1
+                continue
+            e = 0
+            while i < len(letters) and abs(letters[i]) == gen:
+                e += 1 if letters[i] > 0 else -1
+                i += 1
+            e %= modulus
+            if 2 * e > modulus:
+                e -= modulus
+            out.extend([gen] * e if e >= 0 else [-gen] * -e)
+        step = _free_reduce(out)
+        if step == letters:
+            return not letters
+        letters = step
+
+
+def test_power_closure_agrees_with_the_fixpoint_route():
+    cases = 0
+    for rank, n in ((1, 10), (2, 6), (3, 4)):
+        for w in Ball(rank, n):
+            for gen in range(1, rank + 1):
+                for m in range(1, 7):
+                    expect = _closure_by_fixpoint(w.letters, gen, m)
+                    assert _in_power_closure(w, gen, m) is expect, (w, gen, m)
+                    cases += 1
+    assert cases == 34_476
 
 
 def test_closure_membership_general_targets():

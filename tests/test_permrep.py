@@ -6,6 +6,7 @@ the library's BFS.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -91,6 +92,19 @@ def test_parse_and_format():
         parse_permutation("(1 1)")
     with pytest.raises(InputError):
         parse_permutation("1 2 4")
+
+
+def test_malformed_permutation_text_is_an_input_error():
+    for text, named in (
+        ("(1 2", "missing ')'"),
+        ("(1 2)(3", "missing ')'"),
+        ("(1 x)", "bad point 'x'"),
+        ("1 2 x", "bad point 'x'"),
+        ("2 1.5", "bad point '1.5'"),
+        ("(0 1)", "cycle point 0 out of range 1..1"),
+    ):
+        with pytest.raises(InputError, match=re.escape(named)):
+            parse_permutation(text)
 
 
 def test_eval_word_examples():

@@ -394,3 +394,26 @@ def test_sl_eval_drops_values_after_their_last_read():
     assert root.n == 2**100
     # the identity, the last value and the one being made; 101 if none is dropped
     assert Tracked.peak <= 3
+
+
+def test_sl_eval_lets_a_commutator_drop_its_operands_before_the_last_product():
+    class Tracked:
+        live = 0
+
+        def __init__(self):
+            Tracked.live += 1
+
+        def __del__(self):
+            Tracked.live -= 1
+
+    products = []
+
+    def mul(u, v):
+        products.append(Tracked.live)
+        return Tracked()
+
+    slw = SLWord(2, [("gen", 1), ("gen", 2), ("comm", 0, 1)], 2)
+    sl_eval(slw, gen=lambda i: Tracked(), mul=mul, inv=lambda u: Tracked(), ident=None)
+    # uv, vu, then uv (vu)^-1 with only uv and (vu)^-1 alive; building
+    # (uv)(u^-1 v^-1) with u and v held throughout reads 2, 5, 4
+    assert products == [2, 3, 2]
