@@ -4,9 +4,13 @@ Subgroups of index d in F_m are enumerated as pointed transitive actions on
 d points, normal subgroups of index q as regular actions on q points. The
 search fills a partial permutation table slot by slot in a fixed scan order
 (point by point, each generator forward then backward), introducing fresh
-points only at their first reference. Slots fill in scan order from a
-cursor: a node resumes the scan just past its parent's slot, since every
-slot before it stays filled in the whole subtree. That discipline makes
+points only at their first reference. It is one loop over these slots
+with an explicit stack of one frame per branching slot: its candidates,
+the next one to try, the points in use and the length of the trail that
+records what regular mode's deductions changed. After a branch the cursor
+resumes the scan just past its slot, since every slot before it stays
+filled in the whole subtree; a backtrack clears the frame's own entry and
+trims the points it introduced. That discipline makes
 every finished table its own canonical form, so each subgroup and each
 kernel is produced exactly once, with no abstract-group catalog anywhere.
 
@@ -46,10 +50,6 @@ from .words import FreeWord, SLWord, _check_rank, _cyclic_split, _free_reduce, e
 DEFAULT_DEGREE_CAP = 16
 
 _CACHE_REGULAR_LIMIT = 12
-# the plain search nests one generator frame per table edge, rank * index
-# of them; past this many it would exhaust Python's default recursion
-# limit of 1000 frames, less room for the caller's own
-_PLAIN_EDGE_LIMIT = 900
 
 
 def _check_rows(fwd: list[list[int]], bwd: list[list[int]]) -> None:
@@ -96,14 +96,12 @@ def _search(
     }
     pending: list[tuple[tuple[int, ...], int]] = []  # (relator, start) to scan
     cycle_len = [0] * m
+    # regular mode: what deductions changed, undone on backtrack
     trail: list[tuple] = []
 
-    def add_edge(a: int, g: int, b: int) -> bool:
-        fwd[g][a] = b
-        bwd[g][b] = a
-        trail.append(("edge", a, g, b))
-        if not regular:
-            return True
+    def link(a: int, g: int, b: int) -> bool:
+        """Queue the scans through the new entry (a, g, b); False if it
+        closes a generator cycle of the wrong length."""
         pending.extend((rot, a) for rot in rotations[g + 1])
         pending.extend((rot, b) for rot in rotations[-g - 1])
         # a closed generator cycle must have one shared length dividing
@@ -145,7 +143,10 @@ def _search(
             a, g, b = src, letter - 1, dst
         else:
             a, g, b = dst, -letter - 1, src
-        return add_edge(a, g, b) and add_relator(a, g, b)
+        fwd[g][a] = b
+        bwd[g][b] = a
+        trail.append(("edge", a, g, b))
+        return link(a, g, b) and add_relator(a, g, b)
 
     def propagate() -> bool:
         """Drain the scan queue; False on a contradiction."""
@@ -179,16 +180,6 @@ def _search(
                 return False
         return True
 
-    # slot s is entry p = s // (2m) of slot_rows[s % (2m)]
-    slot_rows = [row for g in range(m) for row in (fwd[g], bwd[g])]
-    width = 2 * m
-
-    def first_slot(start: int) -> int | None:
-        for s in range(start, width * len(bfs_word)):
-            if slot_rows[s % width][s // width] < 0:
-                return s
-        return None
-
     def build() -> PermQuotient:
         _check_rows(fwd, bwd)
         q = PermQuotient._trusted(
@@ -200,60 +191,82 @@ def _search(
             raise InternalError("relator propagation let an irregular table through")
         return q
 
-    def rec(start: int) -> Iterator[PermQuotient]:
-        s = first_slot(start)
-        if s is None:
-            if len(bfs_word) == degree:
-                yield build()
-            return
-        p, g, forward = s // width, s % width // 2, s % 2 == 0
+    # slot s is entry p = s // (2m) of row, under generator g forward then
+    # backward; a branch there sets row[p] = r and opposite[r] = p
+    slots = [
+        (row, opposite, p, g, forward)
+        for p in range(degree)
+        for g in range(m)
+        for row, opposite, forward in ((fwd[g], bwd[g], True), (bwd[g], fwd[g], False))
+    ]
+    # one frame per branching slot: [slot, candidates, next candidate,
+    # points in use, trail length]
+    stack: list[list] = []
+    s = 0
+    while True:
         used = len(bfs_word)
-        if forward:
-            candidates = [r for r in range(used) if bwd[g][r] < 0]
-        else:
-            candidates = [r for r in range(used) if fwd[g][r] < 0]
-        if used < degree:
-            candidates.append(used)
-        for r in candidates:
-            mark = len(trail)
+        end = 2 * m * used
+        while s < end and slots[s][0][slots[s][2]] >= 0:
+            s += 1
+        if s < end:
+            opposite = slots[s][1]
+            candidates = [r for r in range(used) if opposite[r] < 0]
+            if used < degree:
+                candidates.append(used)
+            stack.append([s, candidates, 0, used, len(trail)])
+        elif used == degree:
+            yield build()
+        # take the next candidate of the innermost frame that has one
+        while stack:
+            frame = stack[-1]
+            s, candidates, k, used, mark = frame
+            row, opposite, p, g, forward = slots[s]
+            if k:  # take back the previous candidate
+                row[p] = -1
+                opposite[candidates[k - 1]] = -1
+                del bfs_word[used:]
+                while len(trail) > mark:
+                    entry = trail.pop()
+                    kind = entry[0]
+                    if kind == "edge":
+                        _, ea, eg, eb = entry
+                        fwd[eg][ea] = -1
+                        bwd[eg][eb] = -1
+                    elif kind == "len":
+                        cycle_len[entry[1]] = 0
+                    else:
+                        rel = entry[1]
+                        relator_set.discard(rel)
+                        for letter in rel:
+                            rotations[letter].pop()
+            if k == len(candidates):
+                stack.pop()
+                continue
+            frame[2] = k + 1
+            r = candidates[k]
+            row[p] = r
+            opposite[r] = p
             if r == used:
-                letter = (g + 1) if forward else -(g + 1)
-                bfs_word.append(bfs_word[p] + (letter,))
-                trail.append(("fresh",))
-            a, b = (p, r) if forward else (r, p)
-            ok = add_edge(a, g, b)
-            if ok and regular:
-                if r != used:
+                bfs_word.append(bfs_word[p] + ((g + 1) if forward else -(g + 1),))
+            if regular:
+                a, b = (p, r) if forward else (r, p)
+                ok = link(a, g, b)
+                if ok and r != used:
                     ok = add_relator(a, g, b)
-                else:
-                    # add_edge queued the scans through the new entry; any
+                elif ok:
+                    # link queued the scans through the new entry; any
                     # other scan from the fresh point meets a gap at both
                     # ends, one and the same only for a one-letter relator
-                    pending.extend(
-                        ((x,), r) for x in rotations if (x,) in relator_set
-                    )
+                    pending.extend(((x,), r) for x in rotations if (x,) in relator_set)
                 ok = ok and propagate()
-            pending.clear()
-            if ok:
-                yield from rec(s + 1)
-            while len(trail) > mark:
-                entry = trail.pop()
-                kind = entry[0]
-                if kind == "edge":
-                    _, ea, eg, eb = entry
-                    fwd[eg][ea] = -1
-                    bwd[eg][eb] = -1
-                elif kind == "len":
-                    cycle_len[entry[1]] = 0
-                elif kind == "rel":
-                    rel = entry[1]
-                    relator_set.discard(rel)
-                    for letter in rel:
-                        rotations[letter].pop()
-                else:
-                    bfs_word.pop()
-
-    return rec(0)
+                pending.clear()
+                if not ok:
+                    continue
+            # every slot before this one stays filled in the whole subtree
+            s += 1
+            break
+        else:
+            return
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,14 +293,8 @@ def enumerate_subgroups(
 
     Deterministic order; every action is transitive of degree exactly
     `index`. Raise the keyword cap explicitly to go beyond the default.
-    A search of more than `_PLAIN_EDGE_LIMIT` edges raises ResourceError.
     """
     _checked(rank, index, max_degree, "index")
-    if rank * index > _PLAIN_EDGE_LIMIT:
-        raise ResourceError(
-            f"rank {rank} at index {index} needs {rank * index} table edges,"
-            f" past the plain search's limit {_PLAIN_EDGE_LIMIT}"
-        )
     return _search(rank, index, False)
 
 

@@ -109,10 +109,10 @@ def identity_perm(degree: int) -> Permutation:
 
 
 def _point(tok: str, text: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise InputError(f"bad point {tok!r} in permutation {text!r}") from None
+    # ASCII digits only: int() would also read "1_0", "+2" and "２"
+    if not (tok.isascii() and tok.isdigit()):
+        raise InputError(f"bad point {tok!r} in permutation {text!r}")
+    return int(tok)
 
 
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:

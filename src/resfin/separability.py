@@ -21,6 +21,7 @@ extrapolate past a cap.
 """
 
 import math
+import sys
 from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -498,12 +499,25 @@ def check_girth_inequality(
     the half ball; so the girth at n/2 is at most the witness's normal
     divisibility.  The length side reports the bound the construction
     proves (6 d 4^k) next to the quadratic form (6 n ball^2) and flags
-    when the latter fails to cover the former.
+    when the latter fails to cover the former.  At rank 1 the witness's
+    length is lcm(1..n); one too long to print raises ResourceError before
+    the ball is built.
     """
-    from .lcmlib import lcm_ball_witness  # only this checker builds witnesses
+    from .lcmlib import _decimal, lcm_ball_witness  # only this checker builds witnesses
 
     if n < 2 or n % 2:
         raise InputError(f"n must be even and at least 2, got {n}")
+    limit = sys.get_int_max_str_digits()
+    if rank == 1 and limit:
+        top, lcm = 10**limit, 1
+        for m in range(2, n + 1):
+            lcm = math.lcm(lcm, m)
+            if lcm >= top:
+                raise ResourceError(
+                    f"at rank 1 the witness has length lcm(1..{n}), and"
+                    f" lcm(1..{m}) alone has {_decimal(lcm)}, past the interpreter's"
+                    f" limit of {limit} digits for printing one"
+                )
     cert = lcm_ball_witness(rank, n)
     size = len(cert.targets)
     if rank == 1:

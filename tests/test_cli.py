@@ -63,8 +63,8 @@ def test_girth_known_and_unknown(capsys):
     assert run(["girth", "--rank", "2", "--radius", "2", "--cap", "23",
                 "--format", "csv"]) == 2
     assert out_of(capsys).splitlines()[1] == "2,2,23,unknown"
-    # 26 * 53 = 1378 table edges, past the plain search's limit; the
-    # regular search deduces most of them without nesting a frame
+    # 26 * 53 = 1378 table edges; the regular search deduces most of them
+    # instead of branching on each
     assert run(["girth", "--rank", "26", "--radius", "1", "--cap", "60",
                 "--format", "csv"]) == 0
     assert out_of(capsys).splitlines()[1] == "26,1,60,53"
@@ -289,6 +289,22 @@ def test_growth_reaches_the_digit_limit_in_one_pass(capsys):
     assert captured.err == (
         "resource limit: the output holds an integer past the interpreter's limit of"
         f" {sys.get_int_max_str_digits()} digits for printing one\n"
+    )
+    assert time.perf_counter() - start < 5
+
+
+def test_rank_one_girth_inequality_past_the_digit_limit_exits_at_once(capsys):
+    # lcm(1..10000) has 4,349 digits, past the default limit of 4,300; the
+    # witness's ball took about 26 s to build before the report failed to
+    # print it
+    start = time.perf_counter()
+    assert run(["ineq", "--which", "2", "--rank", "1", "--n", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource limit: at rank 1 the witness has length lcm(1..10000), and"
+        " lcm(1..9859) alone has <4301 digits>, past the interpreter's limit of"
+        " 4300 digits for printing one\n"
     )
     assert time.perf_counter() - start < 5
 

@@ -102,6 +102,11 @@ def test_malformed_permutation_text_is_an_input_error():
         ("1 2 x", "bad point 'x'"),
         ("2 1.5", "bad point '1.5'"),
         ("(0 1)", "cycle point 0 out of range 1..1"),
+        # int() reads each of these as a point: 10, 2, 2 and 10
+        ("1_0 2 3 4 5 6 7 8 9 1", "bad point '1_0'"),
+        ("+2 1", "bad point '+2'"),
+        ("\uff12 1", "bad point '\uff12'"),
+        ("(1_0 2)", "bad point '1_0'"),
     ):
         with pytest.raises(InputError, match=re.escape(named)):
             parse_permutation(text)
