@@ -13,7 +13,9 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
+
+SCAN_DEGREE_CAP = 16  # obstruction_scan's top index; F2 has ~3 * 10^14 of index 16
 
 
 def lcm_upto(n: int) -> int:
@@ -112,11 +114,13 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
     close must be longer than m; a counterexample is an internal error,
     and the report carries the counts that back the claim.
     """
-    from .lowindex import DEFAULT_DEGREE_CAP, _checked, enumerate_subgroups
+    from .lowindex import _checked, enumerate_subgroups
 
     if m < 1:
         raise InputError(f"m must be positive, got {m}")
-    _checked(2, max_degree, DEFAULT_DEGREE_CAP, "index")  # before any degree runs
+    if max_degree > SCAN_DEGREE_CAP:  # before any degree runs
+        raise ResourceError(f"index {max_degree} exceeds the declared cap {SCAN_DEGREE_CAP}")
+    _checked(2, max_degree, "index")
     ell = lcm_upto(m)
     rows = []
     total_points = 0

@@ -216,14 +216,15 @@ def _replay(cert: WitnessCertificate, index: int) -> list[str]:
         rule = step.get("rule")
         node = step.get("node")
         premises = step.get("premises", [])
-        if not (isinstance(node, int) and 0 <= node < len(nodes)):
+        # bool is an int subclass and is refused wherever an int is read
+        if not (type(node) is int and 0 <= node < len(nodes)):
             failures.append(f"{where}: node {node!r} out of range")
             break
         if not isinstance(premises, list):
             failures.append(f"{where}: premises {premises!r} are not a list")
             break
         shape = nodes[node]
-        if any(not (isinstance(p, int) and p in derived) for p in premises):
+        if any(not (type(p) is int and p in derived) for p in premises):
             failures.append(f"{where}: uses an underived premise")
             break
         if rule == "ground":
@@ -235,7 +236,7 @@ def _replay(cert: WitnessCertificate, index: int) -> list[str]:
             ok = (
                 shape[0] == "pow"
                 and len(premises) == 1
-                and isinstance(e, int)
+                and type(e) is int
                 and _power_step_ok(nodes, shape, premises[0], e)
             )
             if not ok:

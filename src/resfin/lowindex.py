@@ -47,8 +47,6 @@ from .errors import InputError, InternalError, ResourceError
 from .permrep import MAX_ENCODABLE_DEGREE, PermQuotient, Permutation, eval_word, image_order
 from .words import FreeWord, SLWord, _check_rank, _cyclic_split, _free_reduce, enumerate_ball
 
-DEFAULT_DEGREE_CAP = 16
-
 _CACHE_REGULAR_LIMIT = 12
 
 
@@ -276,35 +274,25 @@ def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
     return tuple(_search(rank, order, True))
 
 
-def _checked(rank: int, degree: int, max_degree: int, what: str) -> None:
+def _checked(rank: int, degree: int, what: str) -> None:
     _check_rank(rank)
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise InputError(f"{what} must be a positive integer, got {degree!r}")
-    if degree > max_degree:
-        raise ResourceError(f"{what} {degree} exceeds the declared cap {max_degree}")
     if degree > MAX_ENCODABLE_DEGREE:
         raise ResourceError(f"{what} {degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
 
 
-def enumerate_subgroups(
-    rank: int, index: int, *, max_degree: int = DEFAULT_DEGREE_CAP
-) -> Iterator[PermQuotient]:
+def enumerate_subgroups(rank: int, index: int) -> Iterator[PermQuotient]:
     """One pointed transitive action per index-`index` subgroup of F_rank.
 
     Deterministic order; every action is transitive of degree exactly
-    `index`. Raise the keyword cap explicitly to go beyond the default.
+    `index`.
     """
-    _checked(rank, index, max_degree, "index")
+    _checked(rank, index, "index")
     return _search(rank, index, False)
 
 
-def enumerate_normal(
-    rank: int,
-    order: int,
-    *,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    kernel_radius: int = 0,
-) -> Iterator[PermQuotient]:
+def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterator[PermQuotient]:
     """One regular action per normal subgroup of F_rank with quotient size
     `order` (equivalently, per kernel of a surjection onto a group of that
     order).
@@ -314,8 +302,8 @@ def enumerate_normal(
     still contains every kernel missing the radius-r ball, in the same
     order.
     """
-    _checked(rank, order, max_degree, "order")
-    if not isinstance(kernel_radius, int) or kernel_radius < 0:
+    _checked(rank, order, "order")
+    if not isinstance(kernel_radius, int) or isinstance(kernel_radius, bool) or kernel_radius < 0:
         raise InputError(
             f"kernel_radius must be a nonnegative integer, got {kernel_radius!r}"
         )
@@ -340,7 +328,7 @@ def _first_survivals(
     for order in range(2, cap + 1):
         if not left:
             break
-        for q in enumerate_normal(rank, order, max_degree=cap):
+        for q in enumerate_normal(rank, order):
             for i in left:
                 if not eval_word(q, words[i]).is_identity:
                     found[i] = (order, q)
@@ -350,8 +338,8 @@ def _first_survivals(
     return found
 
 
-def subgroup_count(rank: int, index: int, *, max_degree: int = DEFAULT_DEGREE_CAP) -> int:
-    return sum(1 for _ in enumerate_subgroups(rank, index, max_degree=max_degree))
+def subgroup_count(rank: int, index: int) -> int:
+    return sum(1 for _ in enumerate_subgroups(rank, index))
 
 
 def hall_counts(rank: int) -> Iterator[int]:
@@ -367,17 +355,14 @@ def hall_counts(rank: int) -> Iterator[int]:
         yield counts[-1]
 
 
-def normal_count(rank: int, order: int, *, max_degree: int = DEFAULT_DEGREE_CAP) -> int:
-    return sum(1 for _ in enumerate_normal(rank, order, max_degree=max_degree))
+def normal_count(rank: int, order: int) -> int:
+    return sum(1 for _ in enumerate_normal(rank, order))
 
 
-def normal_subgroup_growth(
-    rank: int, n: int, *, max_degree: int = DEFAULT_DEGREE_CAP
-) -> int:
+def normal_subgroup_growth(rank: int, n: int) -> int:
     """Number of normal subgroups of index at most n."""
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
-    return sum(normal_count(rank, q, max_degree=max_degree) for q in range(1, n + 1))
+    _checked(rank, n, "n")
+    return sum(normal_count(rank, q) for q in range(1, n + 1))
 
 
 def word_battery(rank: int, order: int) -> tuple[FreeWord, ...]:

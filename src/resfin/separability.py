@@ -288,7 +288,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             if top[0]:
                 lower, best = top[0], -top[2]
             break
-        stream = actions(rank, degree, max_degree=cap)
+        stream = actions(rank, degree)
         first = (n + 1, 0)  # least (depth, position) resolved at this degree
         while batch := list(islice(stream, _WALK_BATCH)):
             # a fixed point after the actions keeps every state a tuple of
@@ -415,7 +415,7 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     ball = list(Ball(rank, n))
     doubled = [w for w in Ball(rank, 2 * n) if not w.is_identity]
     for order in range(size, cap + 1):
-        for q in enumerate_normal(rank, order, max_degree=cap, kernel_radius=2 * n):
+        for q in enumerate_normal(rank, order, kernel_radius=2 * n):
             images = {eval_word(q, w) for w in ball}
             injective = len(images) == len(ball)
             kernel_free = all(not eval_word(q, w).is_identity for w in doubled)
@@ -460,7 +460,7 @@ def check_basic_inequality(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     if not row["resolved"]:
         return report
     m = row["value"]
-    s = normal_subgroup_growth(rank, m, max_degree=m)
+    s = normal_subgroup_growth(rank, m)
     rhs = s * math.log(m)
     report["growth_count"] = s
     report["growth_link"] = _link(math.log(ball_size), rhs)

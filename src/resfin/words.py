@@ -347,23 +347,24 @@ class SLWord:
     def __init__(self, rank: int, nodes: Sequence[tuple], root: int):
         _check_rank(rank)
         nodes = tuple(tuple(node) for node in nodes)
+        # type(x) is int refuses bool, an int subclass, in every int field
         for idx, node in enumerate(nodes):
             if not node or node[0] not in _SL_OPS or len(node) != _SL_OPS[node[0]] + 1:
                 raise InputError(f"malformed instruction {node!r} at node {idx}")
             op = node[0]
             if op == "gen":
-                if not 1 <= node[1] <= rank:
-                    raise InputError(f"generator {node[1]} out of range at node {idx}")
+                if not (type(node[1]) is int and 1 <= node[1] <= rank):
+                    raise InputError(f"generator {node[1]!r} out of range at node {idx}")
             elif op == "pow":
-                if not (isinstance(node[1], int) and 0 <= node[1] < idx):
+                if not (type(node[1]) is int and 0 <= node[1] < idx):
                     raise InputError(f"bad reference in {node!r} at node {idx}")
-                if not isinstance(node[2], int):
+                if type(node[2]) is not int:
                     raise InputError(f"exponent must be an integer at node {idx}")
             else:
                 for ref in node[1:]:
-                    if not (isinstance(ref, int) and 0 <= ref < idx):
+                    if not (type(ref) is int and 0 <= ref < idx):
                         raise InputError(f"bad reference in {node!r} at node {idx}")
-        if not (nodes and isinstance(root, int) and 0 <= root < len(nodes)):
+        if not (nodes and type(root) is int and 0 <= root < len(nodes)):
             raise InputError(f"root {root!r} out of range")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "nodes", nodes)

@@ -140,6 +140,43 @@ def test_verify_refuses_a_bool_rank(tmp_path, capsys):
     assert captured.err == "error: malformed certificate: rank must be a positive integer, got True\n"
 
 
+def test_verify_refuses_a_bool_in_an_integer_field(tmp_path, capsys):
+    # bool is an int subclass, so a JSON true in place of 1 would read as 1
+    path = tmp_path / "cert.json"
+    assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0
+    pair = json.loads(path.read_text())["certificate"]
+    power = {  # x^1 with a power step, whose exponents and root read 1
+        "rank": 1, "targets": ["a"], "nodes": [["gen", 1], ["pow", 0, 1]], "root": 1,
+        "declared_bound": 1, "flat": "a", "nontrivial_verified": True,
+        "derivations": [[
+            {"rule": "ground", "node": 0, "premises": []},
+            {"rule": "power", "node": 1, "premises": [0], "exponent": 1},
+        ]],
+    }
+    for base in (pair, power):
+        path.write_text(json.dumps(base))
+        assert run(["verify", "--certificate", str(path)]) == 0
+        capsys.readouterr()
+    for base, keys in (
+        (pair, ("nodes", 0, 1)),  # ["gen", true]
+        (pair, ("nodes", 2, 2)),  # ["comm", 0, true]
+        (pair, ("derivations", 1, 0, "node")),
+        (pair, ("derivations", 1, 1, "premises", 0)),
+        (power, ("nodes", 1, 2)),  # ["pow", 0, true]
+        (power, ("root",)),
+        (power, ("derivations", 0, 1, "exponent")),
+    ):
+        data = json.loads(json.dumps(base))
+        field = data
+        for key in keys[:-1]:
+            field = field[key]
+        assert field[keys[-1]] == 1, keys
+        field[keys[-1]] = True
+        path.write_text(json.dumps(data))
+        assert run(["verify", "--certificate", str(path)]) == 1, keys
+        assert "Traceback" not in capsys.readouterr().err, keys
+
+
 def test_verify_reports_premises_that_are_not_a_list(tmp_path, capsys):
     path = tmp_path / "cert.json"
     assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0
@@ -439,16 +476,18 @@ def test_covers_scan_rejects_a_degree_out_of_range(monkeypatch, capsys):
     # index 16 alone has about 3 * 10^14 subgroups, so the cap must be met
     # before the first degree is enumerated, not on reaching degree 17;
     # a scan that starts enumerating fails here rather than running on
-    def no_enumeration(rank, index, **kw):
+    def no_enumeration(rank, index):
         raise AssertionError(f"enumerated index {index} before the cap check")
 
     monkeypatch.setattr("resfin.lowindex.enumerate_subgroups", no_enumeration)
-    start = time.perf_counter()
-    assert run(["covers-scan", "--m", "3", "--max-degree", "17"]) == 2
-    assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "resource limit: index 17 exceeds the declared cap 16\n"
+    # past the 255-point encoding limit too, covers-scan names its own cap
+    for degree in ("17", "300"):
+        start = time.perf_counter()
+        assert run(["covers-scan", "--m", "3", "--max-degree", degree]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"resource limit: index {degree} exceeds the declared cap 16\n"
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

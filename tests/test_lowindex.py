@@ -15,7 +15,6 @@ import pytest
 
 from resfin.errors import InputError, InternalError, ResourceError
 from resfin.lowindex import (
-    DEFAULT_DEGREE_CAP,
     _check_rows,
     _search,
     enumerate_normal,
@@ -154,8 +153,8 @@ def test_normal_counts_frozen_midrange():
 def test_prime_order_count_law():
     # A surjection onto a group of prime order q lands in Z/q, so the kernels
     # match the q+1 lines of a two-dimensional vector space over F_q.
-    for q in (2, 3, 5, 7, 11, 13):
-        assert normal_count(2, q, max_degree=13) == q + 1
+    for q in (2, 3, 5, 7, 11, 13, 17):
+        assert normal_count(2, q) == q + 1
 
 
 def test_rank_one_counts_are_all_one():
@@ -171,10 +170,12 @@ def test_growth_accumulates_counts():
     assert normal_subgroup_growth(2, 8) == total
     with pytest.raises(InputError):
         normal_subgroup_growth(2, 0)
+    with pytest.raises(InputError):
+        normal_subgroup_growth(2, True)
 
 
 def test_normal_counts_frozen_high():
-    counts = [normal_count(2, d, max_degree=24) for d in range(13, 25)]
+    counts = [normal_count(2, d) for d in range(13, 25)]
     assert counts == [14, 27, 24, 55, 18, 54, 20, 63, 40, 39, 24, 146]
 
 
@@ -239,7 +240,7 @@ def _searched_quotients():
             yield from _search(rank, d, False)
     for order in range(1, 17):
         yield from _search(2, order, True)
-    yield from enumerate_normal(2, 20, max_degree=20, kernel_radius=2)
+    yield from enumerate_normal(2, 20, kernel_radius=2)
 
 
 def test_row_check_agrees_with_the_permutation_check():
@@ -319,10 +320,8 @@ def test_kernel_cut_keeps_every_injective_quotient(rank, radius, max_order):
     doubled = list(Ball(rank, 2 * radius).nontrivial())
     cut_any = False
     for order in range(1, max_order + 1):
-        full = list(enumerate_normal(rank, order, max_degree=max_order))
-        pruned = list(
-            enumerate_normal(rank, order, max_degree=max_order, kernel_radius=2 * radius)
-        )
+        full = list(enumerate_normal(rank, order))
+        pruned = list(enumerate_normal(rank, order, kernel_radius=2 * radius))
         full_keys = [canonical_key(q) for q in full]
         pruned_keys = [canonical_key(q) for q in pruned]
         rest = iter(full_keys)
@@ -346,7 +345,7 @@ def test_kernel_cut_sequence_is_frozen():
         digest = hashlib.sha256()
         seen = 0
         for order in orders:
-            for q in enumerate_normal(rank, order, max_degree=orders[-1], kernel_radius=radius):
+            for q in enumerate_normal(rank, order, kernel_radius=radius):
                 digest.update(canonical_key(q))
                 seen += 1
         assert (seen, digest.hexdigest()) == (count, expect), rank
@@ -357,6 +356,8 @@ def test_kernel_radius_is_checked():
         enumerate_normal(2, 4, kernel_radius=-1)
     with pytest.raises(InputError):
         enumerate_normal(2, 4, kernel_radius=1.5)
+    with pytest.raises(InputError):
+        enumerate_normal(2, 4, kernel_radius=True)
 
 
 # --- shape of the yields ---------------------------------------------------
@@ -455,14 +456,20 @@ def test_rejects_bad_arguments():
     with pytest.raises(InputError):
         normal_count(2, 0)
     with pytest.raises(ResourceError):
-        enumerate_subgroups(2, DEFAULT_DEGREE_CAP + 1)
+        enumerate_subgroups(2, 256)
     with pytest.raises(ResourceError):
-        enumerate_normal(2, 300, max_degree=300)
+        enumerate_normal(2, 300)
+    # bool is an int subclass; True must not run as degree 1
+    with pytest.raises(InputError):
+        enumerate_subgroups(2, True)
+    with pytest.raises(InputError):
+        normal_count(2, True)
 
 
 def test_plain_search_builds_a_table_past_the_recursion_limit():
     # rank * index edges, each once a nested generator frame; these raised
-    # RecursionError at the first table when the search still recursed
-    for rank, index in ((26, 40), (4, 250), (26, 35)):
-        first = next(enumerate_subgroups(rank, index, max_degree=index))
+    # RecursionError at the first table when the search still recursed.
+    # The index asked for is its only cap, so (2, 17) runs as well
+    for rank, index in ((26, 40), (4, 250), (26, 35), (2, 17)):
+        first = next(enumerate_subgroups(rank, index))
         assert (first.rank, first.degree) == (rank, index)
