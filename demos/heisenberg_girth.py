@@ -3,7 +3,8 @@
 Free groups need quotients of exponential size to stay injective on a
 ball.  The integer Heisenberg group does not: its ball images are 3x3
 unipotent matrices with small entries, and reducing mod a small odd
-modulus already keeps them apart.
+modulus already keeps them apart.  An element is given by its three upper
+entries (a, b, c) at (0,1), (1,2) and (0,2).
 """
 
 from resfin import (
@@ -14,10 +15,9 @@ from resfin import (
     word_growth,
 )
 
-print("Generator images (x upper left, y lower right):")
+print("Generator images as (a, b, c):")
 for text in ("a", "b", "abAB"):
-    m = heisenberg_eval(parse_word(text, 2))
-    print(f"  {text:4s} -> {m.entries}")
+    print(f"  {text:4s} -> {heisenberg_eval(parse_word(text, 2))}")
 print("  the commutator is central: one corner entry, nothing else")
 
 print()
@@ -47,7 +47,7 @@ print()
 print("Modular evaluation commutes with reduction:")
 w = parse_word("abaBAAbbab", 2)
 direct = heisenberg_eval(w, modulus=7)
-reduced = heisenberg_eval(w).reduce_mod(7)
-print(f"  eval mod 7: {direct.entries}")
-print(f"  eval then reduce: {reduced.entries}")
+reduced = tuple(v % 7 for v in heisenberg_eval(w))
+print(f"  eval mod 7: {direct}")
+print(f"  eval then reduce: {reduced}")
 print("  equal:", direct == reduced)

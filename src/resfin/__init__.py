@@ -27,16 +27,14 @@ _EXPORTS = {
         "power_set_witness", "verify_certificate",
     ),
     "lowindex": (
-        "enumerate_normal", "enumerate_subgroups", "kernel_fingerprint", "normal_count",
-        "normal_subgroup_growth", "subgroup_count", "word_battery",
+        "enumerate_normal", "enumerate_subgroups", "normal_count", "normal_subgroup_growth",
+        "subgroup_count",
     ),
-    "nilpotent": (
-        "UnipotentMatrix", "entry_bound", "girth_upper_bound_nilpotent", "heisenberg_eval",
-    ),
+    "nilpotent": ("entry_bound", "girth_upper_bound_nilpotent", "heisenberg_eval"),
     "permrep": (
-        "PermQuotient", "Permutation", "canonical_key", "eval_word", "format_permutation",
-        "from_record", "identity_perm", "image_order", "is_regular", "is_transitive",
-        "orbit", "parse_permutation", "to_record",
+        "PermQuotient", "Permutation", "eval_word", "format_permutation", "from_record",
+        "identity_perm", "image_order", "is_regular", "is_transitive", "orbit",
+        "parse_permutation", "to_record",
     ),
     "separability": (
         "SepResult", "check_basic_inequality", "check_girth_inequality", "divisibility",

@@ -15,12 +15,16 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceError
 
-SCAN_DEGREE_CAP = 16  # obstruction_scan's top index; F2 has ~3 * 10^14 of index 16
+# obstruction_scan's top index, so that every scan it accepts ends: by
+# Hall's counts F2 has 306,432 subgroups of index at most 8 (seconds to
+# enumerate), 3,135,757 up to 9 and about 3.3 * 10^14 up to 16
+SCAN_DEGREE_CAP = 8
 
 
 def lcm_upto(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
+    from .lowindex import _checked_int
+
+    _checked_int(n, "n")
     return math.lcm(*range(1, n + 1))
 
 
@@ -36,8 +40,9 @@ def pnt_window(max_n: int) -> dict:
     `verified_from` is the first threshold from which the ratio stays in
     the window all the way to max_n, or None if even max_n misses it.
     """
-    if max_n < 1:
-        raise InputError(f"max_n must be positive, got {max_n}")
+    # lowindex._checked_int's check, written out since `pnt` loads no search module
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
+        raise InputError(f"max_n must be a positive integer, got {max_n!r}")
     rows = []
     acc = 1
     for n in range(1, max_n + 1):
@@ -97,11 +102,14 @@ def lift_closed(q: "PermQuotient", point: int, exponent: int) -> bool:
     divides the exponent, so huge exponents cost one modular reduction
     and never get flattened.
     """
+    from .lowindex import _checked_int
+
     if q.rank != 2:
         raise InputError(f"covers of the figure eight have rank 2, got {q.rank}")
-    if not 1 <= point <= q.degree:
+    _checked_int(point, "point")
+    if point > q.degree:
         raise InputError(f"point {point} outside 1..{q.degree}")
-    if not isinstance(exponent, int):
+    if not isinstance(exponent, int) or isinstance(exponent, bool):
         raise InputError(f"exponent must be an integer, got {exponent!r}")
     length = next(len(c) for c in q.gens[0].cycles() if point in c)
     return exponent % length == 0
@@ -114,13 +122,12 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
     close must be longer than m; a counterexample is an internal error,
     and the report carries the counts that back the claim.
     """
-    from .lowindex import _checked, enumerate_subgroups
+    from .lowindex import _checked_int, enumerate_subgroups
 
-    if m < 1:
-        raise InputError(f"m must be positive, got {m}")
+    _checked_int(m, "m")
+    _checked_int(max_degree, "index")
     if max_degree > SCAN_DEGREE_CAP:  # before any degree runs
         raise ResourceError(f"index {max_degree} exceeds the declared cap {SCAN_DEGREE_CAP}")
-    _checked(2, max_degree, "index")
     ell = lcm_upto(m)
     rows = []
     total_points = 0
@@ -177,11 +184,10 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
     least lcm(1..j) + 1.
     """
     from .lcmlib import _power_set_scan
+    from .lowindex import _checked_int
 
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    if order_cap < 1:
-        raise InputError(f"order cap must be positive, got {order_cap}")
+    _checked_int(n, "n")
+    _checked_int(order_cap, "order cap")
     ells = list(itertools.accumulate(range(1, n + 1), math.lcm))
     rows = []
     for j, ell, (cert, value) in zip(range(1, n + 1), ells, _power_set_scan(2, ells, order_cap)):

@@ -44,10 +44,13 @@ import itertools
 from typing import Iterator
 
 from .errors import InputError, InternalError, ResourceError
-from .permrep import MAX_ENCODABLE_DEGREE, PermQuotient, Permutation, eval_word, image_order
-from .words import FreeWord, SLWord, _check_rank, _cyclic_split, _free_reduce, enumerate_ball
+from .permrep import PermQuotient, eval_word, image_order
+from .words import FreeWord, SLWord, _check_rank, _cyclic_split, _free_reduce
 
 _CACHE_REGULAR_LIMIT = 12
+# the most points a table may have: separability._ball_maximum stores each
+# word's degree in one byte
+MAX_ENCODABLE_DEGREE = 255
 
 
 def _check_rows(fwd: list[list[int]], bwd: list[list[int]]) -> None:
@@ -55,9 +58,9 @@ def _check_rows(fwd: list[list[int]], bwd: list[list[int]]) -> None:
 
     Every entry is filled and each backward row inverts its forward row.
     A breadth-first walk from point 0, scanning each point's entries as
-    (g1 forward, g1 backward, g2 forward, ...) like `canonical_key`, meets
-    the points in label order, so the table is its own canonical form,
-    and reaches all of them, so the action is transitive.
+    (g1 forward, g1 backward, g2 forward, ...), meets the points in label
+    order, so the table is its own canonical form, and reaches all of
+    them, so the action is transitive.
     """
     points = list(range(len(fwd[0])))
     for f, b in zip(fwd, bwd):
@@ -180,10 +183,7 @@ def _search(
 
     def build() -> PermQuotient:
         _check_rows(fwd, bwd)
-        q = PermQuotient._trusted(
-            tuple(Permutation._from_zero(tuple(row)) for row in fwd),
-            tuple(Permutation._from_zero(tuple(row)) for row in bwd),
-        )
+        q = PermQuotient._trusted(tuple(map(tuple, fwd)), tuple(map(tuple, bwd)))
         # _check_rows proved transitivity, so regular means order == degree
         if regular and image_order(q, cap=degree + 1) != degree:
             raise InternalError("relator propagation let an irregular table through")
@@ -274,10 +274,16 @@ def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
     return tuple(_search(rank, order, True))
 
 
+def _checked_int(value: int, what: str, least: int = 1) -> None:
+    """Refuse all but an int of at least `least`, 0 or 1; a bool is no count."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise InputError(f"{what} must be a {kind} integer, got {value!r}")
+
+
 def _checked(rank: int, degree: int, what: str) -> None:
     _check_rank(rank)
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise InputError(f"{what} must be a positive integer, got {degree!r}")
+    _checked_int(degree, what)
     if degree > MAX_ENCODABLE_DEGREE:
         raise ResourceError(f"{what} {degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
 
@@ -303,10 +309,7 @@ def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterat
     order.
     """
     _checked(rank, order, "order")
-    if not isinstance(kernel_radius, int) or isinstance(kernel_radius, bool) or kernel_radius < 0:
-        raise InputError(
-            f"kernel_radius must be a nonnegative integer, got {kernel_radius!r}"
-        )
+    _checked_int(kernel_radius, "kernel_radius", 0)
     if kernel_radius:
         return _search(rank, order, True, kernel_radius)
     if order <= _CACHE_REGULAR_LIMIT:
@@ -363,22 +366,3 @@ def normal_subgroup_growth(rank: int, n: int) -> int:
     """Number of normal subgroups of index at most n."""
     _checked(rank, n, "n")
     return sum(normal_count(rank, q) for q in range(1, n + 1))
-
-
-def word_battery(rank: int, order: int) -> tuple[FreeWord, ...]:
-    """All reduced words of length up to 2*ceil(log2(order)) + 2.
-
-    Evaluation patterns on this battery separate distinct kernels at the
-    orders used here; the tests cross-check that against canonical keys.
-    """
-    if order < 1:
-        raise InputError(f"order must be positive, got {order}")
-    radius = 2 * (order - 1).bit_length() + 2
-    return tuple(enumerate_ball(rank, radius))
-
-
-def kernel_fingerprint(q: PermQuotient, battery: tuple[FreeWord, ...] | None = None) -> bytes:
-    """Which battery words the action kills, one byte each."""
-    if battery is None:
-        battery = word_battery(q.rank, q.degree)
-    return bytes(1 if eval_word(q, w).is_identity else 0 for w in battery)

@@ -37,71 +37,8 @@ def _reduce(t: tuple, m: int) -> tuple:
     return (t[0] % m, t[1] % m, t[2] % m)
 
 
-class UnipotentMatrix:
-    """3x3 upper unitriangular integer matrix, a Heisenberg group element.
-
-    Built from its rows; `triple` holds the upper entries (a, b, c) at
-    (0,1), (1,2) and (0,2), which determine it.  Immutable and hashable.
-    """
-
-    __slots__ = ("triple",)
-
-    def __init__(self, entries):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
-            raise InputError("entries must form a 3x3 matrix")
-        for i in range(3):
-            if rows[i][i] != 1:
-                raise InputError(f"diagonal entry at {i} is {rows[i][i]}, not 1")
-            for j in range(i):
-                if rows[i][j] != 0:
-                    raise InputError(f"entry below the diagonal at ({i},{j}) is nonzero")
-        object.__setattr__(self, "triple", (rows[0][1], rows[1][2], rows[0][2]))
-
-    @classmethod
-    def _from_triple(cls, triple: tuple) -> "UnipotentMatrix":
-        m = object.__new__(cls)
-        object.__setattr__(m, "triple", triple)
-        return m
-
-    @classmethod
-    def identity(cls) -> "UnipotentMatrix":
-        return cls._from_triple((0, 0, 0))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnipotentMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnipotentMatrix) and self.triple == other.triple
-
-    def __hash__(self) -> int:
-        return hash(self.triple)
-
-    def __repr__(self) -> str:
-        return f"UnipotentMatrix(triple={self.triple!r})"
-
-    @property
-    def entries(self) -> tuple:
-        a, b, c = self.triple
-        return ((1, a, c), (0, 1, b), (0, 0, 1))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.triple == (0, 0, 0)
-
-    def __mul__(self, other: "UnipotentMatrix") -> "UnipotentMatrix":
-        return UnipotentMatrix._from_triple(_mul(self.triple, other.triple))
-
-    def inverse(self) -> "UnipotentMatrix":
-        a, b, c = self.triple
-        return UnipotentMatrix._from_triple((-a, -b, a * b - c))
-
-    def reduce_mod(self, m: int) -> "UnipotentMatrix":
-        return UnipotentMatrix._from_triple(_reduce(self.triple, m))
-
-
-def heisenberg_eval(w: FreeWord, *, modulus: int | None = None) -> UnipotentMatrix:
-    """Image of a rank-2 word under x to E12, y to E23.
+def heisenberg_eval(w: FreeWord, *, modulus: int | None = None) -> tuple:
+    """Image (a, b, c) of a rank-2 word under x to E12, y to E23.
 
     With a modulus, every product is reduced as it happens; the result
     equals the integer image reduced at the end.
@@ -118,7 +55,7 @@ def heisenberg_eval(w: FreeWord, *, modulus: int | None = None) -> UnipotentMatr
         out = _mul(out, table[letter])
         if modulus is not None:
             out = _reduce(out, modulus)
-    return UnipotentMatrix._from_triple(out)
+    return out
 
 
 # the most window bits, (2n^2+2n+1) cells of 2n^2+1 central entries each,

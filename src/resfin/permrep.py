@@ -17,9 +17,6 @@ from typing import Sequence
 from .errors import InputError
 from .words import FreeWord, SLWord, sl_eval
 
-# canonical keys pack one point per byte
-MAX_ENCODABLE_DEGREE = 255
-
 DEFAULT_ORDER_CAP = 10_000
 
 
@@ -157,9 +154,13 @@ def format_permutation(p: Permutation) -> str:
 
 
 class PermQuotient:
-    """m permutations of common degree; the image of each generator."""
+    """m permutations of common degree; the image of each generator.
 
-    __slots__ = ("rank", "degree", "gens", "_inverses")
+    Stored as table rows: `fwd[g]` lists the 0-based image of each point
+    under generator g + 1, and `bwd[g]` under its inverse.
+    """
+
+    __slots__ = ("rank", "degree", "fwd", "bwd")
 
     def __init__(self, gens: Sequence[Permutation]):
         gens = tuple(gens)
@@ -170,34 +171,38 @@ class PermQuotient:
             raise InputError("generator images must share a degree")
         object.__setattr__(self, "rank", len(gens))
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_inverses", tuple(g.inverse() for g in gens))
+        object.__setattr__(self, "fwd", tuple(g._map for g in gens))
+        object.__setattr__(self, "bwd", tuple(g.inverse()._map for g in gens))
 
     @classmethod
     def _trusted(
-        cls, gens: tuple[Permutation, ...], inverses: tuple[Permutation, ...]
+        cls, fwd: tuple[tuple[int, ...], ...], bwd: tuple[tuple[int, ...], ...]
     ) -> "PermQuotient":
-        """Trusted constructor for generators and their inverses, one shared
-        degree, that the caller has checked."""
+        """Trusted constructor for forward rows and their inverse rows, one
+        shared degree, that the caller has checked."""
         q = object.__new__(cls)
-        object.__setattr__(q, "rank", len(gens))
-        object.__setattr__(q, "degree", gens[0].degree)
-        object.__setattr__(q, "gens", gens)
-        object.__setattr__(q, "_inverses", inverses)
+        object.__setattr__(q, "rank", len(fwd))
+        object.__setattr__(q, "degree", len(fwd[0]))
+        object.__setattr__(q, "fwd", fwd)
+        object.__setattr__(q, "bwd", bwd)
         return q
 
     def __setattr__(self, name, value):
         raise AttributeError("PermQuotient is immutable")
 
     @property
+    def gens(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation._from_zero(row) for row in self.fwd)
+
+    @property
     def basepoint(self) -> int:
         return 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PermQuotient) and self.gens == other.gens
+        return isinstance(other, PermQuotient) and self.fwd == other.fwd
 
     def __hash__(self) -> int:
-        return hash(self.gens)
+        return hash(self.fwd)
 
     def __repr__(self) -> str:
         shown = ", ".join(format_permutation(g) for g in self.gens)
@@ -209,17 +214,18 @@ def eval_word(q: PermQuotient, w: FreeWord | SLWord) -> Permutation:
     if w.rank > q.rank:
         raise InputError(f"word rank {w.rank} exceeds quotient rank {q.rank}")
     if isinstance(w, SLWord):
+        gens = q.gens
         return sl_eval(
             w,
-            gen=lambda i: q.gens[i - 1],
+            gen=lambda i: gens[i - 1],
             mul=lambda a, b: a * b,
             inv=lambda a: a.inverse(),
             ident=identity_perm(q.degree),
         )
-    inverses = q._inverses
+    fwd, bwd = q.fwd, q.bwd
     state = tuple(range(q.degree))
     for letter in w.letters:
-        table = q.gens[letter - 1]._map if letter > 0 else inverses[-letter - 1]._map
+        table = fwd[letter - 1] if letter > 0 else bwd[-letter - 1]
         state = tuple(table[p] for p in state)
     return Permutation._from_zero(state)
 
@@ -228,7 +234,7 @@ def orbit(q: PermQuotient, point: int) -> frozenset[int]:
     """The set of points reachable from point under the generators."""
     if not 1 <= point <= q.degree:
         raise InputError(f"point {point} out of range 1..{q.degree}")
-    tables = [g._map for g in q.gens + q._inverses]
+    tables = q.fwd + q.bwd
     seen = {point - 1}
     frontier = [point - 1]
     while frontier:
@@ -252,10 +258,9 @@ def image_order(q: PermQuotient, cap: int = DEFAULT_ORDER_CAP) -> int | None:
     ident = tuple(range(q.degree))
     seen = {ident}
     frontier = [ident]
-    tables = [g._map for g in q.gens]
     while frontier:
         state = frontier.pop()
-        for table in tables:
+        for table in q.fwd:
             nxt = tuple(table[p] for p in state)
             if nxt not in seen:
                 if len(seen) >= cap:
@@ -270,38 +275,13 @@ def is_regular(q: PermQuotient) -> bool:
     return is_transitive(q) and image_order(q, cap=q.degree + 1) == q.degree
 
 
-def canonical_key(q: PermQuotient) -> bytes:
-    """Canonical form of a pointed transitive action.
-
-    Relabels points by breadth-first discovery order from the basepoint,
-    scanning each point's neighbors as (g1 forward, g1 backward, g2
-    forward, ...). Two transitive quotients get equal keys exactly when
-    some relabeling fixing the basepoint carries one to the other. The
-    same pass decides transitivity.
-    """
-    if q.degree > MAX_ENCODABLE_DEGREE:
-        raise InputError(f"degree {q.degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
-    rows = [t._map for g, ginv in zip(q.gens, q._inverses) for t in (g, ginv)]
-    label = [0] + [-1] * (q.degree - 1)
-    order = [0]
-    for p in order:  # order grows while it is walked
-        for row in rows:
-            nxt = row[p]
-            if label[nxt] < 0:
-                label[nxt] = len(order)
-                order.append(nxt)
-    if len(order) != q.degree:
-        raise InputError("canonical_key needs a transitive quotient")
-    return b"".join(bytes(label[g._map[p]] for p in order) for g in q.gens)
-
-
 def to_record(q: PermQuotient) -> dict:
     """JSON-ready description of the quotient."""
     order = image_order(q)
     transitive = is_transitive(q)
     return {
         "degree": q.degree,
-        "gens": [list(g.images) for g in q.gens],
+        "gens": [[p + 1 for p in row] for row in q.fwd],
         "transitive": transitive,
         # None is an order past the cap, which a degree past the cap may equal
         "regular": is_regular(q) if order is None else transitive and order == q.degree,

@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceError
 from .lowindex import (
-    _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth
+    _checked_int, _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts,
+    normal_subgroup_growth,
 )
 from .permrep import Permutation, PermQuotient, eval_word, is_transitive, to_record
 from .words import (
@@ -78,8 +79,7 @@ class SepResult(NamedTuple):
 
 
 def smallest_nondivisor(k: int) -> int:
-    if not isinstance(k, int) or k < 1:
-        raise InputError(f"k must be a positive integer, got {k!r}")
+    _checked_int(k, "k")
     m = 2
     while k % m == 0:
         m += 1
@@ -147,8 +147,7 @@ def divisibility(w: FreeWord, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
         raise InputError(f"need a FreeWord, got {type(w).__name__}")
     if w.is_identity:
         raise InputError("divisibility is defined for nontrivial words only")
-    if cap < 1:
-        raise InputError(f"cap must be positive, got {cap}")
+    _checked_int(cap, "cap")
     query = f"divisibility({format_word(w)})"
     for degree in range(2, cap + 1):
         found = _escape_tables(w, degree)
@@ -176,8 +175,7 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
         query = f"normal_divisibility(straight-line word, {len(w.nodes)} nodes)"
     else:
         raise InputError(f"need a FreeWord or SLWord, got {type(w).__name__}")
-    if cap < 1:
-        raise InputError(f"cap must be positive, got {cap}")
+    _checked_int(cap, "cap")
     value, witness = _first_survivals(w.rank, [w], cap)[0] or (None, None)
     return SepResult(query, value, witness, cap)
 
@@ -297,9 +295,9 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             root = (*range(0, fixed, degree), fixed)
             tables = {x: [] for x in letters[: 2 * most]}
             for offset, q in zip(root, batch):
-                for g, inv, perm in zip(range(1, most + 1), q._inverses, q.gens):
-                    tables[g].extend(offset + p for p in perm._map)
-                    tables[-g].extend(offset + p for p in inv._map)
+                for g, f, b in zip(range(1, most + 1), q.fwd, q.bwd):
+                    tables[g].extend(offset + p for p in f)
+                    tables[-g].extend(offset + p for p in b)
             for table in tables.values():
                 table.append(fixed)
             # each child as its letter's table, its largest generator and
@@ -364,12 +362,10 @@ def max_divisibility(
     the same value.  A ball with more representatives than the walk's
     fixed index limit (`_INDEX_LIMIT`) raises ResourceError.
     """
-    if n < 1:
-        raise InputError(f"radius must be positive, got {n}")
+    _checked_int(n, "radius")
     _check_rank(rank)
     format_word(generator(rank, 1))  # rejects a rank past 26, whose words cannot be printed
-    if cap < 1:
-        raise InputError(f"cap must be positive, got {cap}")
+    _checked_int(cap, "cap")
     search = normal_divisibility if normal else divisibility
     lower, first_max, unresolved = _ball_maximum(rank, n, cap, normal)
     if first_max is not None and search(first_max, cap).value != lower:
@@ -401,10 +397,9 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     kernels that hold a nontrivial word of the doubled ball; those
     quotients fail both tests anyway.
     """
-    if n < 0:
-        raise InputError(f"radius must be nonnegative, got {n}")
-    if cap < 1:
-        raise InputError(f"cap must be positive, got {cap}")
+    _checked_int(n, "radius", 0)
+    _checked_int(cap, "cap")
+    _check_rank(rank)
     query = f"residual_girth(rank={rank}, n={n})"
     if n == 0:
         return SepResult(query, 1, _trivial_quotient(rank), cap)
@@ -442,8 +437,7 @@ def check_basic_inequality(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     the growth link holds and no evaluated link fails.  A link whose left
     side is unreachable within caps stays inconclusive rather than pass.
     """
-    if n < 1:
-        raise InputError(f"radius must be positive, got {n}")
+    _checked_int(n, "radius")
     row = max_divisibility(rank, 2 * n, cap, normal=True)
     ball_size = word_growth(rank, n)
     report = {

@@ -473,21 +473,21 @@ def test_covers_scan_rejects_a_degree_out_of_range(monkeypatch, capsys):
         assert run(["covers-scan", "--m", "3", "--max-degree", degree]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
-    # index 16 alone has about 3 * 10^14 subgroups, so the cap must be met
-    # before the first degree is enumerated, not on reaching degree 17;
-    # a scan that starts enumerating fails here rather than running on
+    # index 9 alone has 2,829,325 subgroups, so the cap must be met before
+    # the first degree is enumerated, not on reaching degree 9; a scan
+    # that starts enumerating fails here rather than running on
     def no_enumeration(rank, index):
         raise AssertionError(f"enumerated index {index} before the cap check")
 
     monkeypatch.setattr("resfin.lowindex.enumerate_subgroups", no_enumeration)
     # past the 255-point encoding limit too, covers-scan names its own cap
-    for degree in ("17", "300"):
+    for degree in ("9", "17", "300"):
         start = time.perf_counter()
         assert run(["covers-scan", "--m", "3", "--max-degree", degree]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"resource limit: index {degree} exceeds the declared cap 16\n"
+        assert captured.err == f"resource limit: index {degree} exceeds the declared cap 8\n"
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

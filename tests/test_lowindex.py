@@ -20,16 +20,13 @@ from resfin.lowindex import (
     enumerate_normal,
     enumerate_subgroups,
     hall_counts,
-    kernel_fingerprint,
     normal_count,
     normal_subgroup_growth,
     subgroup_count,
-    word_battery,
 )
 from resfin.permrep import (
     Permutation,
     PermQuotient,
-    canonical_key,
     eval_word,
     image_order,
     is_regular,
@@ -38,6 +35,8 @@ from resfin.permrep import (
     to_record,
 )
 from resfin.words import Ball, _free_reduce, generator
+
+from oracles import canonical_key, kernel_fingerprint, word_battery
 
 
 # --- independent oracles ---------------------------------------------------
@@ -250,8 +249,9 @@ def test_row_check_agrees_with_the_permutation_check():
     # the raw rows, which also decided transitivity
     seen = 0
     for q in _searched_quotients():
-        assert q._inverses == tuple(g.inverse() for g in q.gens)
+        assert q.bwd == tuple(g.inverse()._map for g in q.gens)
         fresh = PermQuotient(q.gens)
+        assert fresh == q  # the checking constructor builds the search's rows
         assert canonical_key(fresh) == b"".join(bytes(g._map) for g in q.gens)
         assert is_transitive(fresh) and is_transitive(q)
         seen += 1
@@ -259,9 +259,10 @@ def test_row_check_agrees_with_the_permutation_check():
 
 
 def test_quotients_are_plain_values():
-    # a quotient holds its generators and their inverses, set when it is
-    # built; transitivity, order and regularity are computed on each call
-    assert PermQuotient.__slots__ == ("rank", "degree", "gens", "_inverses")
+    # a quotient holds the rows of its generators and their inverses, set
+    # when it is built; transitivity, order and regularity are computed on
+    # each call
+    assert PermQuotient.__slots__ == ("rank", "degree", "fwd", "bwd")
     searched = [q for order in range(1, 13) for q in _search(2, order, True)]
     searched += [q for index in range(1, 6) for q in _search(2, index, False)]
     rng = random.Random(17)
@@ -272,7 +273,7 @@ def test_quotients_are_plain_values():
             built.append(PermQuotient([Permutation(row) for row in images]))
     kinds = set()
     for is_built, q in [(False, q) for q in searched] + [(True, q) for q in built]:
-        assert q._inverses == tuple(g.inverse() for g in q.gens)
+        assert q.bwd == tuple(g.inverse()._map for g in q.gens)
         order = image_order(q)
         transitive = orbit(q, 1) == frozenset(range(1, q.degree + 1))
         regular = transitive and order == q.degree

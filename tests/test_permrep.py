@@ -14,7 +14,6 @@ from resfin import InputError, SLBuilder, enumerate_ball, parse_word
 from resfin.permrep import (
     PermQuotient,
     Permutation,
-    canonical_key,
     eval_word,
     format_permutation,
     from_record,
@@ -26,6 +25,8 @@ from resfin.permrep import (
     parse_permutation,
     to_record,
 )
+
+from oracles import canonical_key
 
 
 def q2(x_images, y_images):

@@ -11,6 +11,14 @@ from itertools import islice
 
 import pytest
 
+from resfin.covers import (
+    chebyshev,
+    lcm_upto,
+    lift_closed,
+    obstruction_scan,
+    pnt_window,
+    theorem4_experiment,
+)
 from resfin.errors import InputError, InternalError
 from resfin.lcmlib import lcm_ball_witness
 from resfin.lowindex import enumerate_subgroups, hall_counts, subgroup_count
@@ -144,6 +152,37 @@ def test_smallest_nondivisor():
         smallest_nondivisor(0)
     with pytest.raises(InputError):
         smallest_nondivisor(-3)
+
+
+def test_every_count_and_cap_refuses_a_bool():
+    # a bool is an int to Python, but True is no radius, cap or count
+    q = from_record({"gens": [[2, 1], [1, 2]]})
+    for call in (
+        lambda: smallest_nondivisor(True),
+        lambda: divisibility(W("a"), True),
+        lambda: normal_divisibility(W("a"), True),
+        lambda: max_divisibility(2, True),
+        lambda: max_divisibility(2, 1, True),
+        lambda: residual_girth(True, 1),
+        lambda: residual_girth(2, True),
+        lambda: residual_girth(2, 1, True),
+        lambda: check_basic_inequality(2, True),
+        lambda: check_basic_inequality(2, 1, True),
+        lambda: check_girth_inequality(2, True),
+        lambda: check_girth_inequality(2, 2, order_cap=True),
+        lambda: check_girth_inequality(2, 2, girth_cap=True),
+        lambda: lcm_upto(True),
+        lambda: chebyshev(True),
+        lambda: pnt_window(True),
+        lambda: theorem4_experiment(True),
+        lambda: theorem4_experiment(2, order_cap=True),
+        lambda: obstruction_scan(True, 4),
+        lambda: obstruction_scan(3, True),
+        lambda: lift_closed(q, True, 2),
+        lambda: lift_closed(q, 1, True),
+    ):
+        with pytest.raises(InputError, match="got True"):
+            call()
 
 
 def test_max_divisibility_rows():
