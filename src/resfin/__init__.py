@@ -32,8 +32,8 @@ _EXPORTS = {
     ),
     "nilpotent": ("entry_bound", "girth_upper_bound_nilpotent", "heisenberg_eval"),
     "permrep": (
-        "PermQuotient", "Permutation", "eval_word", "format_permutation", "from_record",
-        "identity_perm", "image_order", "is_regular", "is_transitive", "orbit",
+        "PermQuotient", "Permutation", "basepoint_image", "eval_word", "format_permutation",
+        "from_record", "identity_perm", "image_order", "is_regular", "is_transitive", "orbit",
         "parse_permutation", "to_record",
     ),
     "separability": (

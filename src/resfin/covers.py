@@ -76,13 +76,14 @@ class CoverAnalysis(NamedTuple):
 
 def analyze_cover(q: "PermQuotient") -> CoverAnalysis:
     """Cycle decomposition of the first generator, longest cycles first."""
-    from .permrep import is_transitive
+    from .permrep import is_transitive, row_cycles
 
     if q.rank != 2:
         raise InputError(f"covers of the figure eight have rank 2, got {q.rank}")
     if not is_transitive(q):
         raise InputError("cover must be connected (transitive action)")
-    cycles = tuple(sorted(q.gens[0].cycles(), key=lambda c: (-len(c), c[0])))
+    cycles = sorted(row_cycles(q.fwd[0]), key=lambda c: (-len(c), c[0]))
+    cycles = tuple(tuple(p + 1 for p in c) for c in cycles)
     lengths = tuple(len(c) for c in cycles)
     if sum(lengths) != q.degree:
         raise InternalError("cycle lengths must add up to the degree")
@@ -103,6 +104,7 @@ def lift_closed(q: "PermQuotient", point: int, exponent: int) -> bool:
     and never get flattened.
     """
     from .lowindex import _checked_int
+    from .permrep import row_cycles
 
     if q.rank != 2:
         raise InputError(f"covers of the figure eight have rank 2, got {q.rank}")
@@ -111,7 +113,7 @@ def lift_closed(q: "PermQuotient", point: int, exponent: int) -> bool:
         raise InputError(f"point {point} outside 1..{q.degree}")
     if not isinstance(exponent, int) or isinstance(exponent, bool):
         raise InputError(f"exponent must be an integer, got {exponent!r}")
-    length = next(len(c) for c in q.gens[0].cycles() if point in c)
+    length = next(len(c) for c in row_cycles(q.fwd[0]) if point - 1 in c)
     return exponent % length == 0
 
 
@@ -123,6 +125,7 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
     and the report carries the counts that back the claim.
     """
     from .lowindex import _checked_int, enumerate_subgroups
+    from .permrep import row_cycles
 
     _checked_int(m, "m")
     _checked_int(max_degree, "index")
@@ -138,7 +141,7 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
         non_closing = 0
         for q in enumerate_subgroups(2, degree):
             covers += 1
-            lengths = [len(c) for c in q.gens[0].cycles()]
+            lengths = [len(c) for c in row_cycles(q.fwd[0])]
             if sum(lengths) != degree:
                 raise InternalError("cycle lengths must add up to the degree")
             for length in lengths:

@@ -44,7 +44,7 @@ import itertools
 from typing import Iterator
 
 from .errors import InputError, InternalError, ResourceError
-from .permrep import PermQuotient, eval_word, image_order
+from .permrep import PermQuotient, basepoint_image, image_order
 from .words import FreeWord, SLWord, _check_rank, _cyclic_split, _free_reduce
 
 _CACHE_REGULAR_LIMIT = 12
@@ -333,7 +333,7 @@ def _first_survivals(
             break
         for q in enumerate_normal(rank, order):
             for i in left:
-                if not eval_word(q, words[i]).is_identity:
+                if basepoint_image(q, words[i]):
                     found[i] = (order, q)
             left = [i for i in left if found[i] is None]
             if not left:

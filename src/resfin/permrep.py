@@ -2,8 +2,10 @@
 
 A PermQuotient is a homomorphism F_m -> Sym(d) given by one permutation per
 generator. Points are 1..d in the public interface and the basepoint is
-point 1. Permutations act on the right: evaluating a word walks its letters
-left to right, so eval(uv) applies u first, then v.
+point 1; table rows, and the helpers reading them (`inverse_row`,
+`row_cycles`, `basepoint_image`), are 0-based. Permutations act on the
+right: evaluating a word walks its letters left to right, so eval(uv)
+applies u first, then v.
 
 A pointed transitive quotient of degree d encodes an index-d subgroup (the
 basepoint stabilizer); a regular one (image order equal to the degree)
@@ -63,10 +65,7 @@ class Permutation:
         return Permutation._from_zero(tuple(o[p] for p in self._map))
 
     def inverse(self) -> "Permutation":
-        out = [0] * len(self._map)
-        for i, p in enumerate(self._map):
-            out[p] = i
-        return Permutation._from_zero(tuple(out))
+        return Permutation._from_zero(inverse_row(self._map))
 
     @property
     def is_identity(self) -> bool:
@@ -77,19 +76,7 @@ class Permutation:
 
         Each cycle starts at its minimal point; cycles ordered by that point.
         """
-        seen = [False] * len(self._map)
-        out = []
-        for start in range(len(self._map)):
-            if seen[start]:
-                continue
-            cycle = []
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                cycle.append(p + 1)
-                p = self._map[p]
-            out.append(tuple(cycle))
-        return out
+        return [tuple(p + 1 for p in c) for c in row_cycles(self._map)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._map == other._map
@@ -99,6 +86,34 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
+
+
+def inverse_row(row: Sequence[int]) -> tuple[int, ...]:
+    """The 0-based row of the inverse permutation."""
+    out = [0] * len(row)
+    for i, p in enumerate(row):
+        out[p] = i
+    return tuple(out)
+
+
+def row_cycles(row: Sequence[int]) -> list[tuple[int, ...]]:
+    """Disjoint cycles of a 0-based row, fixed points included.
+
+    Each cycle starts at its minimal point; cycles ordered by that point.
+    """
+    seen = [False] * len(row)
+    out = []
+    for start in range(len(row)):
+        if seen[start]:
+            continue
+        cycle = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            cycle.append(p)
+            p = row[p]
+        out.append(tuple(cycle))
+    return out
 
 
 def identity_perm(degree: int) -> Permutation:
@@ -172,7 +187,7 @@ class PermQuotient:
         object.__setattr__(self, "rank", len(gens))
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "fwd", tuple(g._map for g in gens))
-        object.__setattr__(self, "bwd", tuple(g.inverse()._map for g in gens))
+        object.__setattr__(self, "bwd", tuple(inverse_row(g._map) for g in gens))
 
     @classmethod
     def _trusted(
@@ -210,24 +225,52 @@ class PermQuotient:
 
 
 def eval_word(q: PermQuotient, w: FreeWord | SLWord) -> Permutation:
-    """Image of a word, flat or straight-line, under the quotient."""
+    """Image of a word, flat or straight-line, under the quotient.
+
+    Both kinds are evaluated on 0-based rows, a straight-line word by
+    composing one row per node, and wrapped in a Permutation once.
+    """
     if w.rank > q.rank:
         raise InputError(f"word rank {w.rank} exceeds quotient rank {q.rank}")
     if isinstance(w, SLWord):
-        gens = q.gens
-        return sl_eval(
-            w,
-            gen=lambda i: gens[i - 1],
-            mul=lambda a, b: a * b,
-            inv=lambda a: a.inverse(),
-            ident=identity_perm(q.degree),
-        )
+        return Permutation._from_zero(_sl_row(q, w))
     fwd, bwd = q.fwd, q.bwd
     state = tuple(range(q.degree))
     for letter in w.letters:
         table = fwd[letter - 1] if letter > 0 else bwd[-letter - 1]
         state = tuple(table[p] for p in state)
     return Permutation._from_zero(state)
+
+
+def _sl_row(q: PermQuotient, w: SLWord) -> tuple[int, ...]:
+    fwd = q.fwd
+    return sl_eval(
+        w,
+        gen=lambda i: fwd[i - 1],
+        mul=lambda a, b: tuple([b[p] for p in a]),
+        inv=inverse_row,
+        ident=tuple(range(q.degree)),
+    )
+
+
+def basepoint_image(q: PermQuotient, w: FreeWord | SLWord) -> int:
+    """0-based image of the basepoint (point 0) under a word.
+
+    In a regular action g -> 0.g is a bijection from the image group onto
+    the points, so w dies exactly when this is 0, and words have equal
+    images exactly when their basepoint images agree.  A flat word walks
+    one lookup per letter; a straight-line word is composed on rows and
+    never flattened.
+    """
+    if w.rank > q.rank:
+        raise InputError(f"word rank {w.rank} exceeds quotient rank {q.rank}")
+    if isinstance(w, SLWord):
+        return _sl_row(q, w)[0]
+    fwd, bwd = q.fwd, q.bwd
+    p = 0
+    for letter in w.letters:
+        p = fwd[letter - 1][p] if letter > 0 else bwd[-letter - 1][p]
+    return p
 
 
 def orbit(q: PermQuotient, point: int) -> frozenset[int]:

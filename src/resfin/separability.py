@@ -31,7 +31,7 @@ from .lowindex import (
     _checked_int, _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts,
     normal_subgroup_growth,
 )
-from .permrep import Permutation, PermQuotient, eval_word, is_transitive, to_record
+from .permrep import Permutation, PermQuotient, basepoint_image, is_transitive, to_record
 from .words import (
     Ball,
     FreeWord,
@@ -156,7 +156,7 @@ def divisibility(w: FreeWord, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
         q = _complete_action(w.rank, degree, *found)
         if not is_transitive(q):
             raise InternalError("completion of a minimal escape lost transitivity")
-        if eval_word(q, w).apply(1) == 1:
+        if not basepoint_image(q, w):
             raise InternalError("escape action does not move the basepoint")
         return SepResult(query, degree, q, cap)
     return SepResult(query, None, None, cap)
@@ -411,9 +411,10 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     doubled = [w for w in Ball(rank, 2 * n) if not w.is_identity]
     for order in range(size, cap + 1):
         for q in enumerate_normal(rank, order, kernel_radius=2 * n):
-            images = {eval_word(q, w) for w in ball}
+            # a regular action: images and deaths are read at the basepoint
+            images = {basepoint_image(q, w) for w in ball}
             injective = len(images) == len(ball)
-            kernel_free = all(not eval_word(q, w).is_identity for w in doubled)
+            kernel_free = all(basepoint_image(q, w) for w in doubled)
             if injective != kernel_free:
                 raise InternalError(
                     "pairwise-image and doubled-ball injectivity tests disagree"
@@ -501,6 +502,9 @@ def check_girth_inequality(
 
     if n < 2 or n % 2:
         raise InputError(f"n must be even and at least 2, got {n}")
+    # each cap under its own name: the searches below call either one `cap`
+    _checked_int(order_cap, "order cap")
+    _checked_int(girth_cap, "girth cap")
     limit = sys.get_int_max_str_digits()
     if rank == 1 and limit:
         top, lcm = 10**limit, 1

@@ -229,6 +229,14 @@ def enumerate_ball(rank: int, n: int) -> Iterator[FreeWord]:
     _check_rank(rank)
     if n < 0:
         raise InputError(f"radius must be nonnegative, got {n}")
+    if rank == 1:
+        # x^k before X^k at each length, the odometer's order without its
+        # n^2 steps
+        yield FreeWord._reduced(1, ())
+        for k in range(1, n + 1):
+            yield FreeWord._reduced(1, (1,) * k)
+            yield FreeWord._reduced(1, (-1,) * k)
+        return
     alphabet = _ordered_letters(rank)
     # follow[p]: the letters that may come after p, in order (p = 0 before
     # the first letter); after[p][x]: the one that comes next after x

@@ -461,6 +461,20 @@ def test_ineq_statuses(capsys):
     assert data["report"]["status"] == "inconclusive"
 
 
+def test_ineq_caps_name_their_flag(monkeypatch, capsys):
+    # each cap is refused under its own name, before a witness is built
+    def no_witness(rank, n):
+        raise AssertionError("built a witness before checking the caps")
+
+    monkeypatch.setattr("resfin.lcmlib.lcm_ball_witness", no_witness)
+    for flag, name in (("--order-cap", "order cap"), ("--girth-cap", "girth cap")):
+        for value in ("0", "-2"):
+            assert run(["ineq", "--which", "2", "--rank", "2", "--n", "2", flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {name} must be a positive integer, got {value}\n"
+
+
 def test_covers_scan_summary_in_json(capsys):
     assert run(["covers-scan", "--m", "3", "--max-degree", "4"]) == 0
     data = json.loads(out_of(capsys))

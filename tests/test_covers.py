@@ -221,3 +221,24 @@ def test_theorem4_builds_each_distinct_lcm_once(monkeypatch):
         k: v for k, v in rows[5].items() if k != "n"
     }
 
+
+
+def test_cover_queries_never_read_generator_permutations(monkeypatch):
+    # the cover queries read the first generator's row; a Permutation
+    # built for them would be waste, so reading `gens` here fails
+    covers = [q for degree in range(1, 6) for q in enumerate_subgroups(2, degree)]
+
+    def answers():
+        analyses = [analyze_cover(q) for q in covers]
+        closures = [
+            lift_closed(q, p, e) for q in covers for p in range(1, q.degree + 1) for e in range(7)
+        ]
+        return obstruction_scan(3, 6), analyses, closures
+
+    expect = answers()
+
+    def no_gens(self):
+        raise AssertionError("PermQuotient.gens read")
+
+    monkeypatch.setattr(PermQuotient, "gens", property(no_gens))
+    assert answers() == expect

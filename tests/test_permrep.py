@@ -11,9 +11,12 @@ import re
 import pytest
 
 from resfin import InputError, SLBuilder, enumerate_ball, parse_word
+from resfin.lcmlib import lcm_witness
+from resfin.lowindex import enumerate_normal, enumerate_subgroups
 from resfin.permrep import (
     PermQuotient,
     Permutation,
+    basepoint_image,
     eval_word,
     format_permutation,
     from_record,
@@ -23,10 +26,12 @@ from resfin.permrep import (
     is_transitive,
     orbit,
     parse_permutation,
+    row_cycles,
     to_record,
 )
+from resfin.words import generator, power
 
-from oracles import canonical_key
+from oracles import canonical_key, permutation_eval
 
 
 def q2(x_images, y_images):
@@ -244,3 +249,72 @@ def test_records_roundtrip():
 def test_identity_perm():
     assert identity_perm(4).is_identity
     assert eval_word(q2([2, 1], [1, 2]), parse_word("", rank=2)) == identity_perm(2)
+
+
+def random_sl_word(rng, rank):
+    """A seeded DAG over every instruction, negative powers included."""
+    b = SLBuilder(rank)
+    nodes = [b.gen(g) for g in range(1, rank + 1)]
+    for _ in range(rng.randrange(4, 12)):
+        op = rng.choice(("inv", "mul", "pow", "conj", "comm", "word"))
+        u, v = rng.choice(nodes), rng.choice(nodes)
+        if op == "inv":
+            nodes.append(b.inv(u))
+        elif op == "mul":
+            nodes.append(b.mul(u, v))
+        elif op == "pow":
+            nodes.append(b.pow(u, rng.choice((-1, 1)) * rng.randrange(0, 10**6)))
+        elif op == "conj":
+            nodes.append(b.conj(u, v))
+        elif op == "comm":
+            nodes.append(b.comm(u, v))
+        else:
+            nodes.append(b.word(random_word(rng, rank, 6)))
+    return b.build(nodes[-1])
+
+
+def test_row_evaluation_matches_permutation_products():
+    rng = random.Random(3681)
+    x = generator(2, 1)
+    words = [lcm_witness([power(x, i) for i in range(1, n + 1)]).word for n in range(1, 6)]
+    words += [random_sl_word(rng, 2) for _ in range(24)]
+    words += [random_word(rng, 2, 12) for _ in range(24)]
+    # every regular quotient of F2 up to order 8, every table up to index 5
+    quotients = [q for order in range(1, 9) for q in enumerate_normal(2, order)]
+    quotients += [q for index in range(1, 6) for q in enumerate_subgroups(2, index)]
+    assert len(quotients) > 600
+    for q in quotients:
+        for w in words:
+            perm = eval_word(q, w)
+            assert perm == permutation_eval(q, w)
+            assert basepoint_image(q, w) == perm.apply(1) - 1
+
+
+def test_basepoint_image_decides_death_in_regular_actions():
+    ball = list(enumerate_ball(2, 4))
+    for order in range(1, 9):
+        for q in enumerate_normal(2, order):
+            for w in ball:
+                assert (basepoint_image(q, w) == 0) == eval_word(q, w).is_identity
+    with pytest.raises(InputError):
+        basepoint_image(q2([2, 1], [1, 2]), parse_word("c", rank=3))
+
+
+def test_row_cycles_match_a_walk_oracle():
+    rng = random.Random(7)
+    for degree in range(1, 9):
+        for _ in range(20):
+            row = list(range(degree))
+            rng.shuffle(row)
+            cycles = row_cycles(row)
+            # each point's cycle by walking the row, started at its least point
+            expect = []
+            for p in range(degree):
+                cycle = [p]
+                while row[cycle[-1]] != p:
+                    cycle.append(row[cycle[-1]])
+                if min(cycle) == p:
+                    expect.append(tuple(cycle))
+            assert cycles == expect
+            shifted = [tuple(p + 1 for p in c) for c in cycles]
+            assert Permutation([p + 1 for p in row]).cycles() == shifted

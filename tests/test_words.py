@@ -180,6 +180,30 @@ def test_ball_order_is_frozen():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def reference_ball(rank, n):
+    """The ball in (length, lex) order, each length extending the last.
+
+    Words of one length, sorted, are their sorted prefixes each followed
+    by the letters that may come next in alphabet order (a, A, b, B, ...).
+    """
+    alphabet = [i for g in range(1, rank + 1) for i in (g, -g)]
+    level = [()]
+    out = [()]
+    for _ in range(n):
+        level = [w + (x,) for w in level for x in alphabet if not (w and w[-1] == -x)]
+        out += level
+    return out
+
+
+def test_ball_order_matches_the_reference():
+    # rank 1 has its own route; rank 2 runs the odometer, validating the reference
+    for n in range(41):
+        assert [w.letters for w in enumerate_ball(1, n)] == reference_ball(1, n)
+    for n in range(6):
+        assert [w.letters for w in enumerate_ball(2, n)] == reference_ball(2, n)
+    assert [w.rank for w in enumerate_ball(1, 3)] == [1] * 7
+
+
 def test_deep_ball_streams_without_recursion():
     # one letter per step of depth must not cost a Python frame
     assert sum(1 for _ in enumerate_ball(1, 2000)) == 4001
