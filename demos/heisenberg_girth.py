@@ -45,9 +45,14 @@ print(f"  largest ratio over 2 <= n <= 40: {worst:.3f}")
 
 print()
 print("Modular evaluation commutes with reduction:")
-w = parse_word("abaBAAbbab", 2)
-direct = heisenberg_eval(w, modulus=7)
-reduced = tuple(v % 7 for v in heisenberg_eval(w))
+text = "abaBAAbbab"
+direct = (0, 0, 0)
+for ch in text:
+    # (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab'), taken mod 7
+    a, b, c = heisenberg_eval(parse_word(ch, 2))
+    x, y, z = direct
+    direct = ((x + a) % 7, (y + b) % 7, (z + c + x * b) % 7)
+reduced = tuple(v % 7 for v in heisenberg_eval(parse_word(text, 2)))
 print(f"  eval mod 7: {direct}")
 print(f"  eval then reduce: {reduced}")
 print("  equal:", direct == reduced)

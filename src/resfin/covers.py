@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import InputError, InternalError, ResourceError, _checked_int
 
 # obstruction_scan's top index, so that every scan it accepts ends: by
 # Hall's counts F2 has 306,432 subgroups of index at most 8 (seconds to
@@ -22,8 +22,6 @@ SCAN_DEGREE_CAP = 8
 
 
 def lcm_upto(n: int) -> int:
-    from .lowindex import _checked_int
-
     _checked_int(n, "n")
     return math.lcm(*range(1, n + 1))
 
@@ -40,9 +38,7 @@ def pnt_window(max_n: int) -> dict:
     `verified_from` is the first threshold from which the ratio stays in
     the window all the way to max_n, or None if even max_n misses it.
     """
-    # lowindex._checked_int's check, written out since `pnt` loads no search module
-    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
-        raise InputError(f"max_n must be a positive integer, got {max_n!r}")
+    _checked_int(max_n, "max_n")
     rows = []
     acc = 1
     for n in range(1, max_n + 1):
@@ -103,7 +99,6 @@ def lift_closed(q: "PermQuotient", point: int, exponent: int) -> bool:
     divides the exponent, so huge exponents cost one modular reduction
     and never get flattened.
     """
-    from .lowindex import _checked_int
     from .permrep import row_cycles
 
     if q.rank != 2:
@@ -124,7 +119,7 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
     close must be longer than m; a counterexample is an internal error,
     and the report carries the counts that back the claim.
     """
-    from .lowindex import _checked_int, enumerate_subgroups
+    from .lowindex import enumerate_subgroups
     from .permrep import row_cycles
 
     _checked_int(m, "m")
@@ -187,7 +182,6 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
     least lcm(1..j) + 1.
     """
     from .lcmlib import _power_set_scan
-    from .lowindex import _checked_int
 
     _checked_int(n, "n")
     _checked_int(order_cap, "order cap")

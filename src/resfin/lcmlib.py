@@ -16,7 +16,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import InputError, InternalError, ResourceError, _checked_int
 from .words import (
     DEFAULT_FLAT_CAP,
     Ball,
@@ -67,8 +67,7 @@ def level_overhead(k: int) -> int:
     One level turns bounds b_u, b_v into 2 b_u + 2 (b_v + 2), so the slack
     obeys a_k = 4 a_{k-1} + 4, giving (4^{k+1} - 4) / 3.
     """
-    if not isinstance(k, int) or k < 0:
-        raise InputError(f"level count must be a nonnegative integer, got {k!r}")
+    _checked_int(k, "level count", 0)
     return (4 ** (k + 1) - 4) // 3
 
 
@@ -200,8 +199,7 @@ def lcm_witness(targets) -> WitnessCertificate:
 
 def lcm_ball_witness(rank: int, n: int) -> WitnessCertificate:
     """Witness for every nontrivial word of length at most n at once."""
-    if n < 1:
-        raise InputError(f"radius must be positive, got {n}")
+    _checked_int(n, "radius")
     return lcm_witness(Ball(rank, n).nontrivial())
 
 
@@ -403,8 +401,8 @@ def power_set_witness(rank: int, n: int) -> dict:
     divisibility is at least n + 1.  The scan re-checks a prefix of that
     claim, orders up to POWER_SCAN_CAP, against the actual quotient lists.
     """
-    if rank < 1 or n < 1:
-        raise InputError(f"rank and n must be positive, got {rank}, {n}")
+    _checked_int(rank, "rank")
+    _checked_int(n, "n")
     cap = min(n, POWER_SCAN_CAP)
     [(cert, _)] = _power_set_scan(rank, [n], cap)
     return {
@@ -462,7 +460,7 @@ def closure_membership(w: FreeWord, target: FreeWord) -> bool | None:
     """
     # imported here so that building and verifying witnesses loads neither
     from .lowindex import enumerate_normal
-    from .permrep import eval_word
+    from .permrep import basepoint_image
 
     if w.rank != target.rank:
         raise InputError(f"rank mismatch: {w.rank} vs {target.rank}")
@@ -475,7 +473,8 @@ def closure_membership(w: FreeWord, target: FreeWord) -> bool | None:
         return _in_power_closure(w, pt[0], pt[1])
     for q in range(2, 7):
         for quot in enumerate_normal(w.rank, q):
-            if eval_word(quot, target).is_identity and not eval_word(quot, w).is_identity:
+            # a regular action kills a word exactly when it fixes point 0
+            if not basepoint_image(quot, target) and basepoint_image(quot, w):
                 return False
     return None
 

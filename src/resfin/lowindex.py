@@ -43,9 +43,9 @@ import functools
 import itertools
 from typing import Iterator
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import InternalError, ResourceError, _checked_int
 from .permrep import PermQuotient, basepoint_image, image_order
-from .words import FreeWord, SLWord, _check_rank, _cyclic_split, _free_reduce
+from .words import FreeWord, SLWord, _cyclic_split, _free_reduce
 
 _CACHE_REGULAR_LIMIT = 12
 # the most points a table may have: separability._ball_maximum stores each
@@ -274,15 +274,8 @@ def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
     return tuple(_search(rank, order, True))
 
 
-def _checked_int(value: int, what: str, least: int = 1) -> None:
-    """Refuse all but an int of at least `least`, 0 or 1; a bool is no count."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise InputError(f"{what} must be a {kind} integer, got {value!r}")
-
-
 def _checked(rank: int, degree: int, what: str) -> None:
-    _check_rank(rank)
+    _checked_int(rank, "rank")
     _checked_int(degree, what)
     if degree > MAX_ENCODABLE_DEGREE:
         raise ResourceError(f"{what} {degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
@@ -350,7 +343,7 @@ def hall_counts(rank: int) -> Iterator[int]:
     Hall's recursion a_n = n (n!)^(rank-1) - sum_{k<n} ((n-k)!)^(rank-1) a_k.
     a_n is how many actions `enumerate_subgroups(rank, n)` yields.
     """
-    _check_rank(rank)
+    _checked_int(rank, "rank")
     powers, counts = [1], []  # powers[m] = (m!)^(rank-1)
     for n in itertools.count(1):
         powers.append(powers[-1] * n ** (rank - 1))

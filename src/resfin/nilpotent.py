@@ -19,7 +19,7 @@ cell (a mod M, b mod M), M bits at a time; an overlapping bit is two
 images that reduce to one.
 """
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import InputError, InternalError, ResourceError, _checked_int
 from .words import FreeWord
 
 # upper entries (a, b, c) of x, x^-1, y, y^-1 under x to E12, y to E23
@@ -31,30 +31,15 @@ def _mul(u: tuple, v: tuple) -> tuple:
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1])
 
 
-def _reduce(t: tuple, m: int) -> tuple:
-    if m < 2:
-        raise InputError(f"modulus must be at least 2, got {m}")
-    return (t[0] % m, t[1] % m, t[2] % m)
-
-
-def heisenberg_eval(w: FreeWord, *, modulus: int | None = None) -> tuple:
-    """Image (a, b, c) of a rank-2 word under x to E12, y to E23.
-
-    With a modulus, every product is reduced as it happens; the result
-    equals the integer image reduced at the end.
-    """
+def heisenberg_eval(w: FreeWord) -> tuple:
+    """Image (a, b, c) of a rank-2 word under x to E12, y to E23."""
     if not isinstance(w, FreeWord):
         raise InputError(f"need a FreeWord, got {type(w).__name__}")
     if w.rank != 2:
         raise InputError(f"the Heisenberg embedding takes rank-2 words, got rank {w.rank}")
-    table = _GENERATOR_TRIPLES
-    if modulus is not None:
-        table = {k: _reduce(v, modulus) for k, v in table.items()}
     out = (0, 0, 0)
     for letter in w.letters:
-        out = _mul(out, table[letter])
-        if modulus is not None:
-            out = _reduce(out, modulus)
+        out = _mul(out, _GENERATOR_TRIPLES[letter])
     return out
 
 
@@ -151,8 +136,7 @@ def _fold_collides(cells: dict, m: int) -> bool:
 
 def entry_bound(n: int) -> int:
     """Exact max absolute entry over the radius-n ball image."""
-    if n < 0:
-        raise InputError(f"radius must be nonnegative, got {n}")
+    _checked_int(n, "radius", 0)
     exact = _cells_max_entry(_ball_cells(n), n)
     analytic = n * (n + 1) // 2 + 1
     if exact > analytic:
@@ -169,8 +153,7 @@ def girth_upper_bound_nilpotent(n: int) -> tuple:
     images stay distinct mod M; the fold check still runs.  The order is
     the exact count of Heisenberg elements over Z/M, M^3.
     """
-    if n < 1:
-        raise InputError(f"radius must be positive, got {n}")
+    _checked_int(n, "radius")
     cells = _ball_cells(n)
     m = 2 * _cells_max_entry(cells, n) + 1
     if _fold_collides(cells, m):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, _checked_int
 from .words import FreeWord, SLWord, sl_eval
 
 DEFAULT_ORDER_CAP = 10_000
@@ -275,7 +275,8 @@ def basepoint_image(q: PermQuotient, w: FreeWord | SLWord) -> int:
 
 def orbit(q: PermQuotient, point: int) -> frozenset[int]:
     """The set of points reachable from point under the generators."""
-    if not 1 <= point <= q.degree:
+    _checked_int(point, "point")
+    if point > q.degree:
         raise InputError(f"point {point} out of range 1..{q.degree}")
     tables = q.fwd + q.bwd
     seen = {point - 1}
@@ -296,8 +297,7 @@ def is_transitive(q: PermQuotient) -> bool:
 
 def image_order(q: PermQuotient, cap: int = DEFAULT_ORDER_CAP) -> int | None:
     """Order of the group the generators span; None once it exceeds cap."""
-    if cap < 1:
-        raise InputError(f"cap must be positive, got {cap}")
+    _checked_int(cap, "cap")
     ident = tuple(range(q.degree))
     seen = {ident}
     frontier = [ident]

@@ -26,17 +26,15 @@ from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import InputError, InternalError, ResourceError, _checked_int
 from .lowindex import (
-    _checked_int, _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts,
-    normal_subgroup_growth,
+    _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth,
 )
 from .permrep import Permutation, PermQuotient, basepoint_image, is_transitive, to_record
 from .words import (
     Ball,
     FreeWord,
     SLWord,
-    _check_rank,
     _ordered_letters,
     format_word,
     generator,
@@ -363,7 +361,7 @@ def max_divisibility(
     fixed index limit (`_INDEX_LIMIT`) raises ResourceError.
     """
     _checked_int(n, "radius")
-    _check_rank(rank)
+    _checked_int(rank, "rank")
     format_word(generator(rank, 1))  # rejects a rank past 26, whose words cannot be printed
     _checked_int(cap, "cap")
     search = normal_divisibility if normal else divisibility
@@ -399,7 +397,7 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     """
     _checked_int(n, "radius", 0)
     _checked_int(cap, "cap")
-    _check_rank(rank)
+    _checked_int(rank, "rank")
     query = f"residual_girth(rank={rank}, n={n})"
     if n == 0:
         return SepResult(query, 1, _trivial_quotient(rank), cap)
@@ -500,6 +498,7 @@ def check_girth_inequality(
     """
     from .lcmlib import _decimal, lcm_ball_witness  # only this checker builds witnesses
 
+    _checked_int(n, "n")
     if n < 2 or n % 2:
         raise InputError(f"n must be even and at least 2, got {n}")
     # each cap under its own name: the searches below call either one `cap`

@@ -22,7 +22,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, _checked_int
 
 DEFAULT_FLAT_CAP = 1_000_000
 
@@ -31,11 +31,6 @@ Letters = tuple[int, ...]
 _LETTER_OF = {chr(ord("a") - 1 + i): i for i in range(1, 27)}
 _LETTER_OF |= {ch.upper(): -i for ch, i in _LETTER_OF.items()}
 _CHAR_OF = {letter: ch for ch, letter in _LETTER_OF.items()}
-
-
-def _check_rank(rank: int) -> None:
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise InputError(f"rank must be a positive integer, got {rank!r}")
 
 
 def _free_reduce(raw: Iterable[int]) -> Letters:
@@ -58,7 +53,7 @@ class FreeWord:
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: Sequence[int]):
-        _check_rank(rank)
+        _checked_int(rank, "rank")
         letters = tuple(letters)
         for i, letter in enumerate(letters):
             if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
@@ -130,7 +125,7 @@ def reduce(rank: int, raw: Iterable[int]) -> FreeWord:
     for letter in raw:
         if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
             raise InputError(f"letter {letter!r} out of range for rank {rank}")
-    _check_rank(rank)
+    _checked_int(rank, "rank")
     return FreeWord._reduced(rank, _free_reduce(raw))
 
 
@@ -202,9 +197,8 @@ def word_key(u: FreeWord) -> tuple:
 def _ball_sizes(rank: int, n: int) -> Iterator[int]:
     """Number of reduced words of length <= r for r = 0..n, in one running
     pass of 1 + sum 2m(2m-1)^(k-1)."""
-    _check_rank(rank)
-    if n < 0:
-        raise InputError(f"radius must be nonnegative, got {n}")
+    _checked_int(rank, "rank")
+    _checked_int(n, "radius", 0)
     total, term = 1, 2 * rank
     yield total
     for _ in range(n):
@@ -226,9 +220,8 @@ def _ordered_letters(rank: int) -> list[int]:
 
 def enumerate_ball(rank: int, n: int) -> Iterator[FreeWord]:
     """Yield every reduced word of length <= n once, in (length, lex) order."""
-    _check_rank(rank)
-    if n < 0:
-        raise InputError(f"radius must be nonnegative, got {n}")
+    _checked_int(rank, "rank")
+    _checked_int(n, "radius", 0)
     if rank == 1:
         # x^k before X^k at each length, the odometer's order without its
         # n^2 steps
@@ -283,9 +276,8 @@ class Ball:
     __slots__ = ("rank", "radius")
 
     def __init__(self, rank: int, radius: int):
-        _check_rank(rank)
-        if radius < 0:
-            raise InputError(f"radius must be nonnegative, got {radius}")
+        _checked_int(rank, "rank")
+        _checked_int(radius, "radius", 0)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
 
@@ -318,7 +310,7 @@ def parse_word(text: str, rank: int | None = None) -> FreeWord:
         rank = inferred or 1
     elif isinstance(rank, int) and inferred > rank:  # a non-integer rank is refused below
         raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
-    _check_rank(rank)
+    _checked_int(rank, "rank")
     # a letter next to its inverse sums to 0; reduced text is stored as is
     if 0 in map(operator.add, letters, itertools.islice(letters, 1, None)):
         letters = _free_reduce(letters)
@@ -353,7 +345,7 @@ class SLWord:
     __slots__ = ("rank", "nodes", "root")
 
     def __init__(self, rank: int, nodes: Sequence[tuple], root: int):
-        _check_rank(rank)
+        _checked_int(rank, "rank")
         nodes = tuple(tuple(node) for node in nodes)
         # type(x) is int refuses bool, an int subclass, in every int field
         for idx, node in enumerate(nodes):
@@ -401,7 +393,7 @@ class SLBuilder:
     """Incremental SLWord constructor with structural sharing."""
 
     def __init__(self, rank: int):
-        _check_rank(rank)
+        _checked_int(rank, "rank")
         self.rank = rank
         self._nodes: list[tuple] = []
         self._memo: dict[tuple, int] = {}
@@ -547,8 +539,7 @@ def sl_flatten(w: SLWord, cap: int) -> FreeWord | None:
     overflow, even if the root would have been short, which no witness
     built here comes close to.
     """
-    if cap < 0:
-        raise InputError(f"cap must be nonnegative, got {cap}")
+    _checked_int(cap, "cap", 0)
     budget = max(cap, DEFAULT_FLAT_CAP)
 
     def bounded(u: FreeWord, v: FreeWord) -> FreeWord:

@@ -423,6 +423,20 @@ def test_growth_rejects_a_negative_max(capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_nonpositive_counts_name_what_they_refuse(capsys):
+    # each count is refused by the one integer check, under its own name
+    for argv, name in (
+        (["nilpotent-girth", "--n"], "radius"),
+        (["power-witness", "--n"], "n"),
+        (["ineq", "--which", "2", "--rank", "2", "--n"], "n"),
+    ):
+        for value in ("0", "-2"):
+            assert run(argv + [value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {name} must be a positive integer, got {value}\n"
+
+
 def test_theorem4_frozen_table(capsys):
     assert run(["theorem4", "--n", "3", "--cap", "8", "--format", "csv"]) == 0
     assert out_of(capsys) == (

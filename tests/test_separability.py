@@ -20,9 +20,10 @@ from resfin.covers import (
     theorem4_experiment,
 )
 from resfin.errors import InputError, InternalError
-from resfin.lcmlib import lcm_ball_witness
+from resfin.lcmlib import lcm_ball_witness, level_overhead, power_set_witness
 from resfin.lowindex import enumerate_subgroups, hall_counts, subgroup_count
-from resfin.permrep import eval_word, from_record, image_order, is_regular, is_transitive
+from resfin.nilpotent import entry_bound, girth_upper_bound_nilpotent
+from resfin.permrep import eval_word, from_record, image_order, is_regular, is_transitive, orbit
 from resfin.separability import (
     SepResult,
     _complete_action,
@@ -35,7 +36,15 @@ from resfin.separability import (
     residual_girth,
     smallest_nondivisor,
 )
-from resfin.words import Ball, SLBuilder, format_word, parse_word, word_growth
+from resfin.words import (
+    Ball,
+    SLBuilder,
+    enumerate_ball,
+    format_word,
+    parse_word,
+    sl_flatten,
+    word_growth,
+)
 
 
 def W(text, rank=2):
@@ -154,35 +163,55 @@ def test_smallest_nondivisor():
         smallest_nondivisor(-3)
 
 
-def test_every_count_and_cap_refuses_a_bool():
-    # a bool is an int to Python, but True is no radius, cap or count
+def test_every_count_and_cap_refuses_a_bool(monkeypatch):
+    # a bool is an int to Python, but True is no radius, cap or count, and
+    # 1.5 is none either; each is refused where it enters, before any scan
+    def no_scan(*args):
+        raise AssertionError("scanned quotients before checking the input")
+
+    monkeypatch.setattr("resfin.lcmlib._power_set_scan", no_scan)
     q = from_record({"gens": [[2, 1], [1, 2]]})
-    for call in (
-        lambda: smallest_nondivisor(True),
-        lambda: divisibility(W("a"), True),
-        lambda: normal_divisibility(W("a"), True),
-        lambda: max_divisibility(2, True),
-        lambda: max_divisibility(2, 1, True),
-        lambda: residual_girth(True, 1),
-        lambda: residual_girth(2, True),
-        lambda: residual_girth(2, 1, True),
-        lambda: check_basic_inequality(2, True),
-        lambda: check_basic_inequality(2, 1, True),
-        lambda: check_girth_inequality(2, True),
-        lambda: check_girth_inequality(2, 2, order_cap=True),
-        lambda: check_girth_inequality(2, 2, girth_cap=True),
-        lambda: lcm_upto(True),
-        lambda: chebyshev(True),
-        lambda: pnt_window(True),
-        lambda: theorem4_experiment(True),
-        lambda: theorem4_experiment(2, order_cap=True),
-        lambda: obstruction_scan(True, 4),
-        lambda: obstruction_scan(3, True),
-        lambda: lift_closed(q, True, 2),
-        lambda: lift_closed(q, 1, True),
-    ):
-        with pytest.raises(InputError, match="got True"):
-            call()
+    builder = SLBuilder(2)
+    w = builder.build(builder.gen(1))
+    for bad in (True, 1.5):
+        for call in (
+            lambda x: smallest_nondivisor(x),
+            lambda x: divisibility(W("a"), x),
+            lambda x: normal_divisibility(W("a"), x),
+            lambda x: max_divisibility(2, x),
+            lambda x: max_divisibility(2, 1, x),
+            lambda x: residual_girth(x, 1),
+            lambda x: residual_girth(2, x),
+            lambda x: residual_girth(2, 1, x),
+            lambda x: check_basic_inequality(2, x),
+            lambda x: check_basic_inequality(2, 1, x),
+            lambda x: check_girth_inequality(2, x),
+            lambda x: check_girth_inequality(2, 2, order_cap=x),
+            lambda x: check_girth_inequality(2, 2, girth_cap=x),
+            lambda x: lcm_upto(x),
+            lambda x: chebyshev(x),
+            lambda x: pnt_window(x),
+            lambda x: theorem4_experiment(x),
+            lambda x: theorem4_experiment(2, order_cap=x),
+            lambda x: obstruction_scan(x, 4),
+            lambda x: obstruction_scan(3, x),
+            lambda x: lift_closed(q, x, 2),
+            lambda x: lift_closed(q, 1, x),
+            lambda x: word_growth(2, x),
+            lambda x: next(enumerate_ball(2, x)),
+            lambda x: Ball(2, x),
+            lambda x: sl_flatten(w, x),
+            lambda x: level_overhead(x),
+            lambda x: lcm_ball_witness(2, x),
+            lambda x: power_set_witness(x, 2),
+            lambda x: power_set_witness(2, x),
+            lambda x: entry_bound(x),
+            lambda x: girth_upper_bound_nilpotent(x),
+            lambda x: image_order(q, cap=x),
+            lambda x: orbit(q, x),
+        ):
+            with pytest.raises(InputError, match=f"got {bad!r}"):
+                call(bad)
 
 
 def test_max_divisibility_rows():
