@@ -14,14 +14,13 @@ from resfin import (
     lcm_upto,
     lift_closed,
     obstruction_scan,
-    parse_permutation,
     pnt_window,
     theorem4_experiment,
 )
 from resfin.permrep import PermQuotient
 
-x = parse_permutation("(1 2 3)(4 5)", 5)
-y = parse_permutation("(3 4)", 5)
+x = [2, 3, 1, 5, 4]  # (1 2 3)(4 5), as the images of points 1..5
+y = [1, 2, 4, 3, 5]  # (3 4)
 cover = PermQuotient([x, y])
 analysis = analyze_cover(cover)
 print("A degree-5 cover with x acting as (1 2 3)(4 5), y as (3 4):")

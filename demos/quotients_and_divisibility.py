@@ -44,7 +44,8 @@ print()
 print("Residual girth: least quotient order injective on the whole ball.")
 res = residual_girth(2, 1)
 print(f"  rank 2, radius 1: {res.value}")
-print(f"  witness generators: {res.witness.gens[0]} and {res.witness.gens[1]}")
+a_images, b_images = ([p + 1 for p in row] for row in res.witness.fwd)
+print(f"  witness generators: {a_images} and {b_images}")
 print("  rank 1 needs exactly the ball size 2n+1:",
       [residual_girth(1, n, 130).value for n in range(1, 8)])
 
@@ -58,5 +59,5 @@ print()
 print("Quotients of order 6, as regular actions:")
 comm = parse_word("abAB")
 for q in enumerate_normal(2, 6):
-    tag = "commutator survives" if not eval_word(q, comm).is_identity else "abelian image"
+    tag = "commutator survives" if eval_word(q, comm) != tuple(range(6)) else "abelian image"
     print(f"  {q}  {tag}")

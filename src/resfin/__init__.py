@@ -32,9 +32,8 @@ _EXPORTS = {
     ),
     "nilpotent": ("entry_bound", "girth_upper_bound_nilpotent", "heisenberg_eval"),
     "permrep": (
-        "PermQuotient", "Permutation", "basepoint_image", "eval_word", "format_permutation",
-        "from_record", "identity_perm", "image_order", "is_regular", "is_transitive", "orbit",
-        "parse_permutation", "to_record",
+        "PermQuotient", "basepoint_image", "eval_word", "from_record", "image_order",
+        "is_regular", "is_transitive", "orbit", "to_record",
     ),
     "separability": (
         "SepResult", "check_basic_inequality", "check_girth_inequality", "divisibility",

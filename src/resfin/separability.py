@@ -30,7 +30,7 @@ from .errors import InputError, InternalError, ResourceError, _checked_int
 from .lowindex import (
     _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth,
 )
-from .permrep import Permutation, PermQuotient, basepoint_image, is_transitive, to_record
+from .permrep import PermQuotient, basepoint_image, is_transitive, to_record
 from .words import (
     Ball,
     FreeWord,
@@ -130,7 +130,7 @@ def _complete_action(rank: int, degree: int, fwd, bwd) -> PermQuotient:
         free_src = [p for p in range(degree) if p not in table]
         free_dst = [t for t in range(degree) if t not in bwd[g]]
         table.update(zip(free_src, free_dst))
-        gens.append(Permutation([table[p] + 1 for p in range(degree)]))
+        gens.append([table[p] + 1 for p in range(degree)])
     return PermQuotient(gens)
 
 
@@ -382,7 +382,7 @@ def max_divisibility(
 
 
 def _trivial_quotient(rank: int) -> PermQuotient:
-    return PermQuotient([Permutation([1]) for _ in range(rank)])
+    return PermQuotient([[1]] * rank)
 
 
 def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:

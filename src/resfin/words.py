@@ -56,7 +56,7 @@ class FreeWord:
         _checked_int(rank, "rank")
         letters = tuple(letters)
         for i, letter in enumerate(letters):
-            if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
+            if type(letter) is not int or letter == 0 or abs(letter) > rank:
                 raise InputError(f"letter {letter!r} out of range for rank {rank}")
             if i > 0 and letters[i - 1] == -letter:
                 raise InputError(
@@ -114,8 +114,8 @@ def identity(rank: int) -> FreeWord:
 
 def generator(rank: int, i: int) -> FreeWord:
     """The i-th generator (1-based) as a word."""
-    if not 1 <= i <= rank:
-        raise InputError(f"generator index {i} out of range for rank {rank}")
+    if type(i) is not int or not 1 <= i <= rank:
+        raise InputError(f"generator index {i!r} out of range for rank {rank}")
     return FreeWord(rank, (i,))
 
 
@@ -123,7 +123,7 @@ def reduce(rank: int, raw: Iterable[int]) -> FreeWord:
     """Freely reduce a raw letter sequence. Idempotent."""
     raw = tuple(raw)
     for letter in raw:
-        if not isinstance(letter, int) or letter == 0 or abs(letter) > rank:
+        if type(letter) is not int or letter == 0 or abs(letter) > rank:
             raise InputError(f"letter {letter!r} out of range for rank {rank}")
     _checked_int(rank, "rank")
     return FreeWord._reduced(rank, _free_reduce(raw))
@@ -408,8 +408,8 @@ class SLBuilder:
         return idx
 
     def gen(self, i: int) -> int:
-        if not 1 <= i <= self.rank:
-            raise InputError(f"generator index {i} out of range for rank {self.rank}")
+        if type(i) is not int or not 1 <= i <= self.rank:
+            raise InputError(f"generator index {i!r} out of range for rank {self.rank}")
         return self._emit(("gen", i))
 
     def inv(self, a: int) -> int:

@@ -3,12 +3,30 @@
 Criteria split across several test functions (test_criterion_NNx) are
 aggregated with AND, so a red part makes the whole criterion FAIL. A
 failure in any phase counts, so a fixture that errors in setup or
-teardown fails its criterion too.
+teardown fails its criterion too, and a file that fails to collect fails
+every criterion its source names.
 """
 
 import re
 
 _results = {}
+_rootpath = []
+
+
+def pytest_configure(config):
+    _rootpath.append(config.rootpath)
+
+
+def pytest_collectreport(report):
+    # an import error runs none of the file's criteria, so none may read PASS
+    if not report.failed:
+        return
+    try:
+        source = (_rootpath[-1] / report.fspath).read_text()
+    except OSError:
+        return
+    for n in re.findall(r"test_criterion_(\d+)", source):
+        _results[int(n)] = False
 
 
 def pytest_runtest_logreport(report):

@@ -4,12 +4,13 @@
 `kernel_fingerprint` records which words of a fixed battery an action
 kills; the tests compare the search's output through them and freeze
 digests of their bytes.  `permutation_eval` evaluates words by
-multiplying Permutation objects, the reference for the row evaluation.
+multiplying 0-based row tuples node by node with `compose` and `invert`,
+the reference for the row evaluation.
 """
 
 from resfin.errors import InputError
 from resfin.lowindex import MAX_ENCODABLE_DEGREE
-from resfin.permrep import PermQuotient, Permutation, eval_word, identity_perm
+from resfin.permrep import PermQuotient, eval_word
 from resfin.words import FreeWord, SLWord, enumerate_ball
 
 
@@ -54,47 +55,63 @@ def kernel_fingerprint(q: PermQuotient, battery: tuple[FreeWord, ...] | None = N
     """Which battery words the action kills, one byte each."""
     if battery is None:
         battery = word_battery(q.rank, q.degree)
-    return bytes(1 if eval_word(q, w).is_identity else 0 for w in battery)
+    one = tuple(range(q.degree))
+    return bytes(1 if eval_word(q, w) == one else 0 for w in battery)
 
 
-def permutation_eval(q: PermQuotient, w: FreeWord | SLWord) -> Permutation:
-    """Image of a word as a product of Permutation objects.
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a then b, acting on the right."""
+    return tuple(b[p] for p in a)
+
+
+def invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse row: the points sorted by their images."""
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def permutation_eval(q: PermQuotient, w: FreeWord | SLWord) -> tuple[int, ...]:
+    """Image of a word as a 0-based row, from products of plain tuples.
 
     A straight-line word is evaluated node by node up to its root, every
     node kept, with its own square-and-multiply; nothing is shared with
-    `sl_eval` or with the rows `eval_word` composes.
+    `sl_eval`, with `eval_word` or with the quotient's inverse rows.
     """
-    gens = q.gens
-    one = identity_perm(q.degree)
+    gens = q.fwd
+    one = tuple(range(q.degree))
     if isinstance(w, FreeWord):
         out = one
         for letter in w.letters:
-            out = out * (gens[letter - 1] if letter > 0 else gens[-letter - 1].inverse())
+            out = compose(out, gens[letter - 1] if letter > 0 else invert(gens[-letter - 1]))
         return out
     vals = []
     for op, *args in w.nodes[: w.root + 1]:
         if op == "gen":
             vals.append(gens[args[0] - 1])
         elif op == "inv":
-            vals.append(vals[args[0]].inverse())
+            vals.append(invert(vals[args[0]]))
         elif op == "mul":
-            vals.append(vals[args[0]] * vals[args[1]])
+            vals.append(compose(vals[args[0]], vals[args[1]]))
         elif op == "pow":
             base, e = vals[args[0]], args[1]
             if e < 0:
-                base, e = base.inverse(), -e
+                base, e = invert(base), -e
             acc = one
             while e:
                 if e & 1:
-                    acc = acc * base
-                base = base * base
+                    acc = compose(acc, base)
+                base = compose(base, base)
                 e >>= 1
             vals.append(acc)
         elif op == "conj":
             a, b = vals[args[0]], vals[args[1]]
-            vals.append(b * a * b.inverse())
+            vals.append(compose(compose(b, a), invert(b)))
         else:
             assert op == "comm", op
             a, b = vals[args[0]], vals[args[1]]
-            vals.append(a * b * a.inverse() * b.inverse())
+            vals.append(compose(compose(compose(a, b), invert(a)), invert(b)))
     return vals[w.root]
+
+
+def relabel(q: PermQuotient, s: tuple[int, ...]) -> PermQuotient:
+    """The quotient with point p renamed s[p]: each row g becomes s^-1 g s."""
+    return PermQuotient([[p + 1 for p in compose(compose(invert(s), g), s)] for g in q.fwd])

@@ -93,6 +93,19 @@ def test_constructor_rejects_unreduced():
         reduce(2, [0])
 
 
+def test_bool_and_float_letters_are_refused():
+    # True == 1 and 1.0 == 1, but neither is a letter or a generator index
+    for bad in (True, 1.0):
+        with pytest.raises(InputError):
+            generator(2, bad)
+        with pytest.raises(InputError):
+            FreeWord(2, (bad, 2))
+        with pytest.raises(InputError):
+            reduce(2, [bad])
+        with pytest.raises(InputError):
+            SLBuilder(2).gen(bad)
+
+
 def test_group_operations():
     x, y = generator(2, 1), generator(2, 2)
     assert len(commutator(x, y)) == 4
