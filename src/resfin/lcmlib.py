@@ -209,26 +209,30 @@ def _replay(cert: WitnessCertificate, index: int) -> list[str]:
     target = cert.targets[index]
     failures = []
     derived: set[int] = set()
+
+    def fail(text: str) -> None:
+        # the step's label is built only for a failure
+        failures.append(f"derivation {index} step {pos}: {text}")
+
     for pos, step in enumerate(cert.derivations[index]):
-        where = f"derivation {index} step {pos}"
         rule = step.get("rule")
         node = step.get("node")
         premises = step.get("premises", [])
         # bool is an int subclass and is refused wherever an int is read
         if not (type(node) is int and 0 <= node < len(nodes)):
-            failures.append(f"{where}: node {node!r} out of range")
+            fail(f"node {node!r} out of range")
             break
         if not isinstance(premises, list):
-            failures.append(f"{where}: premises {premises!r} are not a list")
+            fail(f"premises {premises!r} are not a list")
             break
         shape = nodes[node]
         if any(not (type(p) is int and p in derived) for p in premises):
-            failures.append(f"{where}: uses an underived premise")
+            fail("uses an underived premise")
             break
         if rule == "ground":
             flat = sl_flatten(SLWord._rooted(w, node), max(len(target), 1))
             if flat != target:
-                failures.append(f"{where}: ground node is not the target")
+                fail("ground node is not the target")
         elif rule == "power":
             e = step.get("exponent")
             ok = (
@@ -238,18 +242,18 @@ def _replay(cert: WitnessCertificate, index: int) -> list[str]:
                 and _power_step_ok(nodes, shape, premises[0], e)
             )
             if not ok:
-                failures.append(f"{where}: node is not the premise to the exponent")
+                fail("node is not the premise to the exponent")
         elif rule == "conjugate":
             if shape[0] != "conj" or premises != [shape[1]]:
-                failures.append(f"{where}: node is not a conjugate of the premise")
+                fail("node is not a conjugate of the premise")
         elif rule == "commutator_left":
             if shape[0] != "comm" or premises != [shape[1]]:
-                failures.append(f"{where}: node is not a commutator with left premise")
+                fail("node is not a commutator with left premise")
         elif rule == "commutator_right":
             if shape[0] != "comm" or premises != [shape[2]]:
-                failures.append(f"{where}: node is not a commutator with right premise")
+                fail("node is not a commutator with right premise")
         else:
-            failures.append(f"{where}: unknown rule {rule!r}")
+            fail(f"unknown rule {rule!r}")
             break
         derived.add(node)
     if not failures and w.root not in derived:

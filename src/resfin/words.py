@@ -5,8 +5,10 @@ generator indices: +i is the i-th generator, -i its inverse. The textual
 syntax used by the CLI and the tests writes generators as lowercase letters
 and inverses as uppercase, so "abAB" is x y x^-1 y^-1 and "" is the
 identity; the table _LETTER_OF ('a'..'z' -> 1..26, 'A'..'Z' -> -1..-26) is
-that alphabet. Input is checked once, where it enters (parse_word, reduce,
-FreeWord()); words made from checked ones use the trusted FreeWord._reduced.
+that alphabet. parse_word translates whole texts through _LETTER_BYTES, the
+same alphabet as a byte table (each letter a signed byte). Input is checked
+once, where it enters (parse_word, reduce, FreeWord()); words made from
+checked ones use the trusted FreeWord._reduced.
 
 Alongside flat words this module provides straight-line words (SLWord): a
 DAG of build instructions that can describe words whose flat length is
@@ -31,6 +33,8 @@ Letters = tuple[int, ...]
 _LETTER_OF = {chr(ord("a") - 1 + i): i for i in range(1, 27)}
 _LETTER_OF |= {ch.upper(): -i for ch, i in _LETTER_OF.items()}
 _CHAR_OF = {letter: ch for ch, letter in _LETTER_OF.items()}
+# the same alphabet as a byte table: ASCII code -> letter as a signed byte
+_LETTER_BYTES = bytes(_LETTER_OF.get(chr(b), 0) % 256 for b in range(256))
 
 
 def _free_reduce(raw: Iterable[int]) -> Letters:
@@ -301,18 +305,23 @@ class Ball:
 def parse_word(text: str, rank: int | None = None) -> FreeWord:
     """Parse "abAB"-style syntax. Lowercase generator, uppercase inverse."""
     stripped = text.strip()
-    letters = tuple(map(_LETTER_OF.get, stripped))
-    if None in letters:
-        ch = stripped[letters.index(None)]
-        raise InputError(f"unexpected character {ch!r} in word {text!r}")
-    inferred = max(map(abs, letters), default=0)
+    if not (stripped.isascii() and stripped.isalpha()):
+        # only ASCII letters pass; the first other character is named
+        # (the empty text fails isalpha too and finds none)
+        for ch in stripped:
+            if ch not in _LETTER_OF:
+                raise InputError(f"unexpected character {ch!r} in word {text!r}")
+    # one substring search per letter is faster than set() on long text
+    chars = [ch for ch in _LETTER_OF if ch in stripped]
+    inferred = max((abs(_LETTER_OF[ch]) for ch in chars), default=0)
     if rank is None:
         rank = inferred or 1
     elif isinstance(rank, int) and inferred > rank:  # a non-integer rank is refused below
         raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
     _checked_int(rank, "rank")
-    # a letter next to its inverse sums to 0; reduced text is stored as is
-    if 0 in map(operator.add, letters, itertools.islice(letters, 1, None)):
+    letters = tuple(memoryview(stripped.encode("ascii").translate(_LETTER_BYTES)).cast("b"))
+    # only text with a letter beside its inverse needs reducing
+    if any(ch + ch.swapcase() in stripped for ch in chars):
         letters = _free_reduce(letters)
     return FreeWord._reduced(rank, letters)
 
@@ -459,14 +468,23 @@ def sl_build(u: FreeWord) -> SLWord:
     return builder.build(builder.word(u))
 
 
+def _refs(node: tuple) -> tuple:
+    """The nodes an instruction reads (a gen's index and a pow's exponent are not nodes)."""
+    op = node[0]
+    return () if op == "gen" else node[1:2] if op == "pow" else node[1:]
+
+
 def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: object):
     """Evaluate an SLWord in any group given by gen/mul/inv/identity.
 
     This is the one interpreter of the instruction set: flattening
     (sl_flatten), length bounds (sl_length_bound) and images in a quotient
-    (permrep.eval_word) are all instances of it.  Only the nodes the root
-    depends on are evaluated, and each value is dropped at its last read,
-    before the node reading it is computed.  Powers run in O(log e)
+    (permrep.eval_word) are all instances of it.  A walk from the root
+    visits only the nodes the root reads, directly or through others, so
+    nodes it does not reach and nodes past the root are never touched and
+    the cost follows the root's subtree, not its index.  They are evaluated
+    in ascending order, and each value is dropped at its last read, before
+    the node reading it is computed.  Powers run in O(log e)
     multiplications with no squaring past the top bit of e, so exponents
     like lcm(1..n) stay cheap and no operand grows beyond the power itself.
     """
@@ -491,21 +509,23 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
         vu = inv(vu)
         return mul(uv, vu)
 
-    # a backward pass counts the reads of each node the root depends on;
-    # nodes past the root (SLWord._rooted keeps them) are never read
-    nodes, root = w.nodes[: w.root + 1], w.root
-    refs = [() if x[0] == "gen" else x[1:2] if x[0] == "pow" else x[1:] for x in nodes]
+    # a walk from the root visits each node it depends on once and counts
+    # its reads; nodes it never reaches, past the root or not, are never read
+    nodes, root = w.nodes, w.root
     readers = [0] * root + [1]  # the caller reads the root
-    for idx in range(root, -1, -1):
-        if readers[idx]:
-            for ref in refs[idx]:
-                readers[ref] += 1
+    order = [root]
+    for idx in order:  # order grows while it is walked
+        for ref in _refs(nodes[idx]):
+            if not readers[ref]:
+                order.append(ref)
+            readers[ref] += 1
+    order.sort()  # every reference points to a smaller index
     vals: list = [None] * (root + 1)
-    for idx, node in enumerate(nodes):
-        if not readers[idx]:
-            continue
-        args = [vals[ref] for ref in refs[idx]]
-        for ref in refs[idx]:
+    for idx in order:
+        node = nodes[idx]
+        refs = _refs(node)
+        args = [vals[ref] for ref in refs]
+        for ref in refs:
             readers[ref] -= 1
             if not readers[ref]:
                 vals[ref] = None

@@ -5,8 +5,12 @@
 kills; the tests compare the search's output through them and freeze
 digests of their bytes.  `permutation_eval` evaluates words by
 multiplying 0-based row tuples node by node with `compose` and `invert`,
-the reference for the row evaluation.
+the reference for the row evaluation.  `prefix_sl_eval` is the
+straight-line interpreter that walks every node before the root, the
+reference for `sl_eval`.
 """
+
+from typing import Callable
 
 from resfin.errors import InputError
 from resfin.lowindex import MAX_ENCODABLE_DEGREE
@@ -115,3 +119,67 @@ def permutation_eval(q: PermQuotient, w: FreeWord | SLWord) -> tuple[int, ...]:
 def relabel(q: PermQuotient, s: tuple[int, ...]) -> PermQuotient:
     """The quotient with point p renamed s[p]: each row g becomes s^-1 g s."""
     return PermQuotient([[p + 1 for p in compose(compose(invert(s), g), s)] for g in q.fwd])
+
+
+def prefix_sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: object):
+    """The straight-line interpreter that reads every node up to the root.
+
+    A backward pass over the whole prefix `nodes[: root + 1]` counts the
+    reads of the nodes the root depends on, and a forward pass evaluates
+    them; values are dropped at their last read.  It is the reference for
+    `words.sl_eval`, which walks only what the root reads: both give the
+    same value from the same products.
+    """
+
+    def powered(base, e: int):
+        if e < 0:
+            base, e = inv(base), -e
+        acc = ident
+        while e:
+            if e & 1:
+                acc = mul(acc, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        return acc
+
+    def commutator(pair: list):
+        # [u, v] = (uv)(vu)^-1; the operands are cleared from the caller's
+        # list and vu rebound, so the last product sees only uv and (vu)^-1
+        uv, vu = mul(pair[0], pair[1]), mul(pair[1], pair[0])
+        pair.clear()
+        vu = inv(vu)
+        return mul(uv, vu)
+
+    # a backward pass counts the reads of each node the root depends on;
+    # nodes past the root (SLWord._rooted keeps them) are never read
+    nodes, root = w.nodes[: w.root + 1], w.root
+    refs = [() if x[0] == "gen" else x[1:2] if x[0] == "pow" else x[1:] for x in nodes]
+    readers = [0] * root + [1]  # the caller reads the root
+    for idx in range(root, -1, -1):
+        if readers[idx]:
+            for ref in refs[idx]:
+                readers[ref] += 1
+    vals: list = [None] * (root + 1)
+    for idx, node in enumerate(nodes):
+        if not readers[idx]:
+            continue
+        args = [vals[ref] for ref in refs[idx]]
+        for ref in refs[idx]:
+            readers[ref] -= 1
+            if not readers[ref]:
+                vals[ref] = None
+        op = node[0]
+        if op == "gen":
+            vals[idx] = gen(node[1])
+        elif op == "inv":
+            vals[idx] = inv(args[0])
+        elif op == "mul":
+            vals[idx] = mul(args[0], args[1])
+        elif op == "pow":
+            vals[idx] = powered(args[0], node[2])
+        elif op == "conj":
+            vals[idx] = mul(mul(args[1], args[0]), inv(args[1]))
+        else:
+            vals[idx] = commutator(args)
+    return vals[root]

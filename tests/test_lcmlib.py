@@ -8,9 +8,11 @@ so the witness survives only where every target survives.
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import resfin.lcmlib
 from resfin.errors import InputError
 from resfin.lcmlib import (
     _in_power_closure,
@@ -331,6 +333,54 @@ def test_replay_builds_no_checked_straight_line_word(monkeypatch):
     monkeypatch.setattr(SLWord, "__init__", refuse)
     for cert in certs:
         assert verify_certificate(cert)
+
+
+class NodeSpy(tuple):
+    """Instruction tuple that records which indices were read, item or slice."""
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]
+        self.read.update(picked if isinstance(i, slice) else (picked,))
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return tuple.__iter__(self)
+
+
+def test_replay_reads_only_the_subtrees_it_checks(monkeypatch):
+    # each ground step flattens one node, and a stored flat form is checked
+    # by flattening the root; none of them may read a node its root does not depend on, so replay
+    # stays linear in the derivation steps, not in steps times nodes
+    cert = lcm_ball_witness(2, 6)
+    nodes = cert.word.nodes
+
+    def closure(root):
+        seen, todo = {root}, [root]
+        while todo:
+            op, *args = nodes[todo.pop()]
+            for ref in () if op == "gen" else args[:1] if op == "pow" else args:
+                if ref not in seen:
+                    seen.add(ref)
+                    todo.append(ref)
+        return len(seen)
+
+    real = resfin.lcmlib.sl_flatten
+    reads = []
+
+    def spying_flatten(w, cap):
+        spy = NodeSpy(w.nodes)
+        spy.read = set()
+        # _rooted reads only .rank and .nodes from the word it is given
+        out = real(SLWord._rooted(SimpleNamespace(rank=w.rank, nodes=spy), w.root), cap)
+        reads.append(len(spy.read))
+        return out
+
+    monkeypatch.setattr(resfin.lcmlib, "sl_flatten", spying_flatten)
+    assert verify_certificate(cert).ok
+    grounds = [s["node"] for steps in cert.derivations for s in steps if s["rule"] == "ground"]
+    assert len(reads) == len(grounds) + (cert.flat is not None)
+    assert sum(reads) <= sum(map(closure, grounds)) + closure(cert.word.root)
 
 
 def test_malformed_json_is_an_input_error():

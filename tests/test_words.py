@@ -8,11 +8,14 @@ library's enumeration and the closed-form growth.
 
 import hashlib
 import itertools
+import operator
 import random
 import string
 
 import pytest
 
+import resfin.permrep
+import resfin.words
 from resfin import (
     Ball,
     FreeWord,
@@ -37,7 +40,10 @@ from resfin import (
     sl_length_bound,
     word_growth,
 )
-from resfin.words import word_key
+from resfin.errors import _checked_int
+from resfin.permrep import PermQuotient, eval_word
+from resfin.words import _LETTER_OF, _free_reduce, word_key
+from oracles import prefix_sl_eval
 
 
 def oracle_reduce(raw):
@@ -250,6 +256,58 @@ def _message(fn, *args):
     return str(info.value)
 
 
+def per_character_parse(text, rank=None):
+    """parse_word as it read its input one character at a time."""
+    stripped = text.strip()
+    letters = tuple(map(_LETTER_OF.get, stripped))
+    if None in letters:
+        ch = stripped[letters.index(None)]
+        raise InputError(f"unexpected character {ch!r} in word {text!r}")
+    inferred = max(map(abs, letters), default=0)
+    if rank is None:
+        rank = inferred or 1
+    elif isinstance(rank, int) and inferred > rank:
+        raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
+    _checked_int(rank, "rank")
+    if 0 in map(operator.add, letters, letters[1:]):
+        letters = _free_reduce(letters)
+    return FreeWord._reduced(rank, letters)
+
+
+def _parsed(parse, *args):
+    try:
+        w = parse(*args)
+    except InputError as exc:
+        return str(exc)
+    return w.rank, w.letters
+
+
+def test_parse_word_matches_the_per_character_route():
+    rng = random.Random(25)
+    raw = rng.choices([s * g for g in range(1, 27) for s in (1, -1)], k=320_000)
+    long_word = FreeWord._reduced(26, reduce(26, raw).letters[:300_000])  # a prefix stays reduced
+    text = format_word(long_word)
+    assert len(text) == 300_000
+    assert parse_word(text) == long_word == per_character_parse(text)
+    k = 1000
+    cases = [
+        text,
+        "aAbc", "bcaA", "abBA", "a" * k + "A" * k, "a" * k + "A" * (k - 1) + "b",
+        "c" + "a" * k + "A" * k + "C", "zZ", "Zz" + text + "aA",
+        "  ", "", "\t\n", " abAB\n",
+        "a1b", "3", "ab cd", "a\tb", "aé", "éa", "ß", "abß", "a-b", "a_b",
+    ]
+    for case in cases:
+        for rank in (None, 2, 26):
+            assert _parsed(parse_word, case, rank) == _parsed(per_character_parse, case, rank)
+    # é and ß are letters to isalpha() but not ASCII; only whitespace is the identity
+    assert _message(parse_word, "aß") == "unexpected character 'ß' in word 'aß'"
+    assert _message(parse_word, "a b") == "unexpected character ' ' in word 'a b'"
+    assert _message(parse_word, "ab7") == "unexpected character '7' in word 'ab7'"
+    assert parse_word(" \t\n ", 3) == identity(3)
+    assert parse_word("a" * k + "A" * k).letters == ()
+
+
 def test_parse_word_boundary_messages():
     # the message quotes the text as given, surrounding spaces included
     assert _message(parse_word, " a1b ") == "unexpected character '1' in word ' a1b '"
@@ -405,6 +463,57 @@ def test_sl_eval_skips_nodes_the_root_does_not_use():
     assert sl_eval(slw, gen=lambda i: 1, mul=counting_mul, inv=lambda u: u, ident=0) == 4
     # the commutator takes three products; the power would take about 200
     assert len(calls) == 3
+
+
+def random_sl_word(rng, rank, size):
+    """Instructions with repeated operands, zero, negative and huge
+    exponents, and nodes that no later node reads."""
+    nodes = [("gen", i) for i in range(1, rank + 1)]
+    while len(nodes) < size:
+        a = rng.randrange(len(nodes))
+        b = a if rng.random() < 0.3 else rng.randrange(len(nodes))
+        op = rng.choice(["inv", "mul", "pow", "conj", "comm"])
+        if op == "inv":
+            nodes.append(("inv", a))
+        elif op == "pow":
+            nodes.append(("pow", a, rng.choice([0, -1, -3, 2, 5, 10**20 + 1])))
+        else:
+            nodes.append((op, a, b))
+    return SLWord(rank, nodes, rng.randrange(len(nodes)))
+
+
+def test_sl_eval_matches_the_prefix_interpreter(monkeypatch):
+    rng = random.Random(2025)
+    quotients = [
+        PermQuotient([[2, 3, 1], [2, 1, 3]]),
+        PermQuotient([[2, 3, 4, 5, 1], [1, 3, 2, 5, 4]]),
+    ]
+
+    def images(slw, interpret):
+        log = []
+
+        def mul(u, v):
+            log.append((u, v))
+            return u + v
+
+        value = interpret(slw, gen=lambda i: i, mul=mul, inv=lambda u: -u, ident=0)
+        return (
+            sl_flatten(slw, cap=400),
+            sl_length_bound(slw),
+            (value, log),
+            [eval_word(q, slw) for q in quotients],
+        )
+
+    words = [random_sl_word(rng, 2, rng.randrange(3, 14)) for _ in range(40)]
+    views = [SLWord._rooted(w, node) for w in words for node in range(len(w.nodes))]
+    got = [images(v, sl_eval) for v in views]
+    # sl_flatten, sl_length_bound and eval_word now run on the reference
+    monkeypatch.setattr(resfin.words, "sl_eval", prefix_sl_eval)
+    monkeypatch.setattr(resfin.permrep, "sl_eval", prefix_sl_eval)
+    expected = [images(v, prefix_sl_eval) for v in views]
+    # the same values from the same products, in the same order
+    assert got == expected
+    assert any(g[0] is None for g in got) and any(g[0] is not None for g in got)
 
 
 def test_sl_eval_drops_values_after_their_last_read():
