@@ -9,17 +9,15 @@ caps, 3 broken internal invariant.  Each handler returns its payload and
 its exit code.
 
 Each handler imports the module it delegates to when it runs, so a
-process loads only what its subcommand needs: `growth` loads words alone.
+process loads only what its subcommand needs: `growth` loads words alone,
+and `nilpotent-girth` and `pnt` never load it.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 from .errors import InputError, InternalError, ResourceError
-from .words import FreeWord, _ball_sizes, parse_word
 
 
 def _cell(value) -> str:
@@ -41,6 +39,9 @@ def _row_json(row: dict) -> dict:
 def _render(payload: dict, fmt: str) -> str:
     try:
         if fmt == "csv":
+            import csv
+            import io
+
             rows = payload["rows"]
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -60,6 +61,8 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _parse_word_set(text: str):
+    from .words import FreeWord, parse_word
+
     pieces = [p.strip() for p in text.split(",")]
     if not any(pieces):
         raise InputError("the target set is empty")
@@ -69,6 +72,8 @@ def _parse_word_set(text: str):
 
 
 def _cmd_growth(args):
+    from .words import _ball_sizes
+
     if args.max < 0:
         raise InputError(f"--max must be nonnegative, got {args.max}")
     sizes = _ball_sizes(args.rank, args.max)

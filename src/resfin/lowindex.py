@@ -29,12 +29,14 @@ Regular mode adds sound pruning devices on top:
     length <= r cuts the branch: it is a nontrivial kernel element of
     every completion, so no completion is injective on the radius r/2
     ball,
-  - every finished table, plain or regular, is checked on the search's
-    own rows before emission (`_check_rows`): a breadth-first walk from
-    the basepoint meets the points in label order (the table is its own
-    canonical form) and reaches all of them (the action is transitive),
-    and every backward row inverts its forward row. A regular table must
-    then have image order equal to its degree.
+  - every finished table, plain or regular, is checked before emission
+    on the search's own live rows (`_check_rows`, handed the interleaved
+    rows and the point list that each search sets up once): a
+    breadth-first walk from the basepoint meets the points in label
+    order (the table is its own canonical form) and reaches all of them
+    (the action is transitive), and every backward row inverts its
+    forward row. A regular table must then have image order equal to its
+    degree.
 """
 
 from __future__ import annotations
@@ -53,21 +55,20 @@ _CACHE_REGULAR_LIMIT = 12
 MAX_ENCODABLE_DEGREE = 255
 
 
-def _check_rows(fwd: list[list[int]], bwd: list[list[int]]) -> None:
+def _check_rows(rows: list[list[int]], points: list[int]) -> None:
     """Check a finished table on its own rows, or raise InternalError.
 
-    Every entry is filled and each backward row inverts its forward row.
-    A breadth-first walk from point 0, scanning each point's entries as
-    (g1 forward, g1 backward, g2 forward, ...), meets the points in label
-    order, so the table is its own canonical form, and reaches all of
-    them, so the action is transitive.
+    `rows` interleaves the table as (g1 forward, g1 backward, g2 forward,
+    ...) and `points` is [0, 1, ..., degree - 1].  Every entry is filled
+    and each backward row inverts its forward row.  A breadth-first walk
+    from point 0, scanning each point's entries in row order, meets the
+    points in label order, so the table is its own canonical form, and
+    reaches all of them, so the action is transitive.
     """
-    points = list(range(len(fwd[0])))
-    for f, b in zip(fwd, bwd):
+    for f, b in zip(rows[::2], rows[1::2]):
         # with no -1 in f, b undoing f makes f a bijection and b its inverse
         if -1 in f or [b[x] for x in f] != points:
             raise InternalError("search produced a backward row that misses its inverse")
-    rows = [row for f, b in zip(fwd, bwd) for row in (f, b)]
     met = 1  # points 0 .. met-1 have been met, in label order
     for p in points:
         if p == met:
@@ -89,6 +90,9 @@ def _search(
     # step[x][p]: p moved by the letter x; a negative x indexes from the
     # end, where the backward rows sit in reverse order
     step = [None, *fwd, *reversed(bwd)]
+    # the same live rows as _check_rows reads them, and its point list
+    rows = [row for f, b in zip(fwd, bwd) for row in (f, b)]
+    points = list(range(degree))
     bfs_word: list[tuple[int, ...]] = [()]  # one word per point in use, basepoint first
     relator_set: set[tuple[int, ...]] = set()
     # letter -> every rotation of a relator that starts with that letter
@@ -182,7 +186,7 @@ def _search(
         return True
 
     def build() -> PermQuotient:
-        _check_rows(fwd, bwd)
+        _check_rows(rows, points)
         q = PermQuotient._trusted(tuple(map(tuple, fwd)), tuple(map(tuple, bwd)))
         # _check_rows proved transitivity, so regular means order == degree
         if regular and image_order(q, cap=degree + 1) != degree:

@@ -20,7 +20,6 @@ images that reduce to one.
 """
 
 from .errors import InputError, InternalError, ResourceError, _checked_int
-from .words import FreeWord
 
 # upper entries (a, b, c) of x, x^-1, y, y^-1 under x to E12, y to E23
 _GENERATOR_TRIPLES = {1: (1, 0, 0), -1: (-1, 0, 0), 2: (0, 1, 0), -2: (0, -1, 0)}
@@ -31,8 +30,10 @@ def _mul(u: tuple, v: tuple) -> tuple:
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1])
 
 
-def heisenberg_eval(w: FreeWord) -> tuple:
+def heisenberg_eval(w: "FreeWord") -> tuple:
     """Image (a, b, c) of a rank-2 word under x to E12, y to E23."""
+    from .words import FreeWord
+
     if not isinstance(w, FreeWord):
         raise InputError(f"need a FreeWord, got {type(w).__name__}")
     if w.rank != 2:

@@ -127,7 +127,7 @@ def eval_word(q: PermQuotient, w: FreeWord | SLWord) -> tuple[int, ...]:
     state = tuple(range(q.degree))
     for letter in w.letters:
         table = fwd[letter - 1] if letter > 0 else bwd[-letter - 1]
-        state = tuple(table[p] for p in state)
+        state = tuple([table[p] for p in state])
     return state
 
 
@@ -193,7 +193,7 @@ def image_order(q: PermQuotient, cap: int = DEFAULT_ORDER_CAP) -> int | None:
     while frontier:
         state = frontier.pop()
         for table in q.fwd:
-            nxt = tuple(table[p] for p in state)
+            nxt = tuple([table[p] for p in state])
             if nxt not in seen:
                 if len(seen) >= cap:
                     return None

@@ -7,14 +7,17 @@ digests of their bytes.  `permutation_eval` evaluates words by
 multiplying 0-based row tuples node by node with `compose` and `invert`,
 the reference for the row evaluation.  `prefix_sl_eval` is the
 straight-line interpreter that walks every node before the root, the
-reference for `sl_eval`.
+reference for `sl_eval`.  `per_table_obstruction_scan` reads the cycles
+of x in every cover, the reference for `obstruction_scan`, which reads
+each distinct row of x once.
 """
 
 from typing import Callable
 
-from resfin.errors import InputError
-from resfin.lowindex import MAX_ENCODABLE_DEGREE
-from resfin.permrep import PermQuotient, eval_word
+from resfin.covers import lcm_upto
+from resfin.errors import InputError, InternalError
+from resfin.lowindex import MAX_ENCODABLE_DEGREE, enumerate_subgroups
+from resfin.permrep import PermQuotient, eval_word, row_cycles
 from resfin.words import FreeWord, SLWord, enumerate_ball
 
 
@@ -183,3 +186,53 @@ def prefix_sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, id
         else:
             vals[idx] = commutator(args)
     return vals[root]
+
+
+def per_table_obstruction_scan(m: int, max_degree: int) -> dict:
+    """`covers.obstruction_scan`'s report, from the cycles of x in every cover.
+
+    Each cover's row of x is decomposed and checked on its own, however
+    many covers share it.
+    """
+    ell = lcm_upto(m)
+    rows = []
+    total_points = 0
+    total_non_closing = 0
+    total_covers = 0
+    for degree in range(1, max_degree + 1):
+        covers = 0
+        non_closing = 0
+        for q in enumerate_subgroups(2, degree):
+            covers += 1
+            lengths = [len(c) for c in row_cycles(q.fwd[0])]
+            if sum(lengths) != degree:
+                raise InternalError("cycle lengths must add up to the degree")
+            for length in lengths:
+                if ell % length == 0:
+                    continue
+                non_closing += length
+                if length <= m:
+                    raise InternalError(
+                        f"non-closing lift on a cycle of length {length} <= {m}"
+                    )
+        rows.append(
+            {
+                "degree": degree,
+                "covers": covers,
+                "points": degree * covers,
+                "non_closing_points": non_closing,
+            }
+        )
+        total_covers += covers
+        total_points += degree * covers
+        total_non_closing += non_closing
+    return {
+        "m": m,
+        "lcm": ell,
+        "max_degree": max_degree,
+        "covers": total_covers,
+        "points_checked": total_points,
+        "non_closing_points": total_non_closing,
+        "violations": [],
+        "rows": rows,
+    }

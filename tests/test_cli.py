@@ -19,6 +19,7 @@ import pytest
 
 import resfin
 import resfin.cli
+import resfin.words
 from resfin.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,13 +191,13 @@ def test_verify_reports_premises_that_are_not_a_list(tmp_path, capsys):
 
 
 def test_word_set_parses_each_piece_once(monkeypatch):
-    parse, calls = resfin.cli.parse_word, []
+    parse, calls = resfin.words.parse_word, []
 
     def counting(text, rank=None):
         calls.append((text, rank))
         return parse(text, rank)
 
-    monkeypatch.setattr(resfin.cli, "parse_word", counting)
+    monkeypatch.setattr(resfin.words, "parse_word", counting)
     words = resfin.cli._parse_word_set(" ab, c ,A")
     assert calls == [("ab", None), ("c", None), ("A", None)]
     assert [(w.rank, w.letters) for w in words] == [(3, (1, 2)), (3, (3,)), (3, (-1,))]
@@ -560,15 +561,16 @@ _REPORT = (
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     cert = str(tmp_path / "cert.json")
-    base = ["cli", "errors", "words"]
+    core = ["cli", "errors"]
+    base = core + ["words"]
     search = ["lowindex", "permrep", "separability"]
     expected = [
         (_RUN, ["growth", "--rank", "2", "--max", "2"], base),
         (_RUN, ["dmax", "--rank", "2", "--radius", "2", "--cap", "6"], base + search),
         (_RUN, ["lcm-witness", "--set", "ab,aa", "--out", cert], base + ["lcmlib"]),
         (_RUN, ["verify", "--certificate", cert], base + ["lcmlib"]),
-        (_RUN, ["nilpotent-girth", "--n", "4"], base + ["nilpotent"]),
-        (_RUN, ["pnt", "--max", "3"], base + ["covers"]),
+        (_RUN, ["nilpotent-girth", "--n", "4"], core + ["nilpotent"]),
+        (_RUN, ["pnt", "--max", "3"], core + ["covers"]),
         (_RUN, ["theorem4", "--n", "3", "--cap", "12"], base + ["covers", "lcmlib", "lowindex", "permrep"]),
         (_RUN, ["power-witness", "--n", "4"], base + ["lcmlib", "lowindex", "permrep"]),
         (_IMPORT_ALL, [], list(SUBMODULES)),

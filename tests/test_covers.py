@@ -9,8 +9,10 @@ from itertools import islice
 
 import pytest
 
+import resfin.covers
 import resfin.lcmlib
 import resfin.lowindex
+import resfin.permrep
 
 from resfin.covers import (
     analyze_cover,
@@ -21,12 +23,14 @@ from resfin.covers import (
     pnt_window,
     theorem4_experiment,
 )
-from resfin.errors import InputError
+from resfin.errors import InputError, InternalError
 from resfin.lcmlib import lcm_witness
 from resfin.lowindex import enumerate_subgroups
 from resfin.permrep import PermQuotient
 from resfin.separability import normal_divisibility
 from resfin.words import generator, power
+
+from oracles import per_table_obstruction_scan
 
 
 # x = (1 2 3)(4 5) and y = (3 4), as 1-based images
@@ -107,6 +111,39 @@ def test_obstruction_scan_small_cases():
     assert obstruction_scan(1, 2)["violations"] == []
     with pytest.raises(InputError):
         obstruction_scan(0, 4)
+
+
+@pytest.mark.parametrize("m, max_degree", [(1, 6), (2, 6), (3, 6), (4, 6), (3, 7)])
+def test_obstruction_scan_matches_the_per_table_scan(m, max_degree):
+    assert obstruction_scan(m, max_degree) == per_table_obstruction_scan(m, max_degree)
+
+
+def test_obstruction_scan_reads_each_distinct_row_once(monkeypatch):
+    cycles, calls = resfin.permrep.row_cycles, []
+
+    def spy(row):
+        calls.append(row)
+        return cycles(row)
+
+    monkeypatch.setattr(resfin.permrep, "row_cycles", spy)
+    report = obstruction_scan(3, 7)
+    # the distinct rows of x at index 1..7: 1+2+4+10+28+94+354, not one
+    # per cover
+    assert len(calls) == len(set(calls)) == 493
+    assert report["covers"] == 33_089
+
+
+def test_obstruction_scan_still_checks_each_row(monkeypatch):
+    cycles = resfin.permrep.row_cycles
+    # a decomposition that loses its last cycle
+    monkeypatch.setattr(resfin.permrep, "row_cycles", lambda row: cycles(row)[:-1])
+    with pytest.raises(InternalError, match="cycle lengths must add up to the degree"):
+        obstruction_scan(3, 4)
+    monkeypatch.undo()
+    # an lcm that some short cycle fails to divide
+    monkeypatch.setattr(resfin.covers, "lcm_upto", lambda m: 1)
+    with pytest.raises(InternalError, match="non-closing lift on a cycle of length 2 <= 3"):
+        obstruction_scan(3, 4)
 
 
 def test_theorem4_rows_at_default_cap():

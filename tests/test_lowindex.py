@@ -290,12 +290,17 @@ def test_quotients_are_plain_values():
     assert kinds == {(False, *k) for k in both} | {(True, *k) for k in both | {(False, False)}}
 
 
+def _check_table(fwd, bwd):
+    """_check_rows on the interleaved rows, as the search hands them in."""
+    _check_rows([row for f, b in zip(fwd, bwd) for row in (f, b)], list(range(len(fwd[0]))))
+
+
 def test_row_check_refuses_each_broken_table():
     # a = (0 1 2), b = (1 2): a breadth-first walk meets 1 through a and
     # 2 through a^-1, so the table is canonical
     fwd = [[1, 2, 0], [0, 2, 1]]
     bwd = [[2, 0, 1], [0, 2, 1]]
-    _check_rows(fwd, bwd)
+    _check_table(fwd, bwd)
     for broken_fwd, broken_bwd, message in (
         # the same action with points 1 and 2 swapped
         ([[2, 0, 1], [0, 2, 1]], [[1, 2, 0], [0, 2, 1]], "non-canonical"),
@@ -306,7 +311,7 @@ def test_row_check_refuses_each_broken_table():
         ([[-1, 0]], [[1, 0]], "misses its inverse"),
     ):
         with pytest.raises(InternalError, match=message):
-            _check_rows(broken_fwd, broken_bwd)
+            _check_table(broken_fwd, broken_bwd)
 
 
 # --- the kernel-length cut -------------------------------------------------
