@@ -17,9 +17,13 @@ kernel is produced exactly once, with no abstract-group catalog anywhere.
 Regular mode adds sound pruning devices on top:
   - every table entry that joins two known points yields a word fixing the
     basepoint (a relator), which in a regular action must act trivially.
-    Deductions run Felsch-style off a queue of scans: a new relator is
-    walked once from every point, and a new entry (a, g, b) only along
-    the relator rotations that start with g from a or with g^-1 from b.
+    A relator u c u^-1 with c cyclically reduced acts trivially exactly
+    when its core c does, and every rotation of c walks the same closed
+    walks, so the search stores one core per rotation class and indexes
+    each of its distinct rotations once. Deductions run Felsch-style off
+    a queue of scans: a new core is walked once from every point, and a
+    new entry (a, g, b) only along the stored rotations that start with
+    g from a or with g^-1 from b.
     A closed walk that misses its start cuts the branch, and a walk with
     a single gap forces that entry, which is queued in turn. The
     fixpoint is the same as a rescan of every relator from every point,
@@ -37,17 +41,23 @@ Regular mode adds sound pruning devices on top:
     (the action is transitive), and every backward row inverts its
     forward row. A regular table must then have image order equal to its
     degree.
+
+`_search` is a generator that returns, once exhausted, what it did: the
+frames it pushed, the candidates they offered, the candidates a deduction
+cut, the tables it emitted and the scans it drained from the queue. These
+counts do not depend on the queue order, since every deduction is forced
+and the fixpoint is unique.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .errors import InternalError, ResourceError, _checked_int
 from .permrep import PermQuotient, basepoint_image, image_order
-from .words import FreeWord, SLWord, _cyclic_split, _free_reduce
+from .words import FreeWord, SLWord, _cyclic_split
 
 _CACHE_REGULAR_LIMIT = 12
 # the most points a table may have: separability._ball_maximum stores each
@@ -83,7 +93,7 @@ def _check_rows(rows: list[list[int]], points: list[int]) -> None:
 
 def _search(
     rank: int, degree: int, regular: bool, kernel_radius: int = 0
-) -> Iterator[PermQuotient]:
+) -> Generator[PermQuotient, None, dict[str, int]]:
     m = rank
     fwd = [[-1] * degree for _ in range(m)]
     bwd = [[-1] * degree for _ in range(m)]
@@ -94,8 +104,9 @@ def _search(
     rows = [row for f, b in zip(fwd, bwd) for row in (f, b)]
     points = list(range(degree))
     bfs_word: list[tuple[int, ...]] = [()]  # one word per point in use, basepoint first
+    # every rotation of every stored relator core, and the same rotations
+    # by the letter they start with
     relator_set: set[tuple[int, ...]] = set()
-    # letter -> every rotation of a relator that starts with that letter
     rotations: dict[int, list[tuple[int, ...]]] = {
         x: [] for g in range(1, m + 1) for x in (g, -g)
     }
@@ -103,12 +114,19 @@ def _search(
     cycle_len = [0] * m
     # regular mode: what deductions changed, undone on backtrack
     trail: list[tuple] = []
+    # what the search did, returned when it is exhausted: frames pushed,
+    # candidates they offered, candidates cut, tables emitted and scans
+    # drained from the queue
+    nodes = tries = cuts = tables = scans = 0
 
     def link(a: int, g: int, b: int) -> bool:
         """Queue the scans through the new entry (a, g, b); False if it
         closes a generator cycle of the wrong length."""
-        pending.extend((rot, a) for rot in rotations[g + 1])
-        pending.extend((rot, b) for rot in rotations[-g - 1])
+        nonlocal scans
+        ahead, back = rotations[g + 1], rotations[-g - 1]
+        pending.extend(zip(ahead, itertools.repeat(a)))
+        pending.extend(zip(back, itertools.repeat(b)))
+        scans += len(ahead) + len(back)
         # a closed generator cycle must have one shared length dividing
         # the degree (cycles of right translation are cosets)
         length = 1
@@ -127,17 +145,37 @@ def _search(
         return True
 
     def add_relator(a: int, g: int, b: int) -> bool:
-        inv_b = tuple(-letter for letter in reversed(bfs_word[b]))
-        rel = _free_reduce(bfs_word[a] + (g + 1,) + inv_b)
-        if not rel or rel in relator_set:
+        nonlocal scans
+        # the relator is u v^-1 with u and v reduced (a gap never undoes
+        # the last letter of its point's word), so it reduces only at the
+        # seam, and its two ends cancel while u and v share a prefix;
+        # _cyclic_split finishes a word that one side has left alone
+        u = bfs_word[a] + (g + 1,)
+        v = bfs_word[b]
+        i, j = len(u), len(v)
+        while i and j and u[i - 1] == v[j - 1]:
+            i -= 1
+            j -= 1
+        k = 0
+        while k < i and k < j and u[k] == v[k]:
+            k += 1
+        core = _cyclic_split(u[k:i] + tuple(-letter for letter in reversed(v[k:j])))[1]
+        if not core:
             return True
-        if kernel_radius and len(_cyclic_split(rel)[1]) <= kernel_radius:
+        if kernel_radius and len(core) <= kernel_radius:
             return False
-        relator_set.add(rel)
-        trail.append(("rel", rel))
-        for k, letter in enumerate(rel):
-            rotations[letter].append(rel[k:] + rel[:k])
-        pending.extend((rel, start) for start in range(len(bfs_word)))
+        if core in relator_set:  # its rotation class is stored
+            return True
+        # a proper power repeats its rotations; keep the first of each
+        n = len(core)
+        doubled = core + core
+        rots = list(dict.fromkeys([doubled[t : t + n] for t in range(n)]))
+        relator_set.update(rots)
+        trail.append(("rel", rots))
+        for rot in rots:
+            rotations[rot[0]].append(rot)
+        pending.extend(zip(itertools.repeat(core), range(len(bfs_word))))
+        scans += len(bfs_word)
         return True
 
     def deduce(letter: int, src: int, dst: int) -> bool:
@@ -216,7 +254,10 @@ def _search(
             if used < degree:
                 candidates.append(used)
             stack.append([s, candidates, 0, used, len(trail)])
+            nodes += 1
+            tries += len(candidates)
         elif used == degree:
+            tables += 1
             yield build()
         # take the next candidate of the innermost frame that has one
         while stack:
@@ -237,10 +278,10 @@ def _search(
                     elif kind == "len":
                         cycle_len[entry[1]] = 0
                     else:
-                        rel = entry[1]
-                        relator_set.discard(rel)
-                        for letter in rel:
-                            rotations[letter].pop()
+                        rots = entry[1]
+                        relator_set.difference_update(rots)
+                        for rot in rots:
+                            rotations[rot[0]].pop()
             if k == len(candidates):
                 stack.pop()
                 continue
@@ -259,16 +300,20 @@ def _search(
                     # link queued the scans through the new entry; any
                     # other scan from the fresh point meets a gap at both
                     # ends, one and the same only for a one-letter relator
-                    pending.extend(((x,), r) for x in rotations if (x,) in relator_set)
+                    ones = [(x,) for x in rotations if (x,) in relator_set]
+                    pending.extend(zip(ones, itertools.repeat(r)))
+                    scans += len(ones)
                 ok = ok and propagate()
+                scans -= len(pending)  # queued but never drained
                 pending.clear()
                 if not ok:
+                    cuts += 1
                     continue
             # every slot before this one stays filled in the whole subtree
             s += 1
             break
         else:
-            return
+            return {"nodes": nodes, "tries": tries, "cuts": cuts, "tables": tables, "scans": scans}
 
 
 @functools.lru_cache(maxsize=None)

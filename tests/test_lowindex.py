@@ -6,6 +6,7 @@ relabelling dedup, and the standard recursion for the number of finite-index
 subgroups of a free group.
 """
 
+import collections
 import hashlib
 import itertools
 import math
@@ -34,7 +35,7 @@ from resfin.permrep import (
     row_cycles,
     to_record,
 )
-from resfin.words import Ball, _free_reduce, generator
+from resfin.words import Ball, generator
 
 from oracles import canonical_key, kernel_fingerprint, relabel, word_battery
 
@@ -214,23 +215,38 @@ def test_plain_search_sequence_is_frozen():
         assert (seen, digest.hexdigest()) == (count, expect), rank
 
 
-def test_regular_deductions_are_frozen(monkeypatch):
-    # each relator the regular search meets costs one _free_reduce call;
-    # weaker deductions branch more, meet more relators and change the
-    # count while the emitted (canonical) sequence stays the same
-    calls = []
+def _search_counts(rank, top, kernel_radius=0):
+    """The counts `_search` returns, summed over the regular orders 2..top."""
+    total = collections.Counter()
+    for order in range(2, top + 1):
+        search = _search(rank, order, True, kernel_radius)
+        try:
+            while True:
+                next(search)
+        except StopIteration as done:
+            total.update(done.value)
+    return total
 
-    def counting(raw):
-        calls.append(None)
-        return _free_reduce(raw)
 
-    monkeypatch.setattr("resfin.lowindex._free_reduce", counting)
-    for rank, top, expect in ((2, 16, 8802), (3, 8, 7240)):
-        calls.clear()
-        for order in range(2, top + 1):
-            for _ in _search(rank, order, True):
-                pass
-        assert len(calls) == expect, rank
+def test_regular_deductions_are_frozen():
+    # every deduction is forced and the fixpoint is unique, so the frames
+    # pushed, candidates tried, candidates cut and tables emitted do not
+    # depend on the queue order; weaker deductions branch and cut more
+    # while the emitted (canonical) sequence stays the same
+    for rank, top, radius, expect in (
+        (2, 16, 0, (2200, 7605, 4996, 269)),
+        (3, 8, 0, (1468, 4189, 2165, 473)),
+        (2, 24, 4, (786, 5365, 4596, 6)),
+    ):
+        counts = _search_counts(rank, top, radius)
+        got = (counts["nodes"], counts["tries"], counts["cuts"], counts["tables"])
+        assert got == expect, (rank, top, radius)
+
+
+def test_regular_search_scans_each_rotation_class_once():
+    # storing every relator form apart, rather than one core per rotation
+    # class, drains 135,911 scans here
+    assert _search_counts(2, 16)["scans"] <= 70_000
 
 
 def _searched_quotients():
