@@ -5,8 +5,8 @@ result; nothing is computed here.  Output is locale-independent: decimal
 dots, three-decimal logs in CSV, lowercase booleans, and the string
 "unknown" for values a cap left open.  Exit codes: 0 done, 1 bad input
 (or a certificate that fails its check), 2 inconclusive within the given
-caps, 3 broken internal invariant.  Each handler returns its payload and
-its exit code.
+caps, 3 broken internal invariant.  A path that cannot be read or written
+is bad input too.  Each handler returns its payload and its exit code.
 
 Each handler imports the module it delegates to when it runs, so a
 process loads only what its subcommand needs: `growth` loads words alone,
@@ -194,7 +194,7 @@ def _cmd_verify(args):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read certificate file: {exc}")
-    except ValueError as exc:  # bad JSON, non-ASCII bytes, over-long integers
+    except (ValueError, RecursionError) as exc:  # bad or too deep JSON, non-ASCII, long ints
         raise InputError(f"certificate file is not valid JSON: {exc}")
     if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
@@ -303,8 +303,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file: {exc}")
 
 
 def run(argv) -> int:

@@ -70,19 +70,27 @@ class CoverAnalysis(NamedTuple):
     basepoint_cycle_length: int
 
 
-def analyze_cover(q: "PermQuotient") -> CoverAnalysis:
-    """Cycle decomposition of the first generator, longest cycles first."""
-    from .permrep import is_transitive, row_cycles
+def _loop_cycles(q: "PermQuotient") -> list[tuple[int, ...]]:
+    """The first loop's 0-based cycles in a cover, checked to cover every point."""
+    from .permrep import row_cycles
 
     if q.rank != 2:
         raise InputError(f"covers of the figure eight have rank 2, got {q.rank}")
+    cycles = row_cycles(q.fwd[0])
+    if sum(map(len, cycles)) != q.degree:
+        raise InternalError("cycle lengths must add up to the degree")
+    return cycles
+
+
+def analyze_cover(q: "PermQuotient") -> CoverAnalysis:
+    """Cycle decomposition of the first generator, longest cycles first."""
+    from .permrep import is_transitive
+
+    cycles = sorted(_loop_cycles(q), key=lambda c: (-len(c), c[0]))
     if not is_transitive(q):
         raise InputError("cover must be connected (transitive action)")
-    cycles = sorted(row_cycles(q.fwd[0]), key=lambda c: (-len(c), c[0]))
     cycles = tuple(tuple(p + 1 for p in c) for c in cycles)
     lengths = tuple(len(c) for c in cycles)
-    if sum(lengths) != q.degree:
-        raise InternalError("cycle lengths must add up to the degree")
     basepoint = next(len(c) for c in cycles if q.basepoint in c)
     return CoverAnalysis(
         cover=q,
@@ -99,16 +107,12 @@ def lift_closed(q: "PermQuotient", point: int, exponent: int) -> bool:
     divides the exponent, so huge exponents cost one modular reduction
     and never get flattened.
     """
-    from .permrep import row_cycles
-
-    if q.rank != 2:
-        raise InputError(f"covers of the figure eight have rank 2, got {q.rank}")
+    cycles = _loop_cycles(q)
     _checked_int(point, "point")
     if point > q.degree:
         raise InputError(f"point {point} outside 1..{q.degree}")
-    if not isinstance(exponent, int) or isinstance(exponent, bool):
-        raise InputError(f"exponent must be an integer, got {exponent!r}")
-    length = next(len(c) for c in row_cycles(q.fwd[0]) if point - 1 in c)
+    _checked_int(exponent, "exponent", None)
+    length = next(len(c) for c in cycles if point - 1 in c)
     return exponent % length == 0
 
 
@@ -123,7 +127,6 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
     row is read and checked once and its count reused.
     """
     from .lowindex import enumerate_subgroups
-    from .permrep import row_cycles
 
     _checked_int(m, "m")
     _checked_int(max_degree, "index")
@@ -144,11 +147,8 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
             row = q.fwd[0]
             count = counted.get(row)
             if count is None:
-                lengths = [len(c) for c in row_cycles(row)]
-                if sum(lengths) != degree:
-                    raise InternalError("cycle lengths must add up to the degree")
                 count = 0
-                for length in lengths:
+                for length in map(len, _loop_cycles(q)):
                     if ell % length == 0:
                         continue
                     count += length

@@ -345,7 +345,7 @@ def cert_from_json(data) -> WitnessCertificate:
             flat=flat,
             nontrivial_verified=bool(data["nontrivial_verified"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # the last: JSON nested too deep
         raise InputError(f"malformed certificate: {exc}") from exc
 
 

@@ -122,6 +122,15 @@ def _escape_tables(w: FreeWord, degree: int):
     return (fwd, bwd) if walk(0, 0, 1) else None
 
 
+def _least_escape(w: FreeWord, lo: int, cap: int):
+    """The least degree in lo..cap where w escapes and its tables, or (None, None)."""
+    for degree in range(lo, cap + 1):
+        found = _escape_tables(w, degree)
+        if found is not None:
+            return degree, found
+    return None, None
+
+
 def _complete_action(rank: int, degree: int, fwd, bwd) -> PermQuotient:
     # unmatched points pair up in ascending order, one generator at a time
     gens = []
@@ -147,17 +156,15 @@ def divisibility(w: FreeWord, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
         raise InputError("divisibility is defined for nontrivial words only")
     _checked_int(cap, "cap")
     query = f"divisibility({format_word(w)})"
-    for degree in range(2, cap + 1):
-        found = _escape_tables(w, degree)
-        if found is None:
-            continue
-        q = _complete_action(w.rank, degree, *found)
-        if not is_transitive(q):
-            raise InternalError("completion of a minimal escape lost transitivity")
-        if not basepoint_image(q, w):
-            raise InternalError("escape action does not move the basepoint")
-        return SepResult(query, degree, q, cap)
-    return SepResult(query, None, None, cap)
+    degree, found = _least_escape(w, 2, cap)
+    if degree is None:
+        return SepResult(query, None, None, cap)
+    q = _complete_action(w.rank, degree, *found)
+    if not is_transitive(q):
+        raise InternalError("completion of a minimal escape lost transitivity")
+    if not basepoint_image(q, w):
+        raise InternalError("escape action does not move the basepoint")
+    return SepResult(query, degree, q, cap)
 
 
 def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
@@ -207,7 +214,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
     degree sits at its preorder position, and a subtree whose words are
     all resolved is skipped.  A plain degree with more actions than words
     left unresolved (Hall's count, known before any is built) ends the
-    walk: those words are searched one at a time with `_escape_tables`
+    walk: those words are searched one at a time with `_least_escape`
     instead, from that degree up.  A tree of more than `_INDEX_LIMIT`
     words raises ResourceError before anything is allocated.
     """
@@ -273,8 +280,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             pos = values.find(0, 1)
             while pos >= 0:
                 word = word_at(pos)
-                w = FreeWord._reduced(rank, word)
-                value = next((d for d in range(degree, cap + 1) if _escape_tables(w, d)), None)
+                value = _least_escape(FreeWord._reduced(rank, word), degree, cap)[0]
                 if value is not None:
                     values[pos] = value
                     unresolved -= weight[max(map(abs, word))]
@@ -381,10 +387,6 @@ def max_divisibility(
     }
 
 
-def _trivial_quotient(rank: int) -> PermQuotient:
-    return PermQuotient([[1]] * rank)
-
-
 def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
     """Least quotient order injective on the radius-n ball.
 
@@ -400,19 +402,18 @@ def residual_girth(rank: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> SepResul
     _checked_int(rank, "rank")
     query = f"residual_girth(rank={rank}, n={n})"
     if n == 0:
-        return SepResult(query, 1, _trivial_quotient(rank), cap)
+        return SepResult(query, 1, PermQuotient([[1]] * rank), cap)
     size = word_growth(rank, n)
     if size > cap:
         # no quotient smaller than the ball is injective on it
         return SepResult(query, None, None, cap)
-    ball = list(Ball(rank, n))
-    doubled = [w for w in Ball(rank, 2 * n) if not w.is_identity]
+    # B(n) is the first `size` words of B(2n), and the identity its first
+    doubled = list(Ball(rank, 2 * n))
     for order in range(size, cap + 1):
         for q in enumerate_normal(rank, order, kernel_radius=2 * n):
             # a regular action: images and deaths are read at the basepoint
-            images = {basepoint_image(q, w) for w in ball}
-            injective = len(images) == len(ball)
-            kernel_free = all(basepoint_image(q, w) for w in doubled)
+            injective = len({basepoint_image(q, w) for w in islice(doubled, size)}) == size
+            kernel_free = all(basepoint_image(q, w) for w in islice(doubled, 1, None))
             if injective != kernel_free:
                 raise InternalError(
                     "pairwise-image and doubled-ball injectivity tests disagree"

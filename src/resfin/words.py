@@ -8,7 +8,10 @@ identity; the table _LETTER_OF ('a'..'z' -> 1..26, 'A'..'Z' -> -1..-26) is
 that alphabet. parse_word translates whole texts through _LETTER_BYTES, the
 same alphabet as a byte table (each letter a signed byte). Input is checked
 once, where it enters (parse_word, reduce, FreeWord()); words made from
-checked ones use the trusted FreeWord._reduced.
+checked ones use the trusted FreeWord._reduced. reduce and FreeWord() share
+one letter check, _checked_letters, which checks the rank first. power
+judges its exponent with errors._checked_int and no lower bound, so a bool
+or a float is refused, as in a straight-line ("pow", a, e) node.
 
 Alongside flat words this module provides straight-line words (SLWord): a
 DAG of build instructions that can describe words whose flat length is
@@ -48,6 +51,17 @@ def _free_reduce(raw: Iterable[int]) -> Letters:
     return tuple(stack)
 
 
+def _checked_letters(rank: int, letters: Iterable[int]) -> Letters:
+    """The letters as a tuple, each a nonzero int of size at most rank, the
+    rank checked first; whether they are reduced is not checked."""
+    _checked_int(rank, "rank")
+    letters = tuple(letters)
+    for letter in letters:
+        if type(letter) is not int or letter == 0 or abs(letter) > rank:
+            raise InputError(f"letter {letter!r} out of range for rank {rank}")
+    return letters
+
+
 class FreeWord:
     """A freely reduced word in F_rank. Immutable and hashable.
 
@@ -57,15 +71,9 @@ class FreeWord:
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: Sequence[int]):
-        _checked_int(rank, "rank")
-        letters = tuple(letters)
-        for i, letter in enumerate(letters):
-            if type(letter) is not int or letter == 0 or abs(letter) > rank:
-                raise InputError(f"letter {letter!r} out of range for rank {rank}")
-            if i > 0 and letters[i - 1] == -letter:
-                raise InputError(
-                    "letters are not freely reduced; build words via reduce()"
-                )
+        letters = _checked_letters(rank, letters)
+        if any(x == -y for x, y in zip(letters, letters[1:])):
+            raise InputError("letters are not freely reduced; build words via reduce()")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", letters)
 
@@ -125,12 +133,7 @@ def generator(rank: int, i: int) -> FreeWord:
 
 def reduce(rank: int, raw: Iterable[int]) -> FreeWord:
     """Freely reduce a raw letter sequence. Idempotent."""
-    raw = tuple(raw)
-    for letter in raw:
-        if type(letter) is not int or letter == 0 or abs(letter) > rank:
-            raise InputError(f"letter {letter!r} out of range for rank {rank}")
-    _checked_int(rank, "rank")
-    return FreeWord._reduced(rank, _free_reduce(raw))
+    return FreeWord._reduced(rank, _free_reduce(_checked_letters(rank, raw)))
 
 
 def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -172,8 +175,7 @@ def power(u: FreeWord, k: int) -> FreeWord:
 
     A longer power raises ResourceError; keep it straight-line instead.
     """
-    if not isinstance(k, int):
-        raise InputError(f"exponent must be an integer, got {k!r}")
+    _checked_int(k, "exponent", None)
     if k == 0 or u.is_identity:
         return identity(u.rank)
     base = u if k > 0 else inverse(u)
@@ -186,16 +188,6 @@ def power(u: FreeWord, k: int) -> FreeWord:
         )
     body = core * abs(k)
     return FreeWord._reduced(u.rank, prefix + body + tuple(-x for x in reversed(prefix)))
-
-
-def letter_key(letter: int) -> tuple[int, int]:
-    """Sort key realizing the order x < x^-1 < y < y^-1 < ..."""
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
-def word_key(u: FreeWord) -> tuple:
-    """Length-then-lexicographic order key; fixes every 'first witness' below."""
-    return (len(u.letters), tuple(letter_key(letter) for letter in u.letters))
 
 
 def _ball_sizes(rank: int, n: int) -> Iterator[int]:

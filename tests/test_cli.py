@@ -100,6 +100,26 @@ def test_certificate_roundtrip(tmp_path, capsys):
     assert run(["verify", "--certificate", str(tmp_path / "missing.json")]) == 1
 
 
+def test_verify_refuses_json_nested_past_the_parser(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert run(["verify", "--certificate", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate file is not valid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_out_to_a_path_that_cannot_be_opened_exits_one(tmp_path, capsys):
+    argv = ["growth", "--rank", "2", "--max", "2"]
+    for out in (tmp_path / "missing" / "x.json", tmp_path):  # no folder; a folder
+        assert run(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output file: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_malformed_certificates_exit_one(tmp_path, capsys):
     path = tmp_path / "cert.json"
     assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0

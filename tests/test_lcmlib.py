@@ -386,6 +386,9 @@ def test_replay_reads_only_the_subtrees_it_checks(monkeypatch):
 def test_malformed_json_is_an_input_error():
     with pytest.raises(InputError):
         cert_from_json({"rank": 2})
+    # text nested past the JSON parser's depth
+    with pytest.raises(InputError, match="malformed certificate: maximum recursion depth"):
+        cert_from_json("[" * 100_000)
 
 
 # --- exact small search -------------------------------------------------------

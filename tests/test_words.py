@@ -40,9 +40,10 @@ from resfin import (
     sl_length_bound,
     word_growth,
 )
+from resfin.covers import lift_closed
 from resfin.errors import _checked_int
 from resfin.permrep import PermQuotient, eval_word
-from resfin.words import _LETTER_OF, _free_reduce, word_key
+from resfin.words import _LETTER_OF, _free_reduce
 from oracles import prefix_sl_eval
 
 
@@ -112,6 +113,29 @@ def test_bool_and_float_letters_are_refused():
             SLBuilder(2).gen(bad)
 
 
+def test_ranks_and_exponents_are_judged_by_one_rule():
+    # a rank is checked before any letter; an exponent is an integer of
+    # any sign, and a bool is none, as in a straight-line ("pow", a, e) node
+    x = generator(2, 1)
+    q = PermQuotient([[2, 3, 1], [1, 2, 3]])
+    entries = {
+        "rank": [lambda v: reduce(v, [1]), lambda v: FreeWord(v, [1])],
+        "exponent": [lambda v: power(x, v), lambda v: x**v, lambda v: lift_closed(q, 1, v)],
+    }
+    for what, calls in entries.items():
+        kind = "a positive" if what == "rank" else "an"
+        for call in calls:
+            for bad in (None, "2", 2.0, True):
+                with pytest.raises(InputError) as err:
+                    call(bad)
+                assert str(err.value) == f"{what} must be {kind} integer, got {bad!r}"
+    assert power(x, -2) == x**-2 == reduce(2, [-1, -1])
+    assert lift_closed(q, 1, -3) and not lift_closed(q, 1, 2)
+    # the letters still name themselves once the rank is good
+    with pytest.raises(InputError, match="letter 3 out of range for rank 2"):
+        reduce(2, [1, 3])
+
+
 def test_group_operations():
     x, y = generator(2, 1), generator(2, 2)
     assert len(commutator(x, y)) == 4
@@ -177,7 +201,8 @@ def test_ball_enumeration_order():
     got = list(enumerate_ball(2, 2))
     assert got[0].is_identity
     assert [format_word(w) for w in got[:5]] == ["", "a", "A", "b", "B"]
-    assert got == sorted(got, key=word_key)
+    # length first, then letters in the order a < A < b < B < ...
+    assert got == sorted(got, key=lambda w: (len(w), [(abs(x), x < 0) for x in w.letters]))
     assert len(got) == 17
 
 
