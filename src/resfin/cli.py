@@ -5,8 +5,9 @@ result; nothing is computed here.  Output is locale-independent: decimal
 dots, three-decimal logs in CSV, lowercase booleans, and the string
 "unknown" for values a cap left open.  Exit codes: 0 done, 1 bad input
 (or a certificate that fails its check), 2 inconclusive within the given
-caps, 3 broken internal invariant.  A path that cannot be read or written
-is bad input too.  Each handler returns its payload and its exit code.
+caps, 3 broken internal invariant.  A path that cannot be read or written,
+and a stdout that cannot be written, is bad input too.  Each handler
+returns its payload and its exit code.
 
 Each handler imports the module it delegates to when it runs, so a
 process loads only what its subcommand needs: `growth` loads words alone,
@@ -15,6 +16,7 @@ and `nilpotent-girth` and `pnt` never load it.
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InputError, InternalError, ResourceError
@@ -300,14 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out is not None:
             with open(out, "w", encoding="ascii", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+        elif sys.stdout is None:
+            raise InputError("cannot write to stdout: it is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if out is not None:
             raise InputError(f"cannot write output file: {exc}")
+        # stdout is flushed again at exit; what it holds goes to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise InputError(f"cannot write to stdout: {exc}")
 
 
 def run(argv) -> int:

@@ -134,9 +134,6 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
         raise ResourceError(f"index {max_degree} exceeds the declared cap {SCAN_DEGREE_CAP}")
     ell = lcm_upto(m)
     rows = []
-    total_points = 0
-    total_non_closing = 0
-    total_covers = 0
     # row of x -> its non-closing point count, for this scan only
     counted: dict[tuple[int, ...], int] = {}
     for degree in range(1, max_degree + 1):
@@ -166,16 +163,13 @@ def obstruction_scan(m: int, max_degree: int) -> dict:
                 "non_closing_points": non_closing,
             }
         )
-        total_covers += covers
-        total_points += degree * covers
-        total_non_closing += non_closing
     return {
         "m": m,
         "lcm": ell,
         "max_degree": max_degree,
-        "covers": total_covers,
-        "points_checked": total_points,
-        "non_closing_points": total_non_closing,
+        "covers": sum(r["covers"] for r in rows),
+        "points_checked": sum(r["points"] for r in rows),
+        "non_closing_points": sum(r["non_closing_points"] for r in rows),
         "violations": [],
         "rows": rows,
     }

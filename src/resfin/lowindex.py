@@ -17,6 +17,12 @@ kernel is produced exactly once, with no abstract-group catalog anywhere.
 Regular mode adds sound pruning devices on top:
   - every table entry that joins two known points yields a word fixing the
     basepoint (a relator), which in a regular action must act trivially.
+    A new entry (a, g, b) off the spanning tree of point words closes the
+    walk u v^-1 (u: a's word then g, v: b's word), which past their common
+    prefix is its cyclic core: v never ends in g (b's tree parent would be
+    a) nor runs through a g (that tree edge fills the same slot), and once
+    v is used up the rest never cancels cyclically (the tree edge from b
+    by g^-1 would fill the slot of the new entry's inverse).
     A relator u c u^-1 with c cyclically reduced acts trivially exactly
     when its core c does, and every rotation of c walks the same closed
     walks, so the search stores one core per rotation class and indexes
@@ -57,7 +63,7 @@ from typing import Generator, Iterator
 
 from .errors import InternalError, ResourceError, _checked_int
 from .permrep import PermQuotient, basepoint_image, image_order
-from .words import FreeWord, SLWord, _cyclic_split
+from .words import FreeWord, SLWord
 
 _CACHE_REGULAR_LIMIT = 12
 # the most points a table may have: separability._ball_maximum stores each
@@ -146,22 +152,13 @@ def _search(
 
     def add_relator(a: int, g: int, b: int) -> bool:
         nonlocal scans
-        # the relator is u v^-1 with u and v reduced (a gap never undoes
-        # the last letter of its point's word), so it reduces only at the
-        # seam, and its two ends cancel while u and v share a prefix;
-        # _cyclic_split finishes a word that one side has left alone
+        # past their common prefix the closed walk is its core (see above)
         u = bfs_word[a] + (g + 1,)
         v = bfs_word[b]
-        i, j = len(u), len(v)
-        while i and j and u[i - 1] == v[j - 1]:
-            i -= 1
-            j -= 1
         k = 0
-        while k < i and k < j and u[k] == v[k]:
+        while k < len(v) and u[k] == v[k]:
             k += 1
-        core = _cyclic_split(u[k:i] + tuple(-letter for letter in reversed(v[k:j])))[1]
-        if not core:
-            return True
+        core = u[k:] + tuple(-letter for letter in reversed(v[k:]))
         if kernel_radius and len(core) <= kernel_radius:
             return False
         if core in relator_set:  # its rotation class is stored

@@ -16,7 +16,9 @@ keeps one cell per (a, b): a Python-int bitset whose bit c + n^2 (the
 offset) marks the element (a, b, c).  A y-letter is then a shift of the
 whole cell.  The collapse check mod M folds each cell into its residue
 cell (a mod M, b mod M), M bits at a time; an overlapping bit is two
-images that reduce to one.
+images that reduce to one.  The exact maximum is read in one place, which
+checks it against the analytic envelope n(n+1)/2 + 1, so entry_bound and
+the girth bound raise the same InternalError past it.
 """
 
 from .errors import InputError, InternalError, ResourceError, _checked_int
@@ -106,12 +108,17 @@ def _ball_images(n: int) -> set:
 
 def _cells_max_entry(cells: dict, n: int) -> int:
     """Max |entry| over the cells, from |a|, |b| and each bitset's end bits;
-    the unit diagonal counts, so the identity alone reads 1."""
+    the unit diagonal counts, so the identity alone reads 1.  A maximum past
+    the analytic envelope n(n+1)/2 + 1 raises InternalError."""
     off = n * n
-    return max(
+    exact = max(
         max(1, abs(a), abs(b), off - (bits & -bits).bit_length() + 1, bits.bit_length() - 1 - off)
         for (a, b), bits in cells.items()
     )
+    analytic = n * (n + 1) // 2 + 1
+    if exact > analytic:
+        raise InternalError(f"ball entry maximum {exact} exceeds the analytic envelope {analytic}")
+    return exact
 
 
 def _fold_collides(cells: dict, m: int) -> bool:
@@ -138,13 +145,7 @@ def _fold_collides(cells: dict, m: int) -> bool:
 def entry_bound(n: int) -> int:
     """Exact max absolute entry over the radius-n ball image."""
     _checked_int(n, "radius", 0)
-    exact = _cells_max_entry(_ball_cells(n), n)
-    analytic = n * (n + 1) // 2 + 1
-    if exact > analytic:
-        raise InternalError(
-            f"ball entry maximum {exact} exceeds the analytic envelope {analytic}"
-        )
-    return exact
+    return _cells_max_entry(_ball_cells(n), n)
 
 
 def girth_upper_bound_nilpotent(n: int) -> tuple:

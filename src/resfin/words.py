@@ -6,12 +6,13 @@ syntax used by the CLI and the tests writes generators as lowercase letters
 and inverses as uppercase, so "abAB" is x y x^-1 y^-1 and "" is the
 identity; the table _LETTER_OF ('a'..'z' -> 1..26, 'A'..'Z' -> -1..-26) is
 that alphabet. parse_word translates whole texts through _LETTER_BYTES, the
-same alphabet as a byte table (each letter a signed byte). Input is checked
-once, where it enters (parse_word, reduce, FreeWord()); words made from
-checked ones use the trusted FreeWord._reduced. reduce and FreeWord() share
-one letter check, _checked_letters, which checks the rank first. power
-judges its exponent with errors._checked_int and no lower bound, so a bool
-or a float is refused, as in a straight-line ("pow", a, e) node.
+same alphabet as a byte table (each letter a signed byte). Input is
+checked once, where it enters (parse_word, reduce, FreeWord(), generator);
+words made from checked ones use the trusted FreeWord._reduced. reduce and
+FreeWord() share one letter check, generator and SLBuilder.gen one index
+check, and both check the rank first. power judges its exponent with
+errors._checked_int and no lower bound, so a bool or a float is refused,
+as in a straight-line ("pow", a, e) node.
 
 Alongside flat words this module provides straight-line words (SLWord): a
 DAG of build instructions that can describe words whose flat length is
@@ -124,11 +125,17 @@ def identity(rank: int) -> FreeWord:
     return FreeWord(rank, ())
 
 
-def generator(rank: int, i: int) -> FreeWord:
-    """The i-th generator (1-based) as a word."""
+def _checked_generator(rank: int, i: int) -> None:
+    """Refuse all but a generator index 1..rank, the rank checked first."""
+    _checked_int(rank, "rank")
     if type(i) is not int or not 1 <= i <= rank:
         raise InputError(f"generator index {i!r} out of range for rank {rank}")
-    return FreeWord(rank, (i,))
+
+
+def generator(rank: int, i: int) -> FreeWord:
+    """The i-th generator (1-based) as a word."""
+    _checked_generator(rank, i)
+    return FreeWord._reduced(rank, (i,))
 
 
 def reduce(rank: int, raw: Iterable[int]) -> FreeWord:
@@ -352,19 +359,13 @@ class SLWord:
         for idx, node in enumerate(nodes):
             if not node or node[0] not in _SL_OPS or len(node) != _SL_OPS[node[0]] + 1:
                 raise InputError(f"malformed instruction {node!r} at node {idx}")
-            op = node[0]
-            if op == "gen":
-                if not (type(node[1]) is int and 1 <= node[1] <= rank):
-                    raise InputError(f"generator {node[1]!r} out of range at node {idx}")
-            elif op == "pow":
-                if not (type(node[1]) is int and 0 <= node[1] < idx):
+            if node[0] == "gen" and not (type(node[1]) is int and 1 <= node[1] <= rank):
+                raise InputError(f"generator {node[1]!r} out of range at node {idx}")
+            for ref in _refs(node):
+                if not (type(ref) is int and 0 <= ref < idx):
                     raise InputError(f"bad reference in {node!r} at node {idx}")
-                if type(node[2]) is not int:
-                    raise InputError(f"exponent must be an integer at node {idx}")
-            else:
-                for ref in node[1:]:
-                    if not (type(ref) is int and 0 <= ref < idx):
-                        raise InputError(f"bad reference in {node!r} at node {idx}")
+            if node[0] == "pow" and type(node[2]) is not int:
+                raise InputError(f"exponent must be an integer at node {idx}")
         if not (nodes and type(root) is int and 0 <= root < len(nodes)):
             raise InputError(f"root {root!r} out of range")
         object.__setattr__(self, "rank", rank)
@@ -409,8 +410,7 @@ class SLBuilder:
         return idx
 
     def gen(self, i: int) -> int:
-        if type(i) is not int or not 1 <= i <= self.rank:
-            raise InputError(f"generator index {i!r} out of range for rank {self.rank}")
+        _checked_generator(self.rank, i)
         return self._emit(("gen", i))
 
     def inv(self, a: int) -> int:

@@ -120,6 +120,30 @@ def test_out_to_a_path_that_cannot_be_opened_exits_one(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+def test_a_failed_write_to_stdout_exits_one():
+    # buffered, the write fails at the flush and again at interpreter exit
+    # unless what stdout still holds is dropped; unbuffered, at once; and
+    # a stdout closed before the start is None
+    argv = [sys.executable, "-m", "resfin", "growth", "--rank", "2", "--max", "3", "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    runs = []
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "w") as full:
+            runs.append(subprocess.run(
+                argv, stdout=full, stderr=subprocess.PIPE, env=env | unbuffered, text=True,
+                timeout=120,
+            ))
+    runs.append(subprocess.run(
+        ["sh", "-c", '"$@" >&-', "sh", *argv], stderr=subprocess.PIPE, env=env, text=True,
+        timeout=120,
+    ))
+    for done, reason in zip(runs, ["[Errno 28] No space left on device"] * 2 + ["it is closed"]):
+        assert done.returncode == 1
+        assert done.stderr == f"error: cannot write to stdout: {reason}\n"
+
+
 def test_malformed_certificates_exit_one(tmp_path, capsys):
     path = tmp_path / "cert.json"
     assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0

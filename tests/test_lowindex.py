@@ -35,7 +35,7 @@ from resfin.permrep import (
     row_cycles,
     to_record,
 )
-from resfin.words import Ball, generator
+from resfin.words import Ball, _cyclic_split, _free_reduce, generator
 
 from oracles import canonical_key, kernel_fingerprint, relabel, word_battery
 
@@ -228,19 +228,57 @@ def _search_counts(rank, top, kernel_radius=0):
     return total
 
 
+# (rank, top order, kernel radius) and the frames pushed, candidates
+# tried, candidates cut and tables emitted over the regular orders 2..top
+_FROZEN_DEDUCTIONS = (
+    (2, 16, 0, (2200, 7605, 4996, 269)),
+    (3, 8, 0, (1468, 4189, 2165, 473)),
+    (2, 24, 4, (786, 5365, 4596, 6)),
+)
+
+
 def test_regular_deductions_are_frozen():
     # every deduction is forced and the fixpoint is unique, so the frames
     # pushed, candidates tried, candidates cut and tables emitted do not
     # depend on the queue order; weaker deductions branch and cut more
     # while the emitted (canonical) sequence stays the same
-    for rank, top, radius, expect in (
-        (2, 16, 0, (2200, 7605, 4996, 269)),
-        (3, 8, 0, (1468, 4189, 2165, 473)),
-        (2, 24, 4, (786, 5365, 4596, 6)),
-    ):
+    for rank, top, radius, expect in _FROZEN_DEDUCTIONS:
         counts = _search_counts(rank, top, radius)
         got = (counts["nodes"], counts["tries"], counts["cuts"], counts["tables"])
         assert got == expect, (rank, top, radius)
+
+
+def test_each_relator_is_read_off_its_closed_walk():
+    # an entry off the spanning tree of point words closes the walk u v^-1
+    # (u: the word of its source and its letter, v: the word of its
+    # target); past their common prefix that walk is already its cyclic
+    # core, which the search stores without reducing it
+    walks = 0
+    for rank, top, radius, _ in _FROZEN_DEDUCTIONS:
+        for order in range(2, top + 1):
+            for q in _search(rank, order, True, radius):
+                # the tree the search grew: a canonical table meets its
+                # points in label order, each first from the earliest slot
+                word, tree = {0: ()}, set()
+                for p in range(order):
+                    for g in range(rank):
+                        for row, letter in ((q.fwd[g], g + 1), (q.bwd[g], -g - 1)):
+                            if row[p] not in word:
+                                word[row[p]] = word[p] + (letter,)
+                                tree.add((p, letter))
+                for g, row in enumerate(q.fwd):
+                    for a, b in enumerate(row):
+                        if (a, g + 1) in tree or (b, -g - 1) in tree:
+                            continue
+                        u, v = word[a] + (g + 1,), word[b]
+                        k = 0
+                        while k < len(v) and u[k] == v[k]:
+                            k += 1
+                        core = u[k:] + tuple(-x for x in reversed(v[k:]))
+                        whole = u + tuple(-x for x in reversed(v))
+                        assert core and core == _cyclic_split(_free_reduce(whole))[1], (q, a, g, b)
+                        walks += 1
+    assert walks > 0
 
 
 def test_regular_search_scans_each_rotation_class_once():

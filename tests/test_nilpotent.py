@@ -204,6 +204,18 @@ def test_closed_form_out_to_radius_sixty():
         assert girth_upper_bound_nilpotent(n)[0] == 2 * closed + 1, n
 
 
+def test_a_maximum_past_the_envelope_is_refused_on_every_path(monkeypatch):
+    # both callers read the one checked maximum, so a walk that strayed
+    # past |entry| <= n(n+1)/2 + 1 raises on either path
+    def strayed(n):
+        return {(0, 0): 1 << n * n, (n * (n + 1) // 2 + 2, 0): 1 << n * n}
+
+    monkeypatch.setattr("resfin.nilpotent._ball_cells", strayed)
+    for call in (entry_bound, girth_upper_bound_nilpotent):
+        with pytest.raises(InternalError, match="ball entry maximum 5 exceeds the analytic envelope 4"):
+            call(2)
+
+
 def test_walk_past_the_window_limit_is_refused():
     # radius 90 spans 265,388,581 bits and radius 91 277,347,435, which
     # passes the limit of 2^28 = 268,435,456

@@ -119,7 +119,7 @@ def test_ranks_and_exponents_are_judged_by_one_rule():
     x = generator(2, 1)
     q = PermQuotient([[2, 3, 1], [1, 2, 3]])
     entries = {
-        "rank": [lambda v: reduce(v, [1]), lambda v: FreeWord(v, [1])],
+        "rank": [lambda v: reduce(v, [1]), lambda v: FreeWord(v, [1]), lambda v: generator(v, 1)],
         "exponent": [lambda v: power(x, v), lambda v: x**v, lambda v: lift_closed(q, 1, v)],
     }
     for what, calls in entries.items():
