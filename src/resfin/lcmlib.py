@@ -316,7 +316,7 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
 
 def _word_field(text, rank: int) -> FreeWord:
     if not isinstance(text, str):
-        raise InputError(f"malformed certificate: word {text!r} is not a string")
+        raise InputError(f"word {text!r} is not a string")
     return parse_word(text, rank)
 
 
@@ -333,9 +333,10 @@ def cert_from_json(data) -> WitnessCertificate:
         flat = None if data["flat"] is None else _word_field(data["flat"], rank)
         bound = data["declared_bound"]
         if type(bound) is not int:  # bool is an int subclass and is refused too
-            raise InputError(
-                f"malformed certificate: declared_bound {bound!r} is not an integer"
-            )
+            raise InputError(f"declared_bound {bound!r} is not an integer")
+        claimed = data["nontrivial_verified"]
+        if type(claimed) is not bool:
+            raise InputError(f"nontrivial_verified {claimed!r} is not a boolean")
         return WitnessCertificate(
             rank=rank,
             targets=targets,
@@ -343,9 +344,10 @@ def cert_from_json(data) -> WitnessCertificate:
             declared_bound=bound,
             derivations=derivations,
             flat=flat,
-            nontrivial_verified=bool(data["nontrivial_verified"]),
+            nontrivial_verified=claimed,
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # the last: JSON nested too deep
+        # InputError is a ValueError, so the checks above get their prefix here
         raise InputError(f"malformed certificate: {exc}") from exc
 
 

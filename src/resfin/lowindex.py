@@ -34,7 +34,8 @@ Regular mode adds sound pruning devices on top:
     a single gap forces that entry, which is queued in turn. The
     fixpoint is the same as a rescan of every relator from every point,
     so the emitted sequence does not depend on the queue order,
-  - generator cycles must share one length dividing the degree,
+  - a closed generator cycle must have a length dividing the degree
+    (Lagrange: a cycle of right translation by g is a coset of <g>),
   - with a kernel radius r > 0, a relator whose cyclic reduction has
     length <= r cuts the branch: it is a nontrivial kernel element of
     every completion, so no completion is injective on the radius r/2
@@ -47,6 +48,13 @@ Regular mode adds sound pruning devices on top:
     (the action is transitive), and every backward row inverts its
     forward row. A regular table must then have image order equal to its
     degree.
+
+Regularity does not rest on the cuts: every entry off the tree stores the
+core of its Schreier generator, and at a finished table every stored core
+closes from every point, so the basepoint stabilizer acts trivially and
+the action is regular. A cut only prunes earlier; dropping one loses no
+table and lets no irregular table reach `build()`, whose image-order
+check stays as the check of this invariant.
 
 `_search` is a generator that returns, once exhausted, what it did: the
 frames it pushed, the candidates they offered, the candidates a deduction
@@ -117,7 +125,6 @@ def _search(
         x: [] for g in range(1, m + 1) for x in (g, -g)
     }
     pending: list[tuple[tuple[int, ...], int]] = []  # (relator, start) to scan
-    cycle_len = [0] * m
     # regular mode: what deductions changed, undone on backtrack
     trail: list[tuple] = []
     # what the search did, returned when it is exhausted: frames pushed,
@@ -127,28 +134,19 @@ def _search(
 
     def link(a: int, g: int, b: int) -> bool:
         """Queue the scans through the new entry (a, g, b); False if it
-        closes a generator cycle of the wrong length."""
+        closes a generator cycle whose length does not divide the degree."""
         nonlocal scans
         ahead, back = rotations[g + 1], rotations[-g - 1]
         pending.extend(zip(ahead, itertools.repeat(a)))
         pending.extend(zip(back, itertools.repeat(b)))
         scans += len(ahead) + len(back)
-        # a closed generator cycle must have one shared length dividing
-        # the degree (cycles of right translation are cosets)
+        # Lagrange: a cycle of right translation by g is a coset of <g>
         length = 1
         cur = b
         while cur != a and fwd[g][cur] >= 0:
             cur = fwd[g][cur]
             length += 1
-        if cur == a:
-            if degree % length != 0:
-                return False
-            if cycle_len[g] == 0:
-                cycle_len[g] = length
-                trail.append(("len", g))
-            elif cycle_len[g] != length:
-                return False
-        return True
+        return cur != a or degree % length == 0
 
     def add_relator(a: int, g: int, b: int) -> bool:
         nonlocal scans
@@ -159,7 +157,7 @@ def _search(
         while k < len(v) and u[k] == v[k]:
             k += 1
         core = u[k:] + tuple(-letter for letter in reversed(v[k:]))
-        if kernel_radius and len(core) <= kernel_radius:
+        if len(core) <= kernel_radius:
             return False
         if core in relator_set:  # its rotation class is stored
             return True
@@ -267,13 +265,10 @@ def _search(
                 del bfs_word[used:]
                 while len(trail) > mark:
                     entry = trail.pop()
-                    kind = entry[0]
-                    if kind == "edge":
+                    if entry[0] == "edge":
                         _, ea, eg, eb = entry
                         fwd[eg][ea] = -1
                         bwd[eg][eb] = -1
-                    elif kind == "len":
-                        cycle_len[entry[1]] = 0
                     else:
                         rots = entry[1]
                         relator_set.difference_update(rots)

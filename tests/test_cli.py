@@ -148,30 +148,40 @@ def test_malformed_certificates_exit_one(tmp_path, capsys):
     path = tmp_path / "cert.json"
     assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0
     text = path.read_text()
-    data = json.loads(text)
-    bound = data["certificate"]["declared_bound"]
+    cert = json.loads(text)["certificate"]
+    assert cert["flat"] is not None
     step_is_string = json.loads(text)
     step_is_string["certificate"]["derivations"][0][0] = "ground"
-    bound_not_int = json.loads(text)
-    bound_not_int["certificate"]["declared_bound"] = "four"
-    target_not_str = json.loads(text)
-    target_not_str["certificate"]["targets"][0] = 1
+    bound = cert["declared_bound"]
     shapes = {
-        "digits": text.replace(f'"declared_bound": {bound}', '"declared_bound": ' + "9" * 5000),
-        "step": json.dumps(step_is_string),
-        "bound": json.dumps(bound_not_int),
-        "target": json.dumps(target_not_str),
+        "digits": (text.replace(f'"declared_bound": {bound}', '"declared_bound": ' + "9" * 5000), None),
+        "step": (json.dumps(step_is_string), None),
     }
-    for value in (4.7, True):
-        bound_not_int["certificate"]["declared_bound"] = value
-        shapes[f"bound {value}"] = json.dumps(bound_not_int)
-    assert "9" * 5000 in shapes["digits"]
-    for name, body in shapes.items():
-        bad = tmp_path / f"{name}.json"
+    assert "9" * 5000 in shapes["digits"][0]
+    # a refused field is named under one prefix; a JSON "false" is truthy
+    # and would read as a claim of nontriviality
+    for key, value, message in (
+        ("declared_bound", "8", "declared_bound '8' is not an integer"),
+        ("declared_bound", 4.7, "declared_bound 4.7 is not an integer"),
+        ("declared_bound", True, "declared_bound True is not an integer"),
+        ("flat", 7, "word 7 is not a string"),
+        ("targets", [1, *cert["targets"][1:]], "word 1 is not a string"),
+        ("nontrivial_verified", "false", "nontrivial_verified 'false' is not a boolean"),
+        ("nontrivial_verified", 1, "nontrivial_verified 1 is not a boolean"),
+        ("nontrivial_verified", None, "nontrivial_verified None is not a boolean"),
+    ):
+        body = json.dumps({"certificate": {**cert, key: value}})
+        shapes[f"{key} {value!r}"] = (body, f"error: malformed certificate: {message}\n")
+    for name, (body, expect) in shapes.items():
+        bad = tmp_path / "bad.json"
         bad.write_text(body)
         assert run(["verify", "--certificate", str(bad)]) == 1, name
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and err.startswith("error:"), name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        if expect is None:
+            assert "Traceback" not in captured.err and captured.err.startswith("error:"), name
+        else:
+            assert captured.err == expect, name
 
 
 def test_verify_refuses_a_bool_rank(tmp_path, capsys):

@@ -153,6 +153,8 @@ def test_input_validation():
         lcm_witness([X, generator(3, 1)])
     with pytest.raises(InputError):
         lcm_witness([X, power(X, 0)])
+    with pytest.raises(InputError, match="targets must be FreeWord, got str"):
+        lcm_witness([X, "a"])
 
 
 def _frozen_target_sets():
@@ -399,6 +401,8 @@ def test_exact_lcm_small_pinned_values():
     assert format_word(exact_lcm_small([Y])) == "b"
     assert format_word(exact_lcm_small([X, Y])) == "abAB"
     assert format_word(exact_lcm_small([X, power(X, 2)])) == "aa"
+    # the closure of x^7 holds no nontrivial word shorter than x^7
+    assert exact_lcm_small([power(X, 7)]) is None
 
 
 def test_exact_lcm_rejects_general_targets():
@@ -472,6 +476,9 @@ def test_closure_membership_general_targets():
     assert closure_membership(parse_word("babABB", 2), comm) is None
     with pytest.raises(InputError):
         closure_membership(X, power(X, 0))
+    with pytest.raises(InputError, match="rank mismatch: 1 vs 2"):
+        closure_membership(generator(1, 1), comm)
+    assert closure_membership(power(X, 0), comm) is True
 
 
 # --- power-set reports ----------------------------------------------------------

@@ -141,6 +141,16 @@ def test_normal_counts_match_raw_sweep():
         assert normal_count(2, order) == _sweep_count(2, order, True)
 
 
+def test_regular_search_matches_the_unpruned_search():
+    # the plain search has none of the regular devices (relator scans,
+    # Lagrange's rule, the fresh-point one-letter scans); filtered to its
+    # regular tables it gives the same tables in the same order
+    for rank, top in ((1, 12), (2, 7), (3, 4), (4, 3)):
+        for order in range(1, top + 1):
+            plain = [q for q in enumerate_subgroups(rank, order) if is_regular(q)]
+            assert list(enumerate_normal(rank, order)) == plain, (rank, order)
+
+
 def test_normal_counts_frozen_midrange():
     # Cross-checked by hand against surjection/automorphism counts per
     # isomorphism type; order 8 splits as 12 cyclic + 3 C4xC2 + 3 dihedral

@@ -134,6 +134,8 @@ def test_orbit():
     q = q2([2, 1, 3], [1, 2, 3])
     assert orbit(q, 1) == {1, 2}
     assert orbit(q, 3) == {3}
+    with pytest.raises(InputError, match="point 4 out of range 1..3"):
+        orbit(q, 4)
     assert not is_transitive(q)
     trivial = q2([1, 2, 3], [1, 2, 3])
     assert orbit(trivial, 1) == {1}
@@ -275,8 +277,9 @@ def test_basepoint_image_decides_death_in_regular_actions():
         for q in enumerate_normal(2, order):
             for w in ball:
                 assert (basepoint_image(q, w) == 0) == (eval_word(q, w) == tuple(range(order)))
-    with pytest.raises(InputError):
-        basepoint_image(q2([2, 1], [1, 2]), parse_word("c", rank=3))
+    for evaluate in (basepoint_image, eval_word):
+        with pytest.raises(InputError, match="word rank 3 exceeds quotient rank 2"):
+            evaluate(q2([2, 1], [1, 2]), parse_word("c", rank=3))
 
 
 def test_row_cycles_match_a_walk_oracle():

@@ -147,6 +147,8 @@ def test_divisibility_rejects_bad_input():
     assert divisibility(W("a"), 1).unknown  # order 1 separates nothing
     with pytest.raises(InputError):
         divisibility("abAB")
+    with pytest.raises(InputError, match="need a FreeWord or SLWord, got str"):
+        normal_divisibility("abAB")
     with pytest.raises(InputError):
         normal_divisibility(W("", 2))
 

@@ -145,6 +145,8 @@ def test_group_operations():
     assert (x * y) * ~(x * y) == identity(2)
     with pytest.raises(InputError):
         multiply(x, generator(3, 1))
+    with pytest.raises(InputError, match="rank mismatch: 3 vs 2"):
+        SLBuilder(2).word(generator(3, 1))
 
 
 def test_operation_properties():
