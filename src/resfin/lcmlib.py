@@ -320,15 +320,29 @@ def _word_field(text, rank: int) -> FreeWord:
     return parse_word(text, rank)
 
 
+def _json_field(value, kind: type, what: str):
+    """`value` if it is a JSON list (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} is not a JSON {'list' if kind is list else 'object'}")
+    return value
+
+
 def cert_from_json(data) -> WitnessCertificate:
     try:
         if isinstance(data, str):
             data = json.loads(data)
         rank = data["rank"]
-        word = SLWord(rank, [tuple(n) for n in data["nodes"]], data["root"])
-        targets = tuple(_word_field(t, rank) for t in data["targets"])
+        nodes = _json_field(data["nodes"], list, "nodes")
+        word = SLWord(rank, [tuple(n) for n in nodes], data["root"])
+        targets = tuple(
+            _word_field(t, rank) for t in _json_field(data["targets"], list, "targets")
+        )
         derivations = tuple(
-            tuple(dict(step) for step in steps) for steps in data["derivations"]
+            tuple(
+                dict(_json_field(step, dict, "derivation step"))
+                for step in _json_field(steps, list, "derivation")
+            )
+            for steps in _json_field(data["derivations"], list, "derivations")
         )
         flat = None if data["flat"] is None else _word_field(data["flat"], rank)
         bound = data["declared_bound"]

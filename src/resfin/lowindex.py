@@ -5,14 +5,18 @@ d points, normal subgroups of index q as regular actions on q points. The
 search fills a partial permutation table slot by slot in a fixed scan order
 (point by point, each generator forward then backward), introducing fresh
 points only at their first reference. It is one loop over these slots
-with an explicit stack of one frame per branching slot: its candidates,
-the next one to try, the points in use and the length of the trail that
-records what regular mode's deductions changed. After a branch the cursor
-resumes the scan just past its slot, since every slot before it stays
-filled in the whole subtree; a backtrack clears the frame's own entry and
-trims the points it introduced. That discipline makes
-every finished table its own canonical form, so each subgroup and each
-kernel is produced exactly once, with no abstract-group catalog anywhere.
+with an explicit stack of one frame per branching slot: the slot, the
+candidate in place, the points in use and the length of the trail that
+records what regular mode's deductions changed. A frame holds no
+candidate list: its next candidate is the next point in use, after the
+one in place, that is free in the opposite row, and then the fresh point.
+After a branch the cursor resumes the scan just past its slot, since
+every slot before it stays filled in the whole subtree; a backtrack
+clears the frame's own entry and trims the points it introduced. That
+discipline makes every finished table its own canonical form, so each
+subgroup and each kernel is produced exactly once, with no
+abstract-group catalog anywhere. Plain mode keeps no point words and no
+trail, since only regular mode's deductions read them.
 
 Regular mode adds sound pruning devices on top:
   - every table entry that joins two known points yields a word fixing the
@@ -40,6 +44,13 @@ Regular mode adds sound pruning devices on top:
     length <= r cuts the branch: it is a nontrivial kernel element of
     every completion, so no completion is injective on the radius r/2
     ball,
+  - with rank >= 2 and a kernel radius r >= 4, `enumerate_normal` skips
+    the whole order n, with no search, when every divisor of n above r
+    is n itself. By Lagrange each generator's order divides n, and it
+    must exceed r, or the generator's power of that length is a kernel
+    element of length <= r. So every generator has order n and alone
+    generates the group, which is then cyclic, and its kernel holds the
+    commutator of the first two generators, of length 4 <= r,
   - every finished table, plain or regular, is checked before emission
     on the search's own live rows (`_check_rows`, handed the interleaved
     rows and the point list that each search sets up once): a
@@ -57,10 +68,10 @@ table and lets no irregular table reach `build()`, whose image-order
 check stays as the check of this invariant.
 
 `_search` is a generator that returns, once exhausted, what it did: the
-frames it pushed, the candidates they offered, the candidates a deduction
-cut, the tables it emitted and the scans it drained from the queue. These
-counts do not depend on the queue order, since every deduction is forced
-and the fixpoint is unique.
+frames it pushed, the candidates it placed (by then every candidate of
+every frame), the candidates a deduction cut, the tables it emitted and
+the scans it drained from the queue. These counts do not depend on the
+queue order, since every deduction is forced and the fixpoint is unique.
 """
 
 from __future__ import annotations
@@ -128,7 +139,7 @@ def _search(
     # regular mode: what deductions changed, undone on backtrack
     trail: list[tuple] = []
     # what the search did, returned when it is exhausted: frames pushed,
-    # candidates they offered, candidates cut, tables emitted and scans
+    # candidates placed, candidates cut, tables emitted and scans
     # drained from the queue
     nodes = tries = cuts = tables = scans = 0
 
@@ -226,69 +237,71 @@ def _search(
             raise InternalError("relator propagation let an irregular table through")
         return q
 
-    # slot s is entry p = s // (2m) of row, under generator g forward then
-    # backward; a branch there sets row[p] = r and opposite[r] = p
-    slots = [
-        (row, opposite, p, g, forward)
-        for p in range(degree)
-        for g in range(m)
-        for row, opposite, forward in ((fwd[g], bwd[g], True), (bwd[g], fwd[g], False))
-    ]
-    # one frame per branching slot: [slot, candidates, next candidate,
-    # points in use, trail length]
-    stack: list[list] = []
+    # slot s is entry slot_point[s] = s // (2m) of slot_row[s], the row of
+    # generator g = s // 2 % m, forward at even s and backward at odd s; a
+    # branch there to r sets that entry to r and slot_opposite[s][r] to
+    # the point
+    slot_row = rows * degree
+    slot_opposite = [row for f, b in zip(fwd, bwd) for row in (b, f)] * degree
+    slot_point = [p for p in range(degree) for _ in range(2 * m)]
+    # one frame per branching slot: [slot, candidate in place (-1 before
+    # the first), points in use, trail length]
+    stack: list[list[int]] = []
     s = 0
+    used = 1
     while True:
-        used = len(bfs_word)
         end = 2 * m * used
-        while s < end and slots[s][0][slots[s][2]] >= 0:
+        while s < end and slot_row[s][slot_point[s]] >= 0:
             s += 1
         if s < end:
-            opposite = slots[s][1]
-            candidates = [r for r in range(used) if opposite[r] < 0]
-            if used < degree:
-                candidates.append(used)
-            stack.append([s, candidates, 0, used, len(trail)])
+            stack.append([s, -1, used, len(trail)])
             nodes += 1
-            tries += len(candidates)
         elif used == degree:
             tables += 1
             yield build()
-        # take the next candidate of the innermost frame that has one
+        # place the next candidate of the innermost frame that has one
         while stack:
             frame = stack[-1]
-            s, candidates, k, used, mark = frame
-            row, opposite, p, g, forward = slots[s]
-            if k:  # take back the previous candidate
+            s, r, used, mark = frame
+            row = slot_row[s]
+            opposite = slot_opposite[s]
+            p = slot_point[s]
+            if r >= 0:  # take back the candidate in place
                 row[p] = -1
-                opposite[candidates[k - 1]] = -1
-                del bfs_word[used:]
-                while len(trail) > mark:
-                    entry = trail.pop()
-                    if entry[0] == "edge":
-                        _, ea, eg, eb = entry
-                        fwd[eg][ea] = -1
-                        bwd[eg][eb] = -1
-                    else:
-                        rots = entry[1]
-                        relator_set.difference_update(rots)
-                        for rot in rots:
-                            rotations[rot[0]].pop()
-            if k == len(candidates):
+                opposite[r] = -1
+                if regular:
+                    del bfs_word[used:]
+                    while len(trail) > mark:
+                        entry = trail.pop()
+                        if entry[0] == "edge":
+                            _, ea, eg, eb = entry
+                            fwd[eg][ea] = -1
+                            bwd[eg][eb] = -1
+                        else:
+                            rots = entry[1]
+                            relator_set.difference_update(rots)
+                            for rot in rots:
+                                rotations[rot[0]].pop()
+            # the candidates: each point in use that is free in the
+            # opposite row, then the fresh point
+            r += 1
+            while r < used and opposite[r] >= 0:
+                r += 1
+            if r > used or r == degree:
                 stack.pop()
                 continue
-            frame[2] = k + 1
-            r = candidates[k]
+            frame[1] = r
+            tries += 1
             row[p] = r
             opposite[r] = p
-            if r == used:
-                bfs_word.append(bfs_word[p] + ((g + 1) if forward else -(g + 1),))
             if regular:
-                a, b = (p, r) if forward else (r, p)
+                g = s // 2 % m
+                a, b = (r, p) if s & 1 else (p, r)
                 ok = link(a, g, b)
-                if ok and r != used:
+                if ok and r < used:
                     ok = add_relator(a, g, b)
                 elif ok:
+                    bfs_word.append(bfs_word[p] + (-(g + 1) if s & 1 else g + 1,))
                     # link queued the scans through the new entry; any
                     # other scan from the fresh point meets a gap at both
                     # ends, one and the same only for a one-letter relator
@@ -301,6 +314,8 @@ def _search(
                 if not ok:
                     cuts += 1
                     continue
+            if r == used:
+                used += 1
             # every slot before this one stays filled in the whole subtree
             s += 1
             break
@@ -340,11 +355,18 @@ def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterat
     With `kernel_radius` r > 0, kernels holding a nontrivial word of length
     <= r may be skipped: the result is a subsequence of the full one that
     still contains every kernel missing the radius-r ball, in the same
-    order.
+    order.  At rank >= 2 and r >= 4 a whole order is skipped, with no
+    search, when every divisor of it above r is the order itself (its
+    largest proper divisor, order // least prime, is <= r): see the
+    whole-order cut in the module docstring.
     """
     _checked(rank, order, "order")
     _checked_int(kernel_radius, "kernel_radius", 0)
     if kernel_radius:
+        if rank >= 2 and kernel_radius >= 4 and not any(
+            order % d == 0 for d in range(kernel_radius + 1, order)
+        ):
+            return iter(())
         return _search(rank, order, True, kernel_radius)
     if order <= _CACHE_REGULAR_LIMIT:
         return iter(_materialized(rank, order))

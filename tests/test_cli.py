@@ -166,6 +166,7 @@ def test_malformed_certificates_exit_one(tmp_path, capsys):
         ("declared_bound", True, "declared_bound True is not an integer"),
         ("flat", 7, "word 7 is not a string"),
         ("targets", [1, *cert["targets"][1:]], "word 1 is not a string"),
+        ("targets", "ab", "targets is not a JSON list"),
         ("nontrivial_verified", "false", "nontrivial_verified 'false' is not a boolean"),
         ("nontrivial_verified", 1, "nontrivial_verified 1 is not a boolean"),
         ("nontrivial_verified", None, "nontrivial_verified None is not a boolean"),

@@ -393,6 +393,24 @@ def test_malformed_json_is_an_input_error():
         cert_from_json("[" * 100_000)
 
 
+def test_container_fields_must_have_their_json_type():
+    # a string where the target list belongs would iterate as one target
+    # per letter, and a step written as [key, value] pairs would convert to
+    # a dict; both edits of a sound certificate would then verify
+    data = cert_to_json(lcm_witness([X, Y]))
+    assert data["targets"] == ["a", "b"] and verify_certificate(cert_from_json(data))
+    pairs = [[list(step.items()) for step in steps] for steps in data["derivations"]]
+    for key, value, message in (
+        ("targets", "ab", "targets is not a JSON list"),
+        ("derivations", pairs, "derivation step is not a JSON object"),
+        ("derivations", {"0": data["derivations"][0]}, "derivations is not a JSON list"),
+        ("derivations", [tuple(data["derivations"][0])], "derivation is not a JSON list"),
+        ("nodes", {"0": data["nodes"][0]}, "nodes is not a JSON list"),
+    ):
+        with pytest.raises(InputError, match=f"^malformed certificate: {message}$"):
+            cert_from_json({**data, key: value})
+
+
 # --- exact small search -------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ subgroups of a free group.
 
 import collections
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -225,11 +226,11 @@ def test_plain_search_sequence_is_frozen():
         assert (seen, digest.hexdigest()) == (count, expect), rank
 
 
-def _search_counts(rank, top, kernel_radius=0):
-    """The counts `_search` returns, summed over the regular orders 2..top."""
+def _search_counts(rank, degrees, regular=True, kernel_radius=0):
+    """The counts `_search` returns, summed over the given degrees."""
     total = collections.Counter()
-    for order in range(2, top + 1):
-        search = _search(rank, order, True, kernel_radius)
+    for degree in degrees:
+        search = _search(rank, degree, regular, kernel_radius)
         try:
             while True:
                 next(search)
@@ -253,9 +254,27 @@ def test_regular_deductions_are_frozen():
     # depend on the queue order; weaker deductions branch and cut more
     # while the emitted (canonical) sequence stays the same
     for rank, top, radius, expect in _FROZEN_DEDUCTIONS:
-        counts = _search_counts(rank, top, radius)
+        counts = _search_counts(rank, range(2, top + 1), kernel_radius=radius)
         got = (counts["nodes"], counts["tries"], counts["cuts"], counts["tables"])
         assert got == expect, (rank, top, radius)
+
+
+# (rank, top index) and the frames pushed, candidates placed, candidates
+# cut and tables emitted over the plain search at indices 1..top
+_FROZEN_PLAIN_COUNTS = (
+    (2, 6, (11601, 16250, 0, 3996)),
+    (3, 4, (8273, 10631, 0, 2248)),
+)
+
+
+def test_plain_search_counts_are_frozen():
+    # the plain search has no deductions, so it cuts nothing; each frame
+    # walks its candidates in place, every point in use free in the
+    # opposite row and then the fresh point, and places each one once
+    for rank, top, expect in _FROZEN_PLAIN_COUNTS:
+        counts = _search_counts(rank, range(1, top + 1), regular=False)
+        got = (counts["nodes"], counts["tries"], counts["cuts"], counts["tables"])
+        assert got == expect, (rank, top)
 
 
 def test_each_relator_is_read_off_its_closed_walk():
@@ -294,7 +313,7 @@ def test_each_relator_is_read_off_its_closed_walk():
 def test_regular_search_scans_each_rotation_class_once():
     # storing every relator form apart, rather than one core per rotation
     # class, drains 135,911 scans here
-    assert _search_counts(2, 16)["scans"] <= 70_000
+    assert _search_counts(2, range(2, 17))["scans"] <= 70_000
 
 
 def _searched_quotients():
@@ -419,6 +438,29 @@ def test_kernel_cut_sequence_is_frozen():
                 digest.update(canonical_key(q))
                 seen += 1
         assert (seen, digest.hexdigest()) == (count, expect), rank
+
+
+def test_whole_order_cut_skips_only_empty_orders():
+    # enumerate_normal skips an order, with no search, exactly when its
+    # largest proper divisor (the order over its least prime) is at most
+    # the kernel radius; there the kernel-radius search yields nothing
+    skipped = 0
+    for rank, radii, top in ((2, (4, 5, 6), 40), (3, (4,), 23)):
+        for radius in radii:
+            for order in range(1, top + 1):
+                least = next((p for p in range(2, order + 1) if order % p == 0), 1)
+                skip = order // least <= radius
+                searched = enumerate_normal(rank, order, kernel_radius=radius)
+                assert inspect.isgenerator(searched) is not skip, (rank, radius, order)
+                if skip:
+                    assert list(searched) == []
+                    assert next(_search(rank, order, True, radius), None) is None
+                    skipped += 1
+    assert skipped == 72
+    # rank 1 has no commutator, and below radius 4 the commutator is too
+    # long to cut: both search every order
+    assert inspect.isgenerator(enumerate_normal(1, 7, kernel_radius=6))
+    assert inspect.isgenerator(enumerate_normal(2, 7, kernel_radius=3))
 
 
 def test_kernel_radius_is_checked():
