@@ -385,9 +385,12 @@ def _power_set_scan(
     that asks for it.
 
     A group of order at most n kills one of the targets, and the witness
-    with it, so a survivor of order at most n is an InternalError.  Targets
-    totalling more than DEFAULT_FLAT_CAP letters raise ResourceError before
-    any is built.
+    with it, so a survivor of order at most n is an InternalError.  Every
+    order up to the largest n is searched and evaluated for that check;
+    past it, an order where every group is abelian is skipped while every
+    witness left has all exponent sums zero (see `_first_survivals`).
+    Targets totalling more than DEFAULT_FLAT_CAP letters raise
+    ResourceError before any is built.
     """
     from .lowindex import _first_survivals
 
@@ -402,7 +405,8 @@ def _power_set_scan(
     distinct = list(dict.fromkeys(ns))
     certs = [lcm_witness([power(x, i) for i in range(1, n + 1)]) for n in distinct]
     scanned = {}
-    for n, cert, hit in zip(distinct, certs, _first_survivals(rank, [c.word for c in certs], cap)):
+    hits = _first_survivals(rank, [c.word for c in certs], cap, top)
+    for n, cert, hit in zip(distinct, certs, hits):
         value = None if hit is None else hit[0]
         if value is not None and value <= n:
             raise InternalError(f"a quotient of order {value} kept the witness for x..x^{n} alive")
@@ -419,7 +423,9 @@ def power_set_witness(rank: int, n: int) -> dict:
     In any group of order at most n the image of x has order at most n,
     so one of the targets dies and the witness dies with it: its normal
     divisibility is at least n + 1.  The scan re-checks a prefix of that
-    claim, orders up to POWER_SCAN_CAP, against the actual quotient lists.
+    claim, orders up to POWER_SCAN_CAP, against the actual quotient lists:
+    every one of those orders is searched and the witness evaluated in
+    each of its quotients, abelian-only orders included.
     """
     _checked_int(rank, "rank")
     _checked_int(n, "n")

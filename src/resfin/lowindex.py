@@ -45,12 +45,14 @@ Regular mode adds sound pruning devices on top:
     every completion, so no completion is injective on the radius r/2
     ball,
   - with rank >= 2 and a kernel radius r >= 4, `enumerate_normal` skips
-    the whole order n, with no search, when every divisor of n above r
-    is n itself. By Lagrange each generator's order divides n, and it
-    must exceed r, or the generator's power of that length is a kernel
-    element of length <= r. So every generator has order n and alone
-    generates the group, which is then cyclic, and its kernel holds the
-    commutator of the first two generators, of length 4 <= r,
+    the whole order n, with no search, when every quotient of that order
+    is abelian, since its kernel then holds the commutator of the first
+    two generators, of length 4 <= r. That is so when every divisor of
+    n above r is n itself: by Lagrange each generator's order divides n,
+    and it must exceed r, or the generator's power of that length is a
+    kernel element of length <= r, so every generator has order n and
+    alone generates the group, which is then cyclic. It is also so when
+    every group of order n is abelian (`all_abelian`),
   - every finished table, plain or regular, is checked before emission
     on the search's own live rows (`_check_rows`, handed the interleaved
     rows and the point list that each search sets up once): a
@@ -78,13 +80,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Generator, Iterator
 
 from .errors import InternalError, ResourceError, _checked_int
-from .permrep import PermQuotient, basepoint_image, image_order
-from .words import FreeWord, SLWord
+from .permrep import PermQuotient, _glued, basepoint_image, eval_word, image_order
+from .words import FreeWord, SLWord, sl_eval
 
 _CACHE_REGULAR_LIMIT = 12
+# actions glued into one disjoint union, for the ball walk and for
+# straight-line words, which bounds the union however many actions an
+# order has
+_WALK_BATCH = 2048
 # the most points a table may have: separability._ball_maximum stores each
 # word's degree in one byte
 MAX_ENCODABLE_DEGREE = 255
@@ -347,6 +354,29 @@ def enumerate_subgroups(rank: int, index: int) -> Iterator[PermQuotient]:
     return _search(rank, index, False)
 
 
+def all_abelian(order: int) -> bool:
+    """Whether every group of this order is abelian.
+
+    By Dickson's criterion that holds exactly when the order is cube-free
+    and p^k is not 1 mod q for any primes p, q dividing it and any k up to
+    the exponent of p in it (OEIS A051532; Pakianathan and Shankar,
+    "Nilpotent numbers", Amer. Math. Monthly 107, 2000).
+    """
+    _checked_int(order, "order")
+    exponents: dict[int, int] = {}  # each prime dividing the order, with its exponent
+    n, p = order, 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        exponents[n] = exponents.get(n, 0) + 1
+    return all(e <= 2 for e in exponents.values()) and not any(
+        pow(p, k, q) == 1 for p, e in exponents.items() for q in exponents for k in range(1, e + 1)
+    )
+
+
 def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterator[PermQuotient]:
     """One regular action per normal subgroup of F_rank with quotient size
     `order` (equivalently, per kernel of a surjection onto a group of that
@@ -357,14 +387,15 @@ def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterat
     still contains every kernel missing the radius-r ball, in the same
     order.  At rank >= 2 and r >= 4 a whole order is skipped, with no
     search, when every divisor of it above r is the order itself (its
-    largest proper divisor, order // least prime, is <= r): see the
-    whole-order cut in the module docstring.
+    largest proper divisor, order // least prime, is <= r) or when every
+    group of that order is abelian: see the whole-order cut in the module
+    docstring.
     """
     _checked(rank, order, "order")
     _checked_int(kernel_radius, "kernel_radius", 0)
     if kernel_radius:
-        if rank >= 2 and kernel_radius >= 4 and not any(
-            order % d == 0 for d in range(kernel_radius + 1, order)
+        if rank >= 2 and kernel_radius >= 4 and (
+            not any(order % d == 0 for d in range(kernel_radius + 1, order)) or all_abelian(order)
         ):
             return iter(())
         return _search(rank, order, True, kernel_radius)
@@ -373,27 +404,70 @@ def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterat
     return _search(rank, order, True)
 
 
+def _exponent_sums(w: FreeWord | SLWord) -> tuple[int, ...]:
+    """w's image in the abelianization Z^rank, as one exponent sum per
+    generator; a straight-line word is evaluated there on integer vectors."""
+    if isinstance(w, SLWord):
+        return sl_eval(
+            w,
+            gen=lambda i: tuple(int(g == i) for g in range(1, w.rank + 1)),
+            mul=lambda a, b: tuple(map(operator.add, a, b)),
+            inv=lambda a: tuple(map(operator.neg, a)),
+            ident=(0,) * w.rank,
+        )
+    sums = [0] * w.rank
+    for letter in w.letters:
+        sums[abs(letter) - 1] += 1 if letter > 0 else -1
+    return tuple(sums)
+
+
 def _first_survivals(
-    rank: int, words: list[FreeWord | SLWord], cap: int
+    rank: int, words: list[FreeWord | SLWord], cap: int, recheck: int = 1
 ) -> list[tuple[int, PermQuotient] | None]:
     """For each word, the least order up to cap of a regular quotient where
     it survives and the first such quotient, or None if it dies in all.
 
     Each order is enumerated once for every word still dying, and only as
-    far as the last of them needs.
+    far as the last of them needs.  An order past `recheck` where every
+    group is abelian (`all_abelian`) is not enumerated at all when every
+    word still dying has all exponent sums zero: such a word lies in the
+    commutator subgroup, so it dies in every abelian quotient.  Every
+    order up to `recheck` is enumerated and evaluated regardless, which
+    lets a caller check a claim there against the quotient lists.
+
+    A flat word is walked table by table, so its first survivor ends the
+    enumeration there.  While a straight-line word is left, an order is
+    read `_WALK_BATCH` tables at a time, and each straight-line word is
+    evaluated once per batch, on the batch's disjoint union: it survives
+    in a table exactly when it moves that table's basepoint.
     """
     found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
     left = list(range(len(words)))
+    abelian_dead = [not any(_exponent_sums(w)) for w in words]
     for order in range(2, cap + 1):
         if not left:
             break
-        for q in enumerate_normal(rank, order):
-            for i in left:
-                if basepoint_image(q, words[i]):
-                    found[i] = (order, q)
-            left = [i for i in left if found[i] is None]
-            if not left:
+        if order > recheck and all(abelian_dead[i] for i in left) and all_abelian(order):
+            continue
+        tables = enumerate_normal(rank, order)
+        while left:
+            straight = [i for i in left if isinstance(words[i], SLWord)]
+            flat = [i for i in left if not isinstance(words[i], SLWord)]
+            batch = list(itertools.islice(tables, _WALK_BATCH if straight else 1))
+            if not batch:
                 break
+            if straight:
+                glued, offsets = _glued(batch)
+                for i in straight:
+                    row = eval_word(glued, words[i])
+                    k = next((k for k, p in enumerate(offsets) if row[p] != p), None)
+                    if k is not None:
+                        found[i] = (order, batch[k])
+            for q in batch:
+                for i in flat:
+                    if found[i] is None and basepoint_image(q, words[i]):
+                        found[i] = (order, q)
+            left = [i for i in left if found[i] is None]
     return found
 
 

@@ -114,6 +114,27 @@ class PermQuotient:
         return f"PermQuotient(degree={self.degree}, gens=[{shown}])"
 
 
+def _glued(actions: Sequence[PermQuotient]) -> tuple[PermQuotient, range]:
+    """The disjoint union of actions of one rank and one degree d, and
+    where each starts.
+
+    Point p of the k-th action is point k d + p of the union, so that
+    action's basepoint is offset k d.  One more point after them all,
+    the last, is fixed by every generator.
+    """
+    degree = actions[0].degree
+    fixed = degree * len(actions)
+    offsets = range(0, fixed, degree)
+    points = list(range(fixed + 1))
+
+    def glue(rows):
+        return tuple([points[offset + p] for offset, row in zip(offsets, rows) for p in row] + [fixed])
+
+    fwd = tuple(glue(rows) for rows in zip(*(q.fwd for q in actions)))
+    bwd = tuple(glue(rows) for rows in zip(*(q.bwd for q in actions)))
+    return PermQuotient._trusted(fwd, bwd), offsets
+
+
 def eval_word(q: PermQuotient, w: FreeWord | SLWord) -> tuple[int, ...]:
     """Image of a word, flat or straight-line, as a 0-based row like q.fwd[g].
 
@@ -133,12 +154,23 @@ def eval_word(q: PermQuotient, w: FreeWord | SLWord) -> tuple[int, ...]:
 
 def _sl_row(q: PermQuotient, w: SLWord) -> tuple[int, ...]:
     fwd = q.fwd
+    ident = tuple(range(q.degree))
+
+    def inv(a: tuple[int, ...]) -> tuple[int, ...]:
+        # inverse_row, but with ident's ints as entries, so that the rows of
+        # a large disjoint union share one set of ints rather than each
+        # holding its own
+        out = [0] * len(a)
+        for i, p in zip(ident, a):
+            out[p] = i
+        return tuple(out)
+
     return sl_eval(
         w,
         gen=lambda i: fwd[i - 1],
         mul=lambda a, b: tuple([b[p] for p in a]),
-        inv=inverse_row,
-        ident=tuple(range(q.degree)),
+        inv=inv,
+        ident=ident,
     )
 
 

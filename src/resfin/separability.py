@@ -28,9 +28,10 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceError, _checked_int
 from .lowindex import (
-    _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts, normal_subgroup_growth,
+    _WALK_BATCH, _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts,
+    normal_subgroup_growth,
 )
-from .permrep import PermQuotient, basepoint_image, is_transitive, to_record
+from .permrep import PermQuotient, _glued, basepoint_image, is_transitive, to_record
 from .words import (
     Ball,
     FreeWord,
@@ -43,9 +44,6 @@ from .words import (
 )
 
 DEFAULT_SEARCH_CAP = 12
-# actions per walk of the ball tree, which bounds its tables and states
-# however many actions a degree has
-_WALK_BATCH = 2048
 # the most words the ball walk indexes, one byte each: rank 2 fits to
 # radius 18 (9.7e7 words), not radius 20 (8.7e8)
 _INDEX_LIMIT = 1 << 27
@@ -293,17 +291,11 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
         stream = actions(rank, degree)
         first = (n + 1, 0)  # least (depth, position) resolved at this degree
         while batch := list(islice(stream, _WALK_BATCH)):
-            # a fixed point after the actions keeps every state a tuple of
-            # at least two entries, which itemgetter needs to return a tuple
-            fixed = degree * len(batch)
-            root = (*range(0, fixed, degree), fixed)
-            tables = {x: [] for x in letters[: 2 * most]}
-            for offset, q in zip(root, batch):
-                for g, f, b in zip(range(1, most + 1), q.fwd, q.bwd):
-                    tables[g].extend(offset + p for p in f)
-                    tables[-g].extend(offset + p for p in b)
-            for table in tables.values():
-                table.append(fixed)
+            # the union's fixed last point keeps every state a tuple of at
+            # least two entries, which itemgetter needs to return a tuple
+            glued, offsets = _glued(batch)
+            root = (*offsets, glued.degree - 1)
+            tables = {x: (glued.fwd if x > 0 else glued.bwd)[abs(x) - 1] for x in letters[: 2 * most]}
             # each child as its letter's table, its largest generator and
             # its own children, reversed so that the stack pops them in
             # ball order

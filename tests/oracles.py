@@ -9,15 +9,18 @@ the reference for the row evaluation.  `prefix_sl_eval` is the
 straight-line interpreter that walks every node before the root, the
 reference for `sl_eval`.  `per_table_obstruction_scan` reads the cycles
 of x in every cover, the reference for `obstruction_scan`, which reads
-each distinct row of x once.
+each distinct row of x once.  `per_table_first_survivals` evaluates
+every word on every table of each order, the reference for
+`_first_survivals`, which skips orders where every group is abelian and
+evaluates a straight-line word once per batch of tables.
 """
 
 from typing import Callable
 
 from resfin.covers import lcm_upto
 from resfin.errors import InputError, InternalError
-from resfin.lowindex import MAX_ENCODABLE_DEGREE, enumerate_subgroups
-from resfin.permrep import PermQuotient, eval_word, row_cycles
+from resfin.lowindex import MAX_ENCODABLE_DEGREE, enumerate_normal, enumerate_subgroups
+from resfin.permrep import PermQuotient, basepoint_image, eval_word, row_cycles
 from resfin.words import FreeWord, SLWord, enumerate_ball
 
 
@@ -236,3 +239,24 @@ def per_table_obstruction_scan(m: int, max_degree: int) -> dict:
         "violations": [],
         "rows": rows,
     }
+
+
+def per_table_first_survivals(
+    rank: int, words: list[FreeWord | SLWord], cap: int
+) -> list[tuple[int, PermQuotient] | None]:
+    """`lowindex._first_survivals`'s answer with no order skipped: every
+    order up to the last one a word needs is enumerated, and every word
+    still dying is evaluated on each table on its own."""
+    found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
+    left = list(range(len(words)))
+    for order in range(2, cap + 1):
+        if not left:
+            break
+        for q in enumerate_normal(rank, order):
+            for i in left:
+                if basepoint_image(q, words[i]):
+                    found[i] = (order, q)
+            left = [i for i in left if found[i] is None]
+            if not left:
+                break
+    return found

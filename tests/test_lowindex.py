@@ -16,9 +16,13 @@ import random
 import pytest
 
 from resfin.errors import InputError, InternalError, ResourceError
+from resfin.lcmlib import lcm_ball_witness, lcm_witness
 from resfin.lowindex import (
     _check_rows,
+    _exponent_sums,
+    _first_survivals,
     _search,
+    all_abelian,
     enumerate_normal,
     enumerate_subgroups,
     hall_counts,
@@ -36,9 +40,29 @@ from resfin.permrep import (
     row_cycles,
     to_record,
 )
-from resfin.words import Ball, _cyclic_split, _free_reduce, generator
+from resfin.words import (
+    Ball,
+    _cyclic_split,
+    _free_reduce,
+    commutator,
+    generator,
+    inverse,
+    multiply,
+    power,
+    sl_build,
+)
 
-from oracles import canonical_key, kernel_fingerprint, relabel, word_battery
+from oracles import (
+    canonical_key, kernel_fingerprint, per_table_first_survivals, relabel, word_battery,
+)
+
+# OEIS A051532, the orders n at which every group of order n is abelian, up
+# to 100 (Pakianathan and Shankar, "Nilpotent numbers", Amer. Math. Monthly
+# 107, 2000)
+A051532 = (
+    1, 2, 3, 4, 5, 7, 9, 11, 13, 15, 17, 19, 23, 25, 29, 31, 33, 35, 37, 41, 43, 45,
+    47, 49, 51, 53, 59, 61, 65, 67, 69, 71, 73, 77, 79, 83, 85, 87, 89, 91, 95, 97, 99,
+)
 
 
 # --- independent oracles ---------------------------------------------------
@@ -443,24 +467,44 @@ def test_kernel_cut_sequence_is_frozen():
 def test_whole_order_cut_skips_only_empty_orders():
     # enumerate_normal skips an order, with no search, exactly when its
     # largest proper divisor (the order over its least prime) is at most
-    # the kernel radius; there the kernel-radius search yields nothing
+    # the kernel radius or every group of that order is abelian, such as
+    # 15, 33 and 35 at radius 4; there the kernel-radius search yields
+    # nothing
     skipped = 0
     for rank, radii, top in ((2, (4, 5, 6), 40), (3, (4,), 23)):
         for radius in radii:
             for order in range(1, top + 1):
                 least = next((p for p in range(2, order + 1) if order % p == 0), 1)
-                skip = order // least <= radius
+                skip = order // least <= radius or order in A051532
                 searched = enumerate_normal(rank, order, kernel_radius=radius)
                 assert inspect.isgenerator(searched) is not skip, (rank, radius, order)
                 if skip:
                     assert list(searched) == []
                     assert next(_search(rank, order, True, radius), None) is None
                     skipped += 1
-    assert skipped == 72
+    # 72 by the least-prime rule, and 9 more abelian orders: 15, 25, 33
+    # and 35 at radius 4, 33 and 35 at radii 5 and 6, 15 at rank 3
+    assert skipped == 81
     # rank 1 has no commutator, and below radius 4 the commutator is too
     # long to cut: both search every order
     assert inspect.isgenerator(enumerate_normal(1, 7, kernel_radius=6))
     assert inspect.isgenerator(enumerate_normal(2, 7, kernel_radius=3))
+
+
+def test_all_abelian_is_oeis_a051532():
+    assert tuple(n for n in range(1, 101) if all_abelian(n)) == A051532
+    with pytest.raises(InputError):
+        all_abelian(0)
+
+
+def test_all_abelian_orders_have_commuting_generators():
+    # a second route to the predicate: at each order it marks, the two
+    # generators commute in every regular action the search yields
+    for order in range(1, 41):
+        if all_abelian(order):
+            for q in enumerate_normal(2, order):
+                a, b = q.fwd
+                assert all(a[b[p]] == b[a[p]] for p in range(order)), (order, q)
 
 
 def test_kernel_radius_is_checked():
@@ -470,6 +514,71 @@ def test_kernel_radius_is_checked():
         enumerate_normal(2, 4, kernel_radius=1.5)
     with pytest.raises(InputError):
         enumerate_normal(2, 4, kernel_radius=True)
+
+
+# --- first survivals -------------------------------------------------------
+
+
+def _rows(found):
+    return [None if hit is None else (hit[0], hit[1].fwd) for hit in found]
+
+
+def _power_set(n):
+    x = generator(2, 1)
+    return lcm_witness([power(x, i) for i in range(1, n + 1)]).word
+
+
+def _zero_sum(rank, radius):
+    return [w for w in Ball(rank, radius).nontrivial() if not any(_exponent_sums(w))]
+
+
+@pytest.mark.parametrize("batch", [1, 5, 2048])
+def test_first_survivals_match_the_per_table_scan(monkeypatch, batch):
+    # value and first witness, on witnesses alone and in lists that mix
+    # straight-line and flat words, some outside the commutator subgroup
+    monkeypatch.setattr("resfin.lowindex._WALK_BATCH", batch)
+    rng = random.Random(32)
+    ball = list(Ball(2, 5).nontrivial())
+    mixed = []
+    for _ in range(5):
+        words = [
+            sl_build(w) if rng.random() < 0.5 else w for w in rng.sample(ball, 4)
+        ] + [_power_set(rng.choice((2, 3)))]
+        rng.shuffle(words)
+        mixed.append((2, words, 16))
+    cases = [
+        (2, [_power_set(n) for n in (1, 2, 3, 4, 6, 12)], 16),
+        (2, [lcm_ball_witness(2, 1).word, lcm_ball_witness(2, 2).word], 12),
+        (2, _zero_sum(2, 6), 16),
+        *mixed,
+        (3, [lcm_ball_witness(3, 1).word, *_zero_sum(3, 4)[::7]], 10),
+    ]
+    for rank, words, cap in cases:
+        expect = _rows(per_table_first_survivals(rank, words, cap))
+        assert _rows(_first_survivals(rank, words, cap)) == expect, (rank, cap)
+
+
+def test_first_survivals_evaluate_every_order_up_to_recheck(monkeypatch):
+    # orders 13 and 15 are abelian-only and kill both witnesses: skipped
+    # past the recheck order, searched and evaluated up to it
+    words = [_power_set(3), _power_set(4)]
+    for recheck, skipped in ((12, [13, 15]), (16, [])):
+        orders = []
+        monkeypatch.setattr(
+            "resfin.lowindex.enumerate_normal",
+            lambda rank, order: orders.append(order) or enumerate_normal(rank, order),
+        )
+        assert _first_survivals(2, words, 16, recheck) == [None, None]
+        assert sorted(set(range(2, 17)) - set(orders)) == skipped
+
+
+def test_exponent_sums_of_straight_line_words():
+    a, b = generator(2, 1), generator(2, 2)
+    for w in (a, power(b, -3), commutator(a, b), multiply(power(a, 5), inverse(b))):
+        assert _exponent_sums(sl_build(w)) == _exponent_sums(w)
+    assert _exponent_sums(multiply(power(a, 5), inverse(b))) == (5, -1)
+    assert not any(_exponent_sums(_power_set(12)))
+    assert _exponent_sums(_power_set(1)) == (1, 0)
 
 
 # --- shape of the yields ---------------------------------------------------
