@@ -23,8 +23,8 @@ _EXPORTS = {
     "errors": ("InputError", "InternalError", "ResourceError"),
     "lcmlib": (
         "WitnessCertificate", "cert_from_json", "cert_to_json", "closure_membership",
-        "exact_lcm_small", "lcm_ball_witness", "lcm_witness", "level_overhead",
-        "power_set_witness", "verify_certificate",
+        "exact_lcm_small", "lcm_ball_witness", "lcm_witness", "power_set_witness",
+        "verify_certificate",
     ),
     "lowindex": (
         "enumerate_normal", "enumerate_subgroups", "normal_count", "normal_subgroup_growth",
@@ -42,8 +42,8 @@ _EXPORTS = {
     "words": (
         "Ball", "FreeWord", "SLBuilder", "SLWord", "commutator", "conjugate",
         "enumerate_ball", "format_word", "generator", "identity", "inverse", "multiply",
-        "parse_word", "power", "reduce", "sl_build", "sl_eval", "sl_flatten",
-        "sl_length_bound", "word_growth",
+        "parse_word", "power", "reduce", "sl_eval", "sl_flatten", "sl_length_bound",
+        "word_growth",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -61,16 +61,6 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
-def level_overhead(k: int) -> int:
-    """Additive slack of the pairing tree after k levels.
-
-    One level turns bounds b_u, b_v into 2 b_u + 2 (b_v + 2), so the slack
-    obeys a_k = 4 a_{k-1} + 4, giving (4^{k+1} - 4) / 3.
-    """
-    _checked_int(k, "level count", 0)
-    return (4 ** (k + 1) - 4) // 3
-
-
 def _check_targets(targets) -> tuple[FreeWord, ...]:
     targets = tuple(targets)
     if not targets:

@@ -84,7 +84,7 @@ import operator
 from typing import Generator, Iterator
 
 from .errors import InternalError, ResourceError, _checked_int
-from .permrep import PermQuotient, _glued, basepoint_image, eval_word, image_order
+from .permrep import PermQuotient, _glued, eval_word, image_order
 from .words import FreeWord, SLWord, sl_eval
 
 _CACHE_REGULAR_LIMIT = 12
@@ -435,11 +435,12 @@ def _first_survivals(
     order up to `recheck` is enumerated and evaluated regardless, which
     lets a caller check a claim there against the quotient lists.
 
-    A flat word is walked table by table, so its first survivor ends the
-    enumeration there.  While a straight-line word is left, an order is
-    read `_WALK_BATCH` tables at a time, and each straight-line word is
-    evaluated once per batch, on the batch's disjoint union: it survives
-    in a table exactly when it moves that table's basepoint.
+    Every word still dying is evaluated once per batch of tables, with
+    `eval_word` on the batch's disjoint union (`_glued`): it survives in a
+    table exactly when it moves that table's basepoint.  A batch is
+    `_WALK_BATCH` tables while a straight-line word is left, so each of
+    its row compositions serves many tables, and one table otherwise, so
+    a flat word's first survivor ends the enumeration there.
     """
     found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
     left = list(range(len(words)))
@@ -451,22 +452,16 @@ def _first_survivals(
             continue
         tables = enumerate_normal(rank, order)
         while left:
-            straight = [i for i in left if isinstance(words[i], SLWord)]
-            flat = [i for i in left if not isinstance(words[i], SLWord)]
-            batch = list(itertools.islice(tables, _WALK_BATCH if straight else 1))
+            size = _WALK_BATCH if any(isinstance(words[i], SLWord) for i in left) else 1
+            batch = list(itertools.islice(tables, size))
             if not batch:
                 break
-            if straight:
-                glued, offsets = _glued(batch)
-                for i in straight:
-                    row = eval_word(glued, words[i])
-                    k = next((k for k, p in enumerate(offsets) if row[p] != p), None)
-                    if k is not None:
-                        found[i] = (order, batch[k])
-            for q in batch:
-                for i in flat:
-                    if found[i] is None and basepoint_image(q, words[i]):
-                        found[i] = (order, q)
+            glued, offsets = _glued(batch)
+            for i in left:
+                row = eval_word(glued, words[i])
+                k = next((k for k, p in enumerate(offsets) if row[p] != p), None)
+                if k is not None:
+                    found[i] = (order, batch[k])
             left = [i for i in left if found[i] is None]
     return found
 

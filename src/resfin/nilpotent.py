@@ -95,17 +95,6 @@ def _ball_cells(n: int) -> dict:
     return seen
 
 
-def _ball_images(n: int) -> set:
-    """Distinct Heisenberg images of the radius-n ball as (a, b, c)."""
-    out = set()
-    for (a, b), bits in _ball_cells(n).items():
-        while bits:
-            low = bits & -bits
-            out.add((a, b, low.bit_length() - 1 - n * n))
-            bits ^= low
-    return out
-
-
 def _cells_max_entry(cells: dict, n: int) -> int:
     """Max |entry| over the cells, from |a|, |b| and each bitset's end bits;
     the unit diagonal counts, so the identity alone reads 1.  A maximum past

@@ -8,6 +8,10 @@ Points are 1..d where a quotient is built, printed or recorded (`"gens"`,
 Permutations act on the right: evaluating a word walks its letters left to
 right, so eval(uv) applies u first, then v.
 
+`eval_word` is the one evaluator of words, flat or straight-line, and
+`inverse_row` the one row inverse; a survival test reads the basepoint of
+each action in a disjoint union (`_glued`) off one evaluation.
+
 A pointed transitive quotient of degree d encodes an index-d subgroup (the
 basepoint stabilizer); a regular one (image order equal to the degree)
 encodes a normal subgroup, its kernel.
@@ -24,10 +28,12 @@ DEFAULT_ORDER_CAP = 10_000
 
 
 def inverse_row(row: Sequence[int]) -> tuple[int, ...]:
-    """The 0-based row of the inverse permutation."""
+    """The 0-based row of the inverse permutation, filled with the row's own
+    ints (`out[row[p]] = p`), so the rows of a glued union (`_glued`) and
+    their inverses share one set of ints rather than each holding its own."""
     out = [0] * len(row)
-    for i, p in enumerate(row):
-        out[p] = i
+    for p in row:
+        out[row[p]] = p
     return tuple(out)
 
 
@@ -138,60 +144,39 @@ def _glued(actions: Sequence[PermQuotient]) -> tuple[PermQuotient, range]:
 def eval_word(q: PermQuotient, w: FreeWord | SLWord) -> tuple[int, ...]:
     """Image of a word, flat or straight-line, as a 0-based row like q.fwd[g].
 
-    A straight-line word is evaluated by composing one row per node.
+    This is the one evaluator of words on a quotient.  A flat word
+    composes one row per letter; a straight-line word composes one row per
+    node through `sl_eval`, inverting with `inverse_row`, and is never
+    flattened.
     """
     if w.rank > q.rank:
         raise InputError(f"word rank {w.rank} exceeds quotient rank {q.rank}")
-    if isinstance(w, SLWord):
-        return _sl_row(q, w)
     fwd, bwd = q.fwd, q.bwd
-    state = tuple(range(q.degree))
+    ident = tuple(range(q.degree))
+    if isinstance(w, SLWord):
+        return sl_eval(
+            w,
+            gen=lambda i: fwd[i - 1],
+            mul=lambda a, b: tuple([b[p] for p in a]),
+            inv=inverse_row,
+            ident=ident,
+        )
+    state = ident
     for letter in w.letters:
         table = fwd[letter - 1] if letter > 0 else bwd[-letter - 1]
         state = tuple([table[p] for p in state])
     return state
 
 
-def _sl_row(q: PermQuotient, w: SLWord) -> tuple[int, ...]:
-    fwd = q.fwd
-    ident = tuple(range(q.degree))
-
-    def inv(a: tuple[int, ...]) -> tuple[int, ...]:
-        # inverse_row, but with ident's ints as entries, so that the rows of
-        # a large disjoint union share one set of ints rather than each
-        # holding its own
-        out = [0] * len(a)
-        for i, p in zip(ident, a):
-            out[p] = i
-        return tuple(out)
-
-    return sl_eval(
-        w,
-        gen=lambda i: fwd[i - 1],
-        mul=lambda a, b: tuple([b[p] for p in a]),
-        inv=inv,
-        ident=ident,
-    )
-
-
 def basepoint_image(q: PermQuotient, w: FreeWord | SLWord) -> int:
-    """0-based image of the basepoint (point 0) under a word.
+    """0-based image of the basepoint (point 0) under a word: entry 0 of
+    `eval_word`'s row.
 
     In a regular action g -> 0.g is a bijection from the image group onto
     the points, so w dies exactly when this is 0, and words have equal
-    images exactly when their basepoint images agree.  A flat word walks
-    one lookup per letter; a straight-line word is composed on rows and
-    never flattened.
+    images exactly when their basepoint images agree.
     """
-    if w.rank > q.rank:
-        raise InputError(f"word rank {w.rank} exceeds quotient rank {q.rank}")
-    if isinstance(w, SLWord):
-        return _sl_row(q, w)[0]
-    fwd, bwd = q.fwd, q.bwd
-    p = 0
-    for letter in w.letters:
-        p = fwd[letter - 1][p] if letter > 0 else bwd[-letter - 1][p]
-    return p
+    return eval_word(q, w)[0]
 
 
 def orbit(q: PermQuotient, point: int) -> frozenset[int]:

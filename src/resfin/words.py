@@ -455,11 +455,6 @@ class SLBuilder:
         return SLWord(self.rank, self._nodes, root)
 
 
-def sl_build(u: FreeWord) -> SLWord:
-    builder = SLBuilder(u.rank)
-    return builder.build(builder.word(u))
-
-
 def _refs(node: tuple) -> tuple:
     """The nodes an instruction reads (a gen's index and a pow's exponent are not nodes)."""
     op = node[0]

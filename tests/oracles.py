@@ -12,16 +12,22 @@ of x in every cover, the reference for `obstruction_scan`, which reads
 each distinct row of x once.  `per_table_first_survivals` evaluates
 every word on every table of each order, the reference for
 `_first_survivals`, which skips orders where every group is abelian and
-evaluates a straight-line word once per batch of tables.
+evaluates every word once per batch of tables; it reads survival with
+`permutation_eval`, so it shares no evaluator with the code it checks.
+
+`level_overhead`, `sl_build` and `ball_images` are helpers that only the
+tests call: the slack of the pairing tree, a flat word as a straight-line
+word, and the Heisenberg ball image read off `nilpotent._ball_cells`.
 """
 
 from typing import Callable
 
 from resfin.covers import lcm_upto
-from resfin.errors import InputError, InternalError
+from resfin.errors import InputError, InternalError, _checked_int
 from resfin.lowindex import MAX_ENCODABLE_DEGREE, enumerate_normal, enumerate_subgroups
-from resfin.permrep import PermQuotient, basepoint_image, eval_word, row_cycles
-from resfin.words import FreeWord, SLWord, enumerate_ball
+from resfin.nilpotent import _ball_cells
+from resfin.permrep import PermQuotient, eval_word, row_cycles
+from resfin.words import FreeWord, SLBuilder, SLWord, enumerate_ball
 
 
 def canonical_key(q: PermQuotient) -> bytes:
@@ -254,9 +260,36 @@ def per_table_first_survivals(
             break
         for q in enumerate_normal(rank, order):
             for i in left:
-                if basepoint_image(q, words[i]):
+                if permutation_eval(q, words[i])[0]:
                     found[i] = (order, q)
             left = [i for i in left if found[i] is None]
             if not left:
                 break
     return found
+
+
+def level_overhead(k: int) -> int:
+    """Additive slack of the pairing tree after k levels.
+
+    One level turns bounds b_u, b_v into 2 b_u + 2 (b_v + 2), so the slack
+    obeys a_k = 4 a_{k-1} + 4, giving (4^{k+1} - 4) / 3.
+    """
+    _checked_int(k, "level count", 0)
+    return (4 ** (k + 1) - 4) // 3
+
+
+def sl_build(u: FreeWord) -> SLWord:
+    """The flat word u as a straight-line word."""
+    builder = SLBuilder(u.rank)
+    return builder.build(builder.word(u))
+
+
+def ball_images(n: int) -> set:
+    """Distinct Heisenberg images of the radius-n ball as (a, b, c)."""
+    out = set()
+    for (a, b), bits in _ball_cells(n).items():
+        while bits:
+            low = bits & -bits
+            out.add((a, b, low.bit_length() - 1 - n * n))
+            bits ^= low
+    return out

@@ -22,7 +22,6 @@ from resfin.lcmlib import (
     exact_lcm_small,
     lcm_ball_witness,
     lcm_witness,
-    level_overhead,
     power_set_witness,
     verify_certificate,
 )
@@ -38,6 +37,8 @@ from resfin.words import (
     power,
     sl_length_bound,
 )
+
+from oracles import level_overhead
 
 X = generator(2, 1)
 Y = generator(2, 2)

