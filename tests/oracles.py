@@ -14,18 +14,22 @@ every word on every table of each order, the reference for
 `_first_survivals`, which skips orders where every group is abelian and
 evaluates every word once per batch of tables; it reads survival with
 `permutation_eval`, so it shares no evaluator with the code it checks.
+`_ball_cells` walks the Heisenberg ball image, the reference for the
+closed form in `nilpotent.entry_bound`: `_cells_max_entry` reads its
+exact maximum, checked against the envelope n(n+1)/2 + 1, and
+`_fold_collides` checks that reduction mod the girth modulus keeps the
+images apart.
 
 `level_overhead`, `sl_build` and `ball_images` are helpers that only the
 tests call: the slack of the pairing tree, a flat word as a straight-line
-word, and the Heisenberg ball image read off `nilpotent._ball_cells`.
+word, and the Heisenberg ball image read off `_ball_cells`.
 """
 
 from typing import Callable
 
 from resfin.covers import lcm_upto
-from resfin.errors import InputError, InternalError, _checked_int
+from resfin.errors import InputError, InternalError, ResourceError, _checked_int
 from resfin.lowindex import MAX_ENCODABLE_DEGREE, enumerate_normal, enumerate_subgroups
-from resfin.nilpotent import _ball_cells
 from resfin.permrep import PermQuotient, eval_word, row_cycles
 from resfin.words import FreeWord, SLBuilder, SLWord, enumerate_ball
 
@@ -282,6 +286,91 @@ def sl_build(u: FreeWord) -> SLWord:
     """The flat word u as a straight-line word."""
     builder = SLBuilder(u.rank)
     return builder.build(builder.word(u))
+
+
+# the most window bits, (2n^2+2n+1) cells of 2n^2+1 central entries each,
+# that the ball walk may span: radius 90 fits, radius 91 does not
+_WINDOW_LIMIT = 1 << 28
+
+
+def _shift(bits: int, s: int) -> int:
+    """bits moved by s places (c to c + s); a set bit shifted out is an error."""
+    if s >= 0:
+        return bits << s
+    if bits & ((1 << -s) - 1):
+        raise InternalError("a central entry fell below the ball's window")
+    return bits >> -s
+
+
+def _ball_cells(n: int) -> dict:
+    """The radius-n ball image as a map from (a, b) to a bitset of c + n^2.
+
+    Walked by layers: x^+-1 carries a cell's new bits to (a +- 1, b), y^+-1
+    shifts them by +-a into (a, b +- 1), and only unseen bits go on.  A
+    window past `_WINDOW_LIMIT` bits raises ResourceError up front.
+    """
+    window = (2 * n * n + 2 * n + 1) * (2 * n * n + 1)
+    if window > _WINDOW_LIMIT:
+        raise ResourceError(
+            f"the radius-{n} ball spans a window of {window} bits,"
+            f" past the limit {_WINDOW_LIMIT}"
+        )
+    seen = {(0, 0): 1 << (n * n)}
+    frontier = seen.copy()
+    for _ in range(n):
+        reach = {}
+        for (a, b), bits in frontier.items():
+            for cell, moved in (
+                ((a + 1, b), bits),
+                ((a - 1, b), bits),
+                ((a, b + 1), _shift(bits, a)),
+                ((a, b - 1), _shift(bits, -a)),
+            ):
+                reach[cell] = reach.get(cell, 0) | moved
+        frontier = {}
+        for cell, bits in reach.items():
+            old = seen.get(cell, 0)
+            new = bits & ~old
+            if new:
+                frontier[cell] = new
+                seen[cell] = old | new
+    return seen
+
+
+def _cells_max_entry(cells: dict, n: int) -> int:
+    """Max |entry| over the cells, from |a|, |b| and each bitset's end bits;
+    the unit diagonal counts, so the identity alone reads 1.  A maximum past
+    the analytic envelope n(n+1)/2 + 1 raises InternalError."""
+    off = n * n
+    exact = max(
+        max(1, abs(a), abs(b), off - (bits & -bits).bit_length() + 1, bits.bit_length() - 1 - off)
+        for (a, b), bits in cells.items()
+    )
+    analytic = n * (n + 1) // 2 + 1
+    if exact > analytic:
+        raise InternalError(f"ball entry maximum {exact} exceeds the analytic envelope {analytic}")
+    return exact
+
+
+def _fold_collides(cells: dict, m: int) -> bool:
+    """Whether reducing mod m merges two images of the cells.
+
+    The offset n^2 shifts every cell alike, so folding each bitset m bits
+    at a time into its residue cell (a mod m, b mod m) meets a set bit
+    exactly where two images collide.
+    """
+    mask = (1 << m) - 1
+    residues = {}
+    for (a, b), bits in cells.items():
+        key = (a % m, b % m)
+        acc = residues.get(key, 0)
+        while bits:
+            if acc & bits & mask:
+                return True
+            acc |= bits & mask
+            bits >>= m
+        residues[key] = acc
+    return False
 
 
 def ball_images(n: int) -> set:

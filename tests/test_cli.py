@@ -403,19 +403,28 @@ def test_rank_one_girth_inequality_past_the_digit_limit_exits_at_once(capsys):
 
 
 def test_nilpotent_girth_at_radius_sixty(capsys):
-    # 5,544,471 elements in 7,321 (a, b) cells; one hashed triple per
-    # element ran out of a 1 GB address limit here
     assert run(["nilpotent-girth", "--n", "60", "--format", "csv"]) == 0
     assert out_of(capsys).splitlines()[1] == "60,1801,5841725401,true"
 
 
 def test_nilpotent_girth_past_the_window_limit_exits_two(capsys):
+    # the closed form answers any N at once; only an output past the
+    # digit limit exits 2
     start = time.perf_counter()
-    for n in ("91", "1000000"):
-        assert run(["nilpotent-girth", "--n", n]) == 2
+    for n, row in (
+        ("91", "91,4141,71009375221,true"),
+        ("1000000", "1000000,500000000001,125000000000750000000001500000000001,true"),
+    ):
+        assert run(["nilpotent-girth", "--n", n, "--format", "csv"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"resource limit: the radius-{n} ball spans a window of ")
+        assert (captured.out.splitlines()[1], captured.err) == (row, "")
+    assert run(["nilpotent-girth", "--n", "9" * 1500]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource limit: the output holds an integer past the interpreter's limit of"
+        f" {sys.get_int_max_str_digits()} digits for printing one\n"
+    )
     assert time.perf_counter() - start < 5
 
 

@@ -257,6 +257,21 @@ def test_verifier_rejects_unbacked_nontriviality_claim():
     assert any("evidence" in f for f in result.failures)
 
 
+def test_verifier_accepts_structural_nontriviality_past_the_flat_cap():
+    # the lcm of a^101, a^103, a^107 is a^1113121, too long to flatten, so
+    # the claim of nontriviality rests on the root alone: a nonzero power
+    # of a generator
+    a = generator(1, 1)
+    cert = lcm_witness([power(a, 101), power(a, 103), power(a, 107)])
+    assert (cert.flat, cert.declared_bound, cert.nontrivial_verified) == (None, 1113121, True)
+    assert verify_certificate(cert)
+    data = cert_to_json(cert)
+    assert verify_certificate(cert_from_json(json.loads(json.dumps(data))))
+    data["nodes"][data["root"]][2] = 0
+    result = verify_certificate(cert_from_json(data))
+    assert "nontriviality is claimed without evidence" in result.failures
+
+
 def test_verifier_rejects_a_ground_step_on_another_node():
     data = cert_to_json(lcm_witness([X, Y]))
     data["derivations"][0][0]["node"] = data["derivations"][1][0]["node"]

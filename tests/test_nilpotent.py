@@ -3,7 +3,8 @@
 The oracle here is a plain triple-loop matrix product over tuples; the
 module's algebra must agree with it on generators and random words.  The
 entry maxima follow the closed form max(n, floor(n^2/4)), derived from
-the letter recursion a+-1 / b+-1, c+-a, and frozen besides.
+the letter recursion a+-1 / b+-1, c+-a; the ball walk in `oracles` is
+the second route to them, with its envelope and fold checks.
 """
 
 import random
@@ -11,19 +12,10 @@ import random
 import pytest
 
 from resfin.errors import InputError, InternalError, ResourceError
-from resfin.nilpotent import (
-    _ball_cells,
-    _cells_max_entry,
-    _fold_collides,
-    _mul,
-    _shift,
-    entry_bound,
-    girth_upper_bound_nilpotent,
-    heisenberg_eval,
-)
+from resfin.nilpotent import _mul, entry_bound, girth_upper_bound_nilpotent, heisenberg_eval
 from resfin.words import Ball, multiply, parse_word, reduce
 
-from oracles import ball_images
+from oracles import _ball_cells, _cells_max_entry, _fold_collides, _shift, ball_images
 
 
 def W(text):
@@ -196,31 +188,35 @@ def test_shift_guard_refuses_to_drop_a_bit():
 
 
 def test_closed_form_out_to_radius_sixty():
-    # max(n, floor(n^2/4)) from the letter recursion a+-1 / b+-1, c+-a: a
-    # word with k x-letters moves c by at most k per y-letter, so |c| <=
-    # k(n - k), and x^k y^(n-k) at k = n // 2 attains it
+    # the closed form against the ball walk: its maximum, read under the
+    # envelope check, and its fold mod the modulus, which must keep every
+    # image apart
     for n in range(1, 61):
-        closed = max(n, n * n // 4)
-        assert entry_bound(n) == closed, n
-        assert girth_upper_bound_nilpotent(n)[0] == 2 * closed + 1, n
+        cells = _ball_cells(n)
+        assert entry_bound(n) == _cells_max_entry(cells, n), n
+        row = girth_upper_bound_nilpotent(n)
+        m = row[0]
+        assert not _fold_collides(cells, m), n
+        assert row == (m, m**3, True), n
 
 
-def test_a_maximum_past_the_envelope_is_refused_on_every_path(monkeypatch):
-    # both callers read the one checked maximum, so a walk that strayed
-    # past |entry| <= n(n+1)/2 + 1 raises on either path
-    def strayed(n):
-        return {(0, 0): 1 << n * n, (n * (n + 1) // 2 + 2, 0): 1 << n * n}
-
-    monkeypatch.setattr("resfin.nilpotent._ball_cells", strayed)
-    for call in (entry_bound, girth_upper_bound_nilpotent):
+def test_a_maximum_past_the_envelope_is_refused_on_every_path():
+    # the walk's maximum is read in one place, so a walk that strayed past
+    # |entry| <= n(n+1)/2 + 1, in a or in c, raises there
+    off = 4  # n^2 at n = 2
+    for strayed in (
+        {(0, 0): 1 << off, (5, 0): 1 << off},
+        {(0, 0): 1 << off | 1 << (off + 5)},
+    ):
         with pytest.raises(InternalError, match="ball entry maximum 5 exceeds the analytic envelope 4"):
-            call(2)
+            _cells_max_entry(strayed, 2)
 
 
 def test_walk_past_the_window_limit_is_refused():
     # radius 90 spans 265,388,581 bits and radius 91 277,347,435, which
-    # passes the limit of 2^28 = 268,435,456
-    for call in (_ball_cells, entry_bound, girth_upper_bound_nilpotent):
-        with pytest.raises(ResourceError, match="radius-91 ball spans a window of 277347435 bits"):
-            call(91)
+    # passes the walk's limit of 2^28 = 268,435,456; the closed form has
+    # no window
+    with pytest.raises(ResourceError, match="radius-91 ball spans a window of 277347435 bits"):
+        _ball_cells(91)
+    assert entry_bound(91) == 2070
 
