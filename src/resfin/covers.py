@@ -186,10 +186,12 @@ def theorem4_experiment(n: int, *, order_cap: int = 8) -> list[dict]:
     witness is known nontrivial and the scan certifies divisibility at
     least lcm(1..j) + 1.
     """
-    from .lcmlib import _power_set_scan
+    from .lcmlib import _check_flat_targets, _power_set_scan
 
     _checked_int(n, "n")
     _checked_int(order_cap, "order cap")
+    # refuse on lcm(1..n) alone, before the rows keep every lcm(1..j)
+    _check_flat_targets(lcm_upto(n))
     ells = list(itertools.accumulate(range(1, n + 1), math.lcm))
     rows = []
     for j, ell, (cert, value) in zip(range(1, n + 1), ells, _power_set_scan(2, ells, order_cap)):

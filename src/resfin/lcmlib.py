@@ -366,6 +366,16 @@ def _decimal(k: int) -> str:
         return f"<{digits} digits>"
 
 
+def _check_flat_targets(top: int) -> None:
+    """Refuse targets x, ..., x^top totalling more than DEFAULT_FLAT_CAP letters."""
+    total = top * (top + 1) // 2
+    if total > DEFAULT_FLAT_CAP:
+        raise ResourceError(
+            f"the targets x..x^{_decimal(top)} total {_decimal(total)} letters,"
+            f" past the flat cap {DEFAULT_FLAT_CAP}"
+        )
+
+
 def _power_set_scan(
     rank: int, ns: list[int], cap: int
 ) -> list[tuple[WitnessCertificate, int | None]]:
@@ -385,12 +395,7 @@ def _power_set_scan(
     from .lowindex import _first_survivals
 
     top = max(ns)
-    total = top * (top + 1) // 2
-    if total > DEFAULT_FLAT_CAP:
-        raise ResourceError(
-            f"the targets x..x^{_decimal(top)} total {_decimal(total)} letters,"
-            f" past the flat cap {DEFAULT_FLAT_CAP}"
-        )
+    _check_flat_targets(top)
     x = generator(rank, 1)
     distinct = list(dict.fromkeys(ns))
     certs = [lcm_witness([power(x, i) for i in range(1, n + 1)]) for n in distinct]

@@ -83,7 +83,7 @@ import itertools
 import operator
 from typing import Generator, Iterator
 
-from .errors import InternalError, ResourceError, _checked_int
+from .errors import InternalError, _checked_int
 from .permrep import PermQuotient, _glued, eval_word, image_order
 from .words import FreeWord, SLWord, sl_eval
 
@@ -92,9 +92,6 @@ _CACHE_REGULAR_LIMIT = 12
 # straight-line words, which bounds the union however many actions an
 # order has
 _WALK_BATCH = 2048
-# the most points a table may have: separability._ball_maximum stores each
-# word's degree in one byte
-MAX_ENCODABLE_DEGREE = 255
 
 
 def _check_rows(rows: list[list[int]], points: list[int]) -> None:
@@ -337,20 +334,14 @@ def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
     return tuple(_search(rank, order, True))
 
 
-def _checked(rank: int, degree: int, what: str) -> None:
-    _checked_int(rank, "rank")
-    _checked_int(degree, what)
-    if degree > MAX_ENCODABLE_DEGREE:
-        raise ResourceError(f"{what} {degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
-
-
 def enumerate_subgroups(rank: int, index: int) -> Iterator[PermQuotient]:
     """One pointed transitive action per index-`index` subgroup of F_rank.
 
     Deterministic order; every action is transitive of degree exactly
     `index`.
     """
-    _checked(rank, index, "index")
+    _checked_int(rank, "rank")
+    _checked_int(index, "index")
     return _search(rank, index, False)
 
 
@@ -391,7 +382,8 @@ def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterat
     group of that order is abelian: see the whole-order cut in the module
     docstring.
     """
-    _checked(rank, order, "order")
+    _checked_int(rank, "rank")
+    _checked_int(order, "order")
     _checked_int(kernel_radius, "kernel_radius", 0)
     if kernel_radius:
         if rank >= 2 and kernel_radius >= 4 and (
@@ -489,5 +481,6 @@ def normal_count(rank: int, order: int) -> int:
 
 def normal_subgroup_growth(rank: int, n: int) -> int:
     """Number of normal subgroups of index at most n."""
-    _checked(rank, n, "n")
+    _checked_int(rank, "rank")
+    _checked_int(n, "n")
     return sum(normal_count(rank, q) for q in range(1, n + 1))

@@ -153,7 +153,7 @@ def divisibility(w: FreeWord, cap: int = DEFAULT_SEARCH_CAP) -> SepResult:
     if w.is_identity:
         raise InputError("divisibility is defined for nontrivial words only")
     _checked_int(cap, "cap")
-    query = f"divisibility({format_word(w)})"
+    query = f"divisibility({format_word(w) if w.rank <= 26 else w.letters})"
     degree, found = _least_escape(w, 2, cap)
     if degree is None:
         return SepResult(query, None, None, cap)
@@ -170,7 +170,7 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
     if isinstance(w, FreeWord):
         if w.is_identity:
             raise InputError("divisibility is defined for nontrivial words only")
-        query = f"normal_divisibility({format_word(w)})"
+        query = f"normal_divisibility({format_word(w) if w.rank <= 26 else w.letters})"
     elif isinstance(w, SLWord):
         flat = sl_flatten(w, 0)
         if flat is not None and flat.is_identity:
@@ -208,9 +208,9 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
     whole orbit, 2^g rank! / (rank - g)! ball words, in the unresolved
     count.
 
-    The tree is walked in preorder with an explicit stack, each word's
-    degree sits at its preorder position, and a subtree whose words are
-    all resolved is skipped.  A plain degree with more actions than words
+    The tree is walked in preorder with an explicit stack, a byte at each
+    word's preorder position marks it resolved, and a subtree whose words
+    are all resolved is skipped.  A plain degree with more actions than words
     left unresolved (Hall's count, known before any is built) ends the
     walk: those words are searched one at a time with `_least_escape`
     instead, from that degree up.  A tree of more than `_INDEX_LIMIT`
@@ -260,8 +260,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             last, g, depth = x, h, depth + 1
         return tuple(word)
 
-    # each word's degree, 0 while unresolved (the identity stays 0); a byte
-    # suffices, since the enumerators refuse degrees past 255
+    # 1 once a word is resolved, 0 while not (the identity stays 0)
     values = bytearray(sizes[0][0])
     unresolved = word_growth(rank, n) - 1
     lower = best = None
@@ -280,7 +279,6 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
                 word = word_at(pos)
                 value = _least_escape(FreeWord._reduced(rank, word), degree, cap)[0]
                 if value is not None:
-                    values[pos] = value
                     unresolved -= weight[max(map(abs, word))]
                     top = max(top, (value, -len(word), -pos))
                 pos = values.find(0, pos + 1)
@@ -308,7 +306,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             while stack:
                 pos, depth, state, g, kids = stack.pop()
                 if not values[pos] and state != root:
-                    values[pos] = degree
+                    values[pos] = 1
                     unresolved -= weight[g]
                     # positions order the words of one length lexicographically
                     if (depth, pos) < first:

@@ -29,9 +29,13 @@ from typing import Callable
 
 from resfin.covers import lcm_upto
 from resfin.errors import InputError, InternalError, ResourceError, _checked_int
-from resfin.lowindex import MAX_ENCODABLE_DEGREE, enumerate_normal, enumerate_subgroups
+from resfin.lowindex import enumerate_normal, enumerate_subgroups
 from resfin.permrep import PermQuotient, eval_word, row_cycles
 from resfin.words import FreeWord, SLBuilder, SLWord, enumerate_ball
+
+
+# the most points whose labels 0, 1, ..., degree - 1 are each one byte
+_BYTE_LABELS = 256
 
 
 def canonical_key(q: PermQuotient) -> bytes:
@@ -43,8 +47,8 @@ def canonical_key(q: PermQuotient) -> bytes:
     some relabeling fixing the basepoint carries one to the other. The
     same pass decides transitivity.
     """
-    if q.degree > MAX_ENCODABLE_DEGREE:
-        raise InputError(f"degree {q.degree} beyond encodable {MAX_ENCODABLE_DEGREE}")
+    if q.degree > _BYTE_LABELS:
+        raise InputError(f"degree {q.degree} past {_BYTE_LABELS}, whose labels are not all bytes")
     rows = [row for f, b in zip(q.fwd, q.bwd) for row in (f, b)]
     label = [0] + [-1] * (q.degree - 1)
     order = [0]

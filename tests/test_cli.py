@@ -8,6 +8,7 @@ what they check is what a new process imports.
 
 import importlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -540,6 +541,17 @@ def test_ineq_statuses(capsys):
     assert data["report"]["status"] == "inconclusive"
 
 
+def test_ineq_runs_past_255_points(capsys):
+    # Z/q is injective on the ball {x^k : |k| <= 128} exactly when q divides
+    # no k in 1..256, and D_N is the least q not dividing lcm(1..256)
+    girth = next(q for q in range(2, 300) if all(k % q for k in range(1, 257)))
+    dnormal = next(q for q in range(2, 300) if math.lcm(*range(1, 257)) % q)
+    assert girth == dnormal == 257
+    assert run(["ineq", "--which", "2", "--rank", "1", "--n", "256", "--order-cap", "260",
+                "--girth-cap", "257", "--format", "csv"]) == 0
+    assert out_of(capsys).splitlines()[-1] == f"2,1,256,resolved,true,{girth},{dnormal}"
+
+
 def test_ineq_caps_name_their_flag(monkeypatch, capsys):
     # each cap is refused under its own name, before a witness is built
     def no_witness(rank, n):
@@ -573,7 +585,7 @@ def test_covers_scan_rejects_a_degree_out_of_range(monkeypatch, capsys):
         raise AssertionError(f"enumerated index {index} before the cap check")
 
     monkeypatch.setattr("resfin.lowindex.enumerate_subgroups", no_enumeration)
-    # past the 255-point encoding limit too, covers-scan names its own cap
+    # far past the cap too, covers-scan names its own cap
     for degree in ("9", "17", "300"):
         start = time.perf_counter()
         assert run(["covers-scan", "--m", "3", "--max-degree", degree]) == 2

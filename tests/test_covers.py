@@ -4,6 +4,7 @@ The lift-closure law is verified against an independent oracle that walks
 the first generator step by step instead of using cycle arithmetic.
 """
 
+import tracemalloc
 from collections import Counter
 from itertools import islice
 
@@ -23,7 +24,7 @@ from resfin.covers import (
     pnt_window,
     theorem4_experiment,
 )
-from resfin.errors import InputError, InternalError
+from resfin.errors import InputError, InternalError, ResourceError
 from resfin.lcmlib import lcm_witness
 from resfin.lowindex import enumerate_subgroups
 from resfin.permrep import PermQuotient
@@ -174,6 +175,22 @@ def test_theorem4_scans_up_to_the_callers_cap():
 
 def test_theorem4_is_deterministic():
     assert theorem4_experiment(3) == theorem4_experiment(3)
+
+
+def test_theorem4_refuses_before_keeping_the_rows():
+    # the rows keep lcm(1..j) for every j <= n, quadratically many digits
+    # in all, so the refusal must come before them
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError) as refused:
+            theorem4_experiment(30000, order_cap=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert str(refused.value) == (
+        "the targets x..x^<13013 digits> total <26024 digits> letters, past the flat cap 1000000"
+    )
 
 
 def _per_row_theorem4(n, cap):

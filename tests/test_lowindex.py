@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from resfin.errors import InputError, InternalError, ResourceError
+from resfin.errors import InputError, InternalError
 from resfin.lcmlib import lcm_ball_witness, lcm_witness
 from resfin.lowindex import (
     _check_rows,
@@ -701,15 +701,22 @@ def test_rejects_bad_arguments():
         subgroup_count(0, 3)
     with pytest.raises(InputError):
         normal_count(2, 0)
-    with pytest.raises(ResourceError):
-        enumerate_subgroups(2, 256)
-    with pytest.raises(ResourceError):
-        enumerate_normal(2, 300)
     # bool is an int subclass; True must not run as degree 1
     with pytest.raises(InputError):
         enumerate_subgroups(2, True)
     with pytest.raises(InputError):
         normal_count(2, True)
+
+
+def test_enumerators_run_past_255_points():
+    # the index or order asked for is the only cap: F1 has one normal
+    # subgroup of index 256, with quotient Z/256 acting on itself
+    (table,) = enumerate_normal(1, 256)
+    assert table.degree == 256 and is_regular(table)
+    assert [len(c) for c in row_cycles(table.fwd[0])] == [256]
+    # every table is its own canonical form, and 256 labels fit in bytes
+    assert canonical_key(table) == bytes(table.fwd[0])
+    assert next(enumerate_subgroups(2, 256)).degree == 256
 
 
 def test_plain_search_builds_a_table_past_the_recursion_limit():

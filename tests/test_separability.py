@@ -38,6 +38,7 @@ from resfin.separability import (
 )
 from resfin.words import (
     Ball,
+    FreeWord,
     SLBuilder,
     enumerate_ball,
     format_word,
@@ -86,6 +87,13 @@ def test_divisibility_of_a_long_power_does_not_recurse_per_letter():
     expect = next(q for q in range(2, 17) if 1200 % q)
     assert expect == 7
     assert divisibility(W("a" * 1200, 1), 16).value == expect
+
+
+def test_divisibility_names_a_word_past_rank_26_by_its_letters():
+    # textual syntax ends at z, so the query names the word by its letters
+    res = divisibility(FreeWord(27, (27, 27)), 4)
+    assert res.value == smallest_nondivisor(2) == 3
+    assert res.query == "divisibility((27, 27))"
 
 
 def test_divisibility_witness_properties():
