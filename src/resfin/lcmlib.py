@@ -386,9 +386,14 @@ def _power_set_scan(
 
     A group of order at most n kills one of the targets, and the witness
     with it, so a survivor of order at most n is an InternalError.  Every
-    order up to the largest n is searched and evaluated for that check;
-    past it, an order where every group is abelian is skipped while every
-    witness left has all exponent sums zero (see `_first_survivals`).
+    order up to the largest n is searched and evaluated for that check.
+    Past it, an order is skipped by derived length: the witness for n
+    nests ceil(log2 n) commutators, so it lies that deep in the derived
+    series and dies in every group of derived length at most that, which
+    is every group of an order where all are abelian (Pakianathan and
+    Shankar, "Nilpotent numbers", 2000) and every group of order below 24,
+    48 or 60 at depth 2, 3 or 4 (Robinson, *A Course in the Theory of
+    Groups*, ch. 5); see `_first_survivals`.
     Targets totalling more than DEFAULT_FLAT_CAP letters raise
     ResourceError before any is built.
     """

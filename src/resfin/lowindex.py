@@ -69,6 +69,14 @@ the action is regular. A cut only prunes earlier; dropping one loses no
 table and lets no irregular table reach `build()`, whose image-order
 check stays as the check of this invariant.
 
+`_first_survivals` skips whole orders by derived length: a word in
+F^(d), the d-th derived subgroup of F_rank, maps into G^(d), which is
+trivial in every group G of derived length at most d. Each group of an
+order has derived length 1 where all are abelian (Pakianathan and
+Shankar, "Nilpotent numbers", Amer. Math. Monthly 107, 2000), and at
+most 2, 3 or 4 below 24, 48 or 60 (D. J. S. Robinson, *A Course in the
+Theory of Groups*, ch. 5).
+
 `_search` is a generator that returns, once exhausted, what it did: the
 frames it pushed, the candidates it placed (by then every candidate of
 every frame), the candidates a deduction cut, the tables it emitted and
@@ -80,6 +88,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Generator, Iterator
 
@@ -413,6 +422,52 @@ def _exponent_sums(w: FreeWord | SLWord) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def _derived_depth(w: FreeWord | SLWord) -> float:
+    """A lower bound d with w in F^(d), the d-th derived subgroup of F_rank.
+
+    A straight-line word is read in one pass over its nodes up to the root:
+    a commutator is one deeper than the shallower of its operands, a
+    product is as deep as the shallower of its factors, an inverse, a
+    conjugate and a nonzero power are as deep as their operand, and a zero
+    power is the identity, of depth infinity, which dies in every
+    quotient.  Any word whose exponent sums all vanish lies in the
+    commutator subgroup F^(1); for a flat word that is the only rule.
+    """
+    depth: float = 0
+    if isinstance(w, SLWord):
+        depths: list[float] = []
+        for node in w.nodes[: w.root + 1]:
+            op = node[0]
+            if op == "gen":
+                d = 0
+            elif op == "comm":
+                d = min(depths[node[1]], depths[node[2]]) + 1
+            elif op == "mul":
+                d = min(depths[node[1]], depths[node[2]])
+            elif op == "pow" and not node[2]:
+                d = math.inf
+            else:  # inv, conj and a nonzero pow
+                d = depths[node[1]]
+            depths.append(d)
+        depth = depths[-1]
+    return depth or int(not any(_exponent_sums(w)))
+
+
+def _derived_length_bound(order: int) -> float:
+    """An upper bound on the derived length of every group of this order.
+
+    1 where every group of the order is abelian (`all_abelian`).  Else 2
+    below 24, since S4 and SL(2,3) are the smallest non-metabelian groups;
+    3 below 48 and 4 below 60, since a solvable group of derived length
+    k + 1 has a proper derived subgroup of derived length k, so the least
+    order at least doubles from 24, and A5, of order 60, is the smallest
+    non-solvable group.  No bound (infinity) from 60 on.
+    """
+    if all_abelian(order):
+        return 1
+    return next((k for k, below in ((2, 24), (3, 48), (4, 60)) if order < below), math.inf)
+
+
 def _first_survivals(
     rank: int, words: list[FreeWord | SLWord], cap: int, recheck: int = 1
 ) -> list[tuple[int, PermQuotient] | None]:
@@ -420,12 +475,18 @@ def _first_survivals(
     it survives and the first such quotient, or None if it dies in all.
 
     Each order is enumerated once for every word still dying, and only as
-    far as the last of them needs.  An order past `recheck` where every
-    group is abelian (`all_abelian`) is not enumerated at all when every
-    word still dying has all exponent sums zero: such a word lies in the
-    commutator subgroup, so it dies in every abelian quotient.  Every
-    order up to `recheck` is enumerated and evaluated regardless, which
-    lets a caller check a claim there against the quotient lists.
+    far as the last of them needs.  An order past `recheck` is not
+    enumerated at all when its bound on the derived length of its groups
+    (`_derived_length_bound`) is at most the least derived-series depth
+    (`_derived_depth`) of the words still dying: a word in F^(d) dies in
+    every group of derived length at most d (see the module docstring;
+    Pakianathan and Shankar, "Nilpotent numbers", 2000, for the abelian
+    orders, and Robinson, *A Course in the Theory of Groups*, ch. 5, for
+    the derived series).  So a witness nested k commutators deep skips
+    every order below 24, 48 or 60 for k = 2, 3 or 4, and every order
+    where all groups are abelian for k >= 1.  Every order up to `recheck`
+    is enumerated and evaluated regardless, which lets a caller check a
+    claim there against the quotient lists.
 
     Every word still dying is evaluated once per batch of tables, with
     `eval_word` on the batch's disjoint union (`_glued`): it survives in a
@@ -436,11 +497,11 @@ def _first_survivals(
     """
     found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
     left = list(range(len(words)))
-    abelian_dead = [not any(_exponent_sums(w)) for w in words]
+    depths = [_derived_depth(w) for w in words]
     for order in range(2, cap + 1):
         if not left:
             break
-        if order > recheck and all(abelian_dead[i] for i in left) and all_abelian(order):
+        if order > recheck and _derived_length_bound(order) <= min(depths[i] for i in left):
             continue
         tables = enumerate_normal(rank, order)
         while left:

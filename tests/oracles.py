@@ -11,9 +11,11 @@ reference for `sl_eval`.  `per_table_obstruction_scan` reads the cycles
 of x in every cover, the reference for `obstruction_scan`, which reads
 each distinct row of x once.  `per_table_first_survivals` evaluates
 every word on every table of each order, the reference for
-`_first_survivals`, which skips orders where every group is abelian and
-evaluates every word once per batch of tables; it reads survival with
+`_first_survivals`, which skips orders by derived length and evaluates
+every word once per batch of tables; it reads survival with
 `permutation_eval`, so it shares no evaluator with the code it checks.
+`derived_length` reads the derived length of a quotient's image off its
+elements, the second route to `lowindex._derived_length_bound`.
 `_ball_cells` walks the Heisenberg ball image, the reference for the
 closed form in `nilpotent.entry_bound`: `_cells_max_entry` reads its
 exact maximum, checked against the envelope n(n+1)/2 + 1, and
@@ -253,6 +255,31 @@ def per_table_obstruction_scan(m: int, max_degree: int) -> dict:
         "violations": [],
         "rows": rows,
     }
+
+
+def derived_length(q: PermQuotient) -> int:
+    """The derived length of q's image, from its elements: the image is
+    closed from the generator rows, then each derived subgroup is closed
+    from the commutators of the one before, until it is trivial."""
+
+    def closure(gens: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+        # in a finite group the products of generators already hold every inverse
+        elements = {tuple(range(q.degree))}
+        frontier = list(elements)
+        while frontier:
+            fresh = {compose(x, g) for x in frontier for g in gens} - elements
+            elements |= fresh
+            frontier = list(fresh)
+        return elements
+
+    group = closure(set(q.fwd))
+    length = 0
+    while len(group) > 1:
+        group = closure(
+            {compose(compose(x, y), invert(compose(y, x))) for x in group for y in group}
+        )
+        length += 1
+    return length
 
 
 def per_table_first_survivals(

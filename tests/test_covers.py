@@ -220,10 +220,11 @@ def test_theorem4_one_pass_matches_the_per_row_route(cap):
 
 
 def test_theorem4_searches_each_order_once(monkeypatch):
-    # rows 3 and 4 both scan every order to 16; orders past the cache
-    # limit of 12 are searched afresh, so the rows share one search each.
-    # Past the largest exponent, 12, every group of order 13 or 15 is
-    # abelian and kills both witnesses, so those orders are not searched
+    # rows 3 and 4 both scan every order to 16, and every order up to
+    # the cache limit of 12 is searched at most once for both. Past the
+    # largest exponent, 12, every group of order below 24 is metabelian
+    # and kills both witnesses, of depths 3 and 4, so orders 13 to 16 are
+    # not searched
     searched = Counter()
     search = resfin.lowindex._search
 
@@ -233,7 +234,7 @@ def test_theorem4_searches_each_order_once(monkeypatch):
 
     monkeypatch.setattr(resfin.lowindex, "_search", spy)
     theorem4_experiment(4, order_cap=16)
-    assert [searched[order] for order in range(13, 17)] == [0, 1, 0, 1]
+    assert [searched[order] for order in range(13, 17)] == [0, 0, 0, 0]
     assert all(searched[order] <= 1 for order in range(2, 13))
 
 

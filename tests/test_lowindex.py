@@ -19,6 +19,8 @@ from resfin.errors import InputError, InternalError
 from resfin.lcmlib import lcm_ball_witness, lcm_witness
 from resfin.lowindex import (
     _check_rows,
+    _derived_depth,
+    _derived_length_bound,
     _exponent_sums,
     _first_survivals,
     _search,
@@ -42,6 +44,7 @@ from resfin.permrep import (
 )
 from resfin.words import (
     Ball,
+    SLBuilder,
     _cyclic_split,
     _free_reduce,
     commutator,
@@ -53,8 +56,8 @@ from resfin.words import (
 )
 
 from oracles import (
-    canonical_key, kernel_fingerprint, per_table_first_survivals, relabel, sl_build,
-    word_battery,
+    canonical_key, derived_length, kernel_fingerprint, per_table_first_survivals, relabel,
+    sl_build, word_battery,
 )
 
 # OEIS A051532, the orders n at which every group of order n is abelian, up
@@ -566,11 +569,29 @@ def test_first_survivals_match_the_per_table_scan(monkeypatch, batch):
         assert _rows(_first_survivals(rank, words, cap)) == expect, (rank, cap)
 
 
+def test_first_survivals_match_the_per_table_scan_to_order_24():
+    # value and first witness with the default recheck, where the derived
+    # length skips whole orders: once the witness for {x, x^2}, 1 deep,
+    # survives at order 12, the words left are 2 deep and skip every order
+    # from 13 to 23, and order 24, where S4 and SL(2,3) have derived
+    # length 3, is searched
+    a, b = generator(2, 1), generator(2, 2)
+    words = [
+        *(_power_set(n) for n in (2, 3, 4)),
+        lcm_ball_witness(2, 1).word,
+        lcm_witness([a, b, multiply(a, b)]).word,
+    ]
+    expect = _rows(per_table_first_survivals(2, words, 24))
+    assert _rows(_first_survivals(2, words, 24)) == expect
+    assert [None if hit is None else hit[0] for hit in expect] == [12, 24, None, 24, 24]
+
+
 def test_first_survivals_evaluate_every_order_up_to_recheck(monkeypatch):
-    # orders 13 and 15 are abelian-only and kill both witnesses: skipped
-    # past the recheck order, searched and evaluated up to it
+    # every order from 13 to 16 lies below 24, so each of its groups is
+    # metabelian and kills both witnesses, of depth 2: skipped past the
+    # recheck order, searched and evaluated up to it
     words = [_power_set(3), _power_set(4)]
-    for recheck, skipped in ((12, [13, 15]), (16, [])):
+    for recheck, skipped in ((12, [13, 14, 15, 16]), (16, [])):
         orders = []
         monkeypatch.setattr(
             "resfin.lowindex.enumerate_normal",
@@ -597,6 +618,32 @@ def test_a_flat_only_scan_stops_at_its_first_survivor(monkeypatch):
     assert pulled.pop(24) == 20 < normal_count(2, 24) == 146
     assert pulled == {n: normal_count(2, n) for n in pulled}
     assert sorted(pulled) == [6, 8, 10, 12, 14, 16, 18, 20, 21, 22]
+
+
+def test_derived_depth():
+    a, b = generator(2, 1), generator(2, 2)
+    for n in range(1, 13):
+        assert _derived_depth(_power_set(n)) == math.ceil(math.log2(n)), n
+    assert _derived_depth(lcm_ball_witness(2, 1).word) == 2
+    flat = commutator(power(a, 3), b)
+    assert _derived_depth(flat) == _derived_depth(sl_build(flat)) == 1
+    assert _derived_depth(power(a, 3)) == _derived_depth(sl_build(power(a, 3))) == 0
+    builder = SLBuilder(2)
+    assert _derived_depth(builder.build(builder.pow(builder.gen(1), 0))) == math.inf
+
+
+def test_derived_length_bound_holds_on_every_regular_action():
+    # a second route to the order bound: the derived length of each
+    # image, read off its elements, never exceeds it; every image below
+    # order 24 is metabelian, and order 24 attains derived length 3
+    most = {
+        (rank, order): max(derived_length(q) for q in enumerate_normal(rank, order))
+        for rank, top in ((2, 24), (3, 12))
+        for order in range(2, top + 1)
+    }
+    assert all(d <= _derived_length_bound(order) for (_, order), d in most.items()), most
+    assert most.pop((2, 24)) == 3 == _derived_length_bound(24)
+    assert max(most.values()) == 2
 
 
 def test_exponent_sums_of_straight_line_words():
