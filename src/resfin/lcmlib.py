@@ -380,13 +380,12 @@ def _power_set_scan(
     rank: int, ns: list[int], cap: int
 ) -> list[tuple[WitnessCertificate, int | None]]:
     """The witness for each {x, ..., x^n} and its normal divisibility up to
-    cap, every witness scanned in the same pass over each order.  Each
-    distinct n is built and scanned once, and its pair serves every row
-    that asks for it.
+    cap.  Each distinct n is built and scanned once, on its own, and its
+    pair serves every row that asks for it.
 
     A group of order at most n kills one of the targets, and the witness
     with it, so a survivor of order at most n is an InternalError.  Every
-    order up to the largest n is searched and evaluated for that check.
+    order up to n is searched and evaluated for that check (its `recheck`).
     Past it, an order is skipped by derived length: the witness for n
     nests ceil(log2 n) commutators, so it lies that deep in the derived
     series and dies in every group of derived length at most that, which
@@ -399,14 +398,12 @@ def _power_set_scan(
     """
     from .lowindex import _first_survivals
 
-    top = max(ns)
-    _check_flat_targets(top)
+    _check_flat_targets(max(ns))
     x = generator(rank, 1)
-    distinct = list(dict.fromkeys(ns))
-    certs = [lcm_witness([power(x, i) for i in range(1, n + 1)]) for n in distinct]
     scanned = {}
-    hits = _first_survivals(rank, [c.word for c in certs], cap, top)
-    for n, cert, hit in zip(distinct, certs, hits):
+    for n in dict.fromkeys(ns):
+        cert = lcm_witness([power(x, i) for i in range(1, n + 1)])
+        hit = _first_survivals(rank, cert.word, cap, n)
         value = None if hit is None else hit[0]
         if value is not None and value <= n:
             raise InternalError(f"a quotient of order {value} kept the witness for x..x^{n} alive")

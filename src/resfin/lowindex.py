@@ -69,6 +69,9 @@ the action is regular. A cut only prunes earlier; dropping one loses no
 table and lets no irregular table reach `build()`, whose image-order
 check stays as the check of this invariant.
 
+`enumerate_normal` with no kernel radius searches each order at most
+once per process, and only as far as it is read (`_materialized`).
+
 `_first_survivals` skips whole orders by derived length: a word in
 F^(d), the d-th derived subgroup of F_rank, maps into G^(d), which is
 trivial in every group G of derived length at most d. Each group of an
@@ -86,6 +89,7 @@ queue order, since every deduction is forced and the fixpoint is unique.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -96,7 +100,6 @@ from .errors import InternalError, _checked_int
 from .permrep import PermQuotient, _glued, eval_word, image_order
 from .words import FreeWord, SLWord, sl_eval
 
-_CACHE_REGULAR_LIMIT = 12
 # actions glued into one disjoint union, for the ball walk and for
 # straight-line words, which bounds the union however many actions an
 # order has
@@ -337,10 +340,21 @@ def _search(
 
 
 @functools.lru_cache(maxsize=None)
-def _materialized(rank: int, order: int) -> tuple[PermQuotient, ...]:
-    """Every regular action of one order, kept for the queries that read
-    an order again (argmax re-checks, growth counts)."""
-    return tuple(_search(rank, order, True))
+def _materialized(rank: int, order: int) -> Iterator[PermQuotient]:
+    """The one regular search of an order, as a tee never advanced itself:
+    each copy replays the tables earlier copies pulled, then reads on.  A
+    search that stops with an exception clears the cache, so its prefix is
+    never replayed as the whole order."""
+
+    def search() -> Iterator[PermQuotient]:
+        try:
+            yield from _search(rank, order, True)
+        # GeneratorExit, a paused search being dropped, is no failure
+        except (Exception, KeyboardInterrupt):
+            _materialized.cache_clear()
+            raise
+
+    return itertools.tee(search(), 1)[0]
 
 
 def enumerate_subgroups(rank: int, index: int) -> Iterator[PermQuotient]:
@@ -400,9 +414,8 @@ def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterat
         ):
             return iter(())
         return _search(rank, order, True, kernel_radius)
-    if order <= _CACHE_REGULAR_LIMIT:
-        return iter(_materialized(rank, order))
-    return _search(rank, order, True)
+    # a copy, not a tee of the tee, whose semantics differ across Pythons
+    return copy.copy(_materialized(rank, order))
 
 
 def _exponent_sums(w: FreeWord | SLWord) -> tuple[int, ...]:
@@ -469,17 +482,15 @@ def _derived_length_bound(order: int) -> float:
 
 
 def _first_survivals(
-    rank: int, words: list[FreeWord | SLWord], cap: int, recheck: int = 1
-) -> list[tuple[int, PermQuotient] | None]:
-    """For each word, the least order up to cap of a regular quotient where
-    it survives and the first such quotient, or None if it dies in all.
+    rank: int, w: FreeWord | SLWord, cap: int, recheck: int = 1
+) -> tuple[int, PermQuotient] | None:
+    """The least order up to cap of a regular quotient where w survives and
+    the first such quotient, or None if w dies in all.
 
-    Each order is enumerated once for every word still dying, and only as
-    far as the last of them needs.  An order past `recheck` is not
-    enumerated at all when its bound on the derived length of its groups
-    (`_derived_length_bound`) is at most the least derived-series depth
-    (`_derived_depth`) of the words still dying: a word in F^(d) dies in
-    every group of derived length at most d (see the module docstring;
+    An order past `recheck` is not enumerated at all when its bound on the
+    derived length of its groups (`_derived_length_bound`) is at most w's
+    derived-series depth (`_derived_depth`): a word in F^(d) dies in every
+    group of derived length at most d (see the module docstring;
     Pakianathan and Shankar, "Nilpotent numbers", 2000, for the abelian
     orders, and Robinson, *A Course in the Theory of Groups*, ch. 5, for
     the derived series).  So a witness nested k commutators deep skips
@@ -488,35 +499,26 @@ def _first_survivals(
     is enumerated and evaluated regardless, which lets a caller check a
     claim there against the quotient lists.
 
-    Every word still dying is evaluated once per batch of tables, with
-    `eval_word` on the batch's disjoint union (`_glued`): it survives in a
-    table exactly when it moves that table's basepoint.  A batch is
-    `_WALK_BATCH` tables while a straight-line word is left, so each of
-    its row compositions serves many tables, and one table otherwise, so
-    a flat word's first survivor ends the enumeration there.
+    w is evaluated once per batch of tables, with `eval_word` on the
+    batch's disjoint union (`_glued`): it survives in a table exactly when
+    it moves that table's basepoint.  A batch is `_WALK_BATCH` tables for a
+    straight-line word, so each of its row compositions serves many tables,
+    and one table for a flat word, so its first survivor ends the
+    enumeration there.
     """
-    found: list[tuple[int, PermQuotient] | None] = [None] * len(words)
-    left = list(range(len(words)))
-    depths = [_derived_depth(w) for w in words]
+    depth = _derived_depth(w)
+    size = _WALK_BATCH if isinstance(w, SLWord) else 1
     for order in range(2, cap + 1):
-        if not left:
-            break
-        if order > recheck and _derived_length_bound(order) <= min(depths[i] for i in left):
+        if order > recheck and _derived_length_bound(order) <= depth:
             continue
         tables = enumerate_normal(rank, order)
-        while left:
-            size = _WALK_BATCH if any(isinstance(words[i], SLWord) for i in left) else 1
-            batch = list(itertools.islice(tables, size))
-            if not batch:
-                break
+        while batch := list(itertools.islice(tables, size)):
             glued, offsets = _glued(batch)
-            for i in left:
-                row = eval_word(glued, words[i])
-                k = next((k for k, p in enumerate(offsets) if row[p] != p), None)
-                if k is not None:
-                    found[i] = (order, batch[k])
-            left = [i for i in left if found[i] is None]
-    return found
+            row = eval_word(glued, w)
+            for p, q in zip(offsets, batch):
+                if row[p] != p:
+                    return order, q
+    return None
 
 
 def subgroup_count(rank: int, index: int) -> int:

@@ -28,13 +28,14 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalError, ResourceError, _checked_int
 from .lowindex import (
-    _WALK_BATCH, _first_survivals, enumerate_normal, enumerate_subgroups, hall_counts,
-    normal_subgroup_growth,
+    _WALK_BATCH, _exponent_sums, _first_survivals, enumerate_normal, enumerate_subgroups,
+    hall_counts, normal_subgroup_growth,
 )
 from .permrep import PermQuotient, _glued, basepoint_image, is_transitive, to_record
 from .words import (
     Ball,
     FreeWord,
+    SLBuilder,
     SLWord,
     _ordered_letters,
     format_word,
@@ -172,14 +173,15 @@ def normal_divisibility(w: FreeWord | SLWord, cap: int = DEFAULT_SEARCH_CAP) -> 
             raise InputError("divisibility is defined for nontrivial words only")
         query = f"normal_divisibility({format_word(w) if w.rank <= 26 else w.letters})"
     elif isinstance(w, SLWord):
-        flat = sl_flatten(w, 0)
+        # a nonzero exponent sum proves w nontrivial with no flattening
+        flat = None if any(_exponent_sums(w)) else sl_flatten(w, 0)
         if flat is not None and flat.is_identity:
             raise InputError("divisibility is defined for nontrivial words only")
         query = f"normal_divisibility(straight-line word, {len(w.nodes)} nodes)"
     else:
         raise InputError(f"need a FreeWord or SLWord, got {type(w).__name__}")
     _checked_int(cap, "cap")
-    value, witness = _first_survivals(w.rank, [w], cap)[0] or (None, None)
+    value, witness = _first_survivals(w.rank, w, cap) or (None, None)
     return SepResult(query, value, witness, cap)
 
 
@@ -478,9 +480,9 @@ def check_girth_inequality(
     the half ball; so the girth at n/2 is at most the witness's normal
     divisibility.  The length side reports the bound the construction
     proves (6 d 4^k) next to the quadratic form (6 n ball^2) and flags
-    when the latter fails to cover the former.  At rank 1 the witness's
-    length is lcm(1..n); one too long to print raises ResourceError before
-    the ball is built.
+    when the latter fails to cover the former.  At rank 1 the witness for
+    the 2n ball targets is x^lcm(1..n), built as that one power with no
+    target built; an lcm too long to print raises ResourceError first.
     """
     from .lcmlib import _decimal, lcm_ball_witness  # only this checker builds witnesses
 
@@ -490,9 +492,9 @@ def check_girth_inequality(
     # each cap under its own name: the searches below call either one `cap`
     _checked_int(order_cap, "order cap")
     _checked_int(girth_cap, "girth cap")
-    limit = sys.get_int_max_str_digits()
-    if rank == 1 and limit:
-        top, lcm = 10**limit, 1
+    if rank == 1:
+        limit = sys.get_int_max_str_digits()
+        top, lcm = 10**limit if limit else math.inf, 1
         for m in range(2, n + 1):
             lcm = math.lcm(lcm, m)
             if lcm >= top:
@@ -501,30 +503,32 @@ def check_girth_inequality(
                     f" lcm(1..{m}) alone has {_decimal(lcm)}, past the interpreter's"
                     f" limit of {limit} digits for printing one"
                 )
-    cert = lcm_ball_witness(rank, n)
-    size = len(cert.targets)
-    if rank == 1:
-        # the single-generator witness is a bare lcm power; its length is
-        # the lcm itself (exponential in n, and minimal), so the pairing
-        # bounds below do not apply
+        builder = SLBuilder(1)
+        word = builder.build(builder.pow(builder.gen(1), lcm))
+        size, bound, nontrivial = 2 * n, lcm, True
+        # the witness's length is the lcm itself (exponential in n, and
+        # minimal), so the pairing bounds below do not apply
         proof_bound = None
         statement_bound = None
         covers = None
     else:
+        cert = lcm_ball_witness(rank, n)
+        word, size = cert.word, len(cert.targets)
+        bound, nontrivial = cert.declared_bound, cert.nontrivial_verified
         k = (size - 1).bit_length()
         proof_bound = 6 * n * 4**k
         statement_bound = 6 * n * word_growth(rank, n) ** 2
         covers = proof_bound <= statement_bound
-        if cert.declared_bound > proof_bound:
+        if bound > proof_bound:
             raise InternalError("witness exceeds the bound its construction proves")
 
     girth = residual_girth(rank, n // 2, girth_cap)
-    dnormal = normal_divisibility(cert.word, order_cap)
+    dnormal = normal_divisibility(word, order_cap)
     lower = dnormal.value
-    if lower is None and cert.nontrivial_verified:
+    if lower is None and nontrivial:
         lower = order_cap + 1
     if rank == 1:
-        exact = smallest_nondivisor(cert.declared_bound)
+        exact = smallest_nondivisor(bound)
         if dnormal.value is not None and dnormal.value != exact:
             raise InternalError(
                 "regular-action search and nondivisor arithmetic disagree"
@@ -552,10 +556,10 @@ def check_girth_inequality(
         "status": "resolved" if chain_holds is not None else "inconclusive",
         "witness": {
             "targets": size,
-            "declared_bound": cert.declared_bound,
+            "declared_bound": bound,
             "proof_bound": proof_bound,
             "statement_bound": statement_bound,
             "statement_covers_proof": covers,
-            "nontrivial_verified": cert.nontrivial_verified,
+            "nontrivial_verified": nontrivial,
         },
     }

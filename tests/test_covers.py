@@ -4,6 +4,9 @@ The lift-closure law is verified against an independent oracle that walks
 the first generator step by step instead of using cycle arithmetic.
 """
 
+import functools
+import math
+import time
 import tracemalloc
 from collections import Counter
 from itertools import islice
@@ -15,6 +18,7 @@ import resfin.lcmlib
 import resfin.lowindex
 import resfin.permrep
 
+from resfin.cli import run
 from resfin.covers import (
     analyze_cover,
     chebyshev,
@@ -194,8 +198,9 @@ def test_theorem4_refuses_before_keeping_the_rows():
 
 
 def _per_row_theorem4(n, cap):
-    # the route before the one-pass scan: each row builds its witness and
-    # searches the orders for it alone, with normal_divisibility
+    # a second route: each row, repeated lcms included, builds its witness
+    # and searches the orders for it with normal_divisibility, which skips
+    # by derived length from order 2 on
     rows = []
     for j in range(1, n + 1):
         ell = lcm_upto(j)
@@ -219,12 +224,8 @@ def test_theorem4_one_pass_matches_the_per_row_route(cap):
         assert theorem4_experiment(n, order_cap=cap) == _per_row_theorem4(n, cap), n
 
 
-def test_theorem4_searches_each_order_once(monkeypatch):
-    # rows 3 and 4 both scan every order to 16, and every order up to
-    # the cache limit of 12 is searched at most once for both. Past the
-    # largest exponent, 12, every group of order below 24 is metabelian
-    # and kills both witnesses, of depths 3 and 4, so orders 13 to 16 are
-    # not searched
+def _count_searches(monkeypatch) -> Counter:
+    """Count the calls of `_search` by degree, from an empty cache."""
     searched = Counter()
     search = resfin.lowindex._search
 
@@ -232,10 +233,30 @@ def test_theorem4_searches_each_order_once(monkeypatch):
         searched[degree] += 1
         return search(rank, degree, regular, kernel_radius)
 
+    resfin.lowindex._materialized.cache_clear()
     monkeypatch.setattr(resfin.lowindex, "_search", spy)
+    return searched
+
+
+def test_theorem4_searches_each_order_once(monkeypatch):
+    # rows 3 and 4 scan every order up to their own exponents, 6 and 12,
+    # and each order is searched at most once for both. Past 12, every
+    # group of order below 24 is metabelian and kills both witnesses, of
+    # depths 3 and 4, so orders 13 to 16 are not searched
+    searched = _count_searches(monkeypatch)
     theorem4_experiment(4, order_cap=16)
     assert [searched[order] for order in range(13, 17)] == [0, 0, 0, 0]
     assert all(searched[order] <= 1 for order in range(2, 13))
+
+
+def test_theorem4_replays_the_orders_a_witness_has_read(monkeypatch):
+    # the witnesses for lcm 60 and 420 both read every order to 16, each on
+    # its own; the second reads orders 13 to 16 from the cache the first
+    # filled, so every order from 2 to 16 is searched exactly once
+    searched = _count_searches(monkeypatch)
+    theorem4_experiment(7, order_cap=16)
+    assert searched == {order: 1 for order in range(2, 17)}
+    resfin.lowindex._materialized.cache_clear()
 
 
 def test_chebyshev_values():
@@ -259,6 +280,44 @@ def test_pnt_window_threshold():
 def test_lcm_upto_input_check():
     with pytest.raises(InputError):
         lcm_upto(0)
+
+
+def test_lcm_upto_matches_the_running_lcm():
+    # second route: lcm folded over 1..n, against the prime powers
+    acc = 1
+    for n in range(1, 2001):
+        acc = math.lcm(acc, n)
+        assert lcm_upto(n) == acc, n
+    assert lcm_upto(2000) == functools.reduce(math.lcm, range(1, 2001), 1)
+
+
+def test_theorem4_refuses_a_million_at_once():
+    # lcm(1..10^6) has 434,115 digits; folding math.lcm over 1..n took
+    # past 60 s to reach it
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as refused:
+        theorem4_experiment(10**6, order_cap=2)
+    assert time.perf_counter() - start < 20
+    assert str(refused.value) == (
+        "the targets x..x^<434115 digits> total <868230 digits> letters,"
+        " past the flat cap 1000000"
+    )
+
+
+def test_power_set_scan_checks_its_claim_range(monkeypatch, capsys):
+    # with every order past a witness's own exponent skipped by depth, and
+    # every witness the bare x, which survives at order 2: the witness for
+    # x..x^2 must still be evaluated at order 2 and refused there
+    x = generator(2, 1)
+    bare = lcm_witness([x])
+    monkeypatch.setattr(resfin.lowindex, "_derived_depth", lambda w: math.inf)
+    monkeypatch.setattr(resfin.lcmlib, "lcm_witness", lambda targets: bare)
+    message = "a quotient of order 2 kept the witness for x..x^2 alive"
+    with pytest.raises(InternalError) as refused:
+        theorem4_experiment(2, order_cap=4)
+    assert str(refused.value) == message
+    assert run(["theorem4", "--n", "2", "--cap", "4"]) == 3
+    assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
 
 
 def test_theorem4_builds_each_distinct_lcm_once(monkeypatch):

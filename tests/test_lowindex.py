@@ -12,6 +12,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from resfin.lowindex import (
     _derived_length_bound,
     _exponent_sums,
     _first_survivals,
+    _materialized,
     _search,
     all_abelian,
     enumerate_normal,
@@ -42,6 +44,7 @@ from resfin.permrep import (
     row_cycles,
     to_record,
 )
+from resfin.separability import normal_divisibility
 from resfin.words import (
     Ball,
     SLBuilder,
@@ -524,8 +527,8 @@ def test_kernel_radius_is_checked():
 
 
 # the README's dmax argmax at rank 2, radius 14: it dies in every quotient
-# of order below 24, past the cached orders
-FLAT_PAST_CACHE = "aabABAbaaBAbAB"
+# of order below 24
+FLAT_DEAD_BELOW_24 = "aabABAbaaBAbAB"
 
 
 def _rows(found):
@@ -543,8 +546,9 @@ def _zero_sum(rank, radius):
 
 @pytest.mark.parametrize("batch", [1, 5, 2048])
 def test_first_survivals_match_the_per_table_scan(monkeypatch, batch):
-    # value and first witness, on witnesses alone and in lists that mix
-    # straight-line and flat words, some outside the commutator subgroup
+    # value and first witness, each word scanned on its own, on witnesses
+    # and on straight-line and flat words, some outside the commutator
+    # subgroup
     monkeypatch.setattr("resfin.lowindex._WALK_BATCH", batch)
     rng = random.Random(32)
     ball = list(Ball(2, 5).nontrivial())
@@ -561,20 +565,20 @@ def test_first_survivals_match_the_per_table_scan(monkeypatch, batch):
         (2, _zero_sum(2, 6), 16),
         *mixed,
         (3, [lcm_ball_witness(3, 1).word, *_zero_sum(3, 4)[::7]], 10),
-        # flat only, with its answer past the cached orders
-        (2, [parse_word(FLAT_PAST_CACHE, 2)], 24),
+        # flat only, with its answer at order 24
+        (2, [parse_word(FLAT_DEAD_BELOW_24, 2)], 24),
     ]
     for rank, words, cap in cases:
         expect = _rows(per_table_first_survivals(rank, words, cap))
-        assert _rows(_first_survivals(rank, words, cap)) == expect, (rank, cap)
+        assert _rows([_first_survivals(rank, w, cap) for w in words]) == expect, (rank, cap)
 
 
 def test_first_survivals_match_the_per_table_scan_to_order_24():
     # value and first witness with the default recheck, where the derived
-    # length skips whole orders: once the witness for {x, x^2}, 1 deep,
-    # survives at order 12, the words left are 2 deep and skip every order
-    # from 13 to 23, and order 24, where S4 and SL(2,3) have derived
-    # length 3, is searched
+    # length skips whole orders: the witness for {x, x^2}, 1 deep, survives
+    # at order 12, and the other words are at least 2 deep, so they skip
+    # every order from 13 to 23, and order 24, where S4 and SL(2,3) have
+    # derived length 3, is searched
     a, b = generator(2, 1), generator(2, 2)
     words = [
         *(_power_set(n) for n in (2, 3, 4)),
@@ -582,7 +586,7 @@ def test_first_survivals_match_the_per_table_scan_to_order_24():
         lcm_witness([a, b, multiply(a, b)]).word,
     ]
     expect = _rows(per_table_first_survivals(2, words, 24))
-    assert _rows(_first_survivals(2, words, 24)) == expect
+    assert _rows([_first_survivals(2, w, 24) for w in words]) == expect
     assert [None if hit is None else hit[0] for hit in expect] == [12, 24, None, 24, 24]
 
 
@@ -597,7 +601,7 @@ def test_first_survivals_evaluate_every_order_up_to_recheck(monkeypatch):
             "resfin.lowindex.enumerate_normal",
             lambda rank, order: orders.append(order) or enumerate_normal(rank, order),
         )
-        assert _first_survivals(2, words, 16, recheck) == [None, None]
+        assert [_first_survivals(2, w, 16, recheck) for w in words] == [None, None]
         assert sorted(set(range(2, 17)) - set(orders)) == skipped
 
 
@@ -612,12 +616,45 @@ def test_a_flat_only_scan_stops_at_its_first_survivor(monkeypatch):
             yield q
 
     monkeypatch.setattr("resfin.lowindex.enumerate_normal", counting)
-    [(order, _)] = _first_survivals(2, [parse_word(FLAT_PAST_CACHE, 2)], 24)
+    order, _ = _first_survivals(2, parse_word(FLAT_DEAD_BELOW_24, 2), 24)
     monkeypatch.undo()
     assert order == 24
     assert pulled.pop(24) == 20 < normal_count(2, 24) == 146
     assert pulled == {n: normal_count(2, n) for n in pulled}
     assert sorted(pulled) == [6, 8, 10, 12, 14, 16, 18, 20, 21, 22]
+
+
+def test_each_order_is_read_lazily_at_rank_26():
+    # F26 has 2^26 - 1 regular actions of order 2; the first is read
+    # without searching the rest, and z survives in it
+    _materialized.cache_clear()
+    start = time.perf_counter()
+    next(enumerate_normal(26, 2))
+    assert time.perf_counter() - start < 1
+    _materialized.cache_clear()
+    start = time.perf_counter()
+    assert normal_divisibility(generator(26, 26), 2).value == 2
+    assert time.perf_counter() - start < 5
+    _materialized.cache_clear()
+
+
+def test_a_failed_search_leaves_no_prefix_to_replay(monkeypatch):
+    # the third table of order 6 is misreported as irregular, so the
+    # search stops with InternalError after two tables; those two must not
+    # be replayed as the whole order
+    _materialized.cache_clear()
+    calls = itertools.count(1)
+
+    def misreport(q, cap):
+        order = image_order(q, cap=cap)
+        return order + 1 if q.degree == 6 and next(calls) == 3 else order
+
+    monkeypatch.setattr("resfin.lowindex.image_order", misreport)
+    with pytest.raises(InternalError, match="irregular table"):
+        list(enumerate_normal(2, 6))
+    monkeypatch.undo()
+    assert normal_count(2, 6) == 15
+    assert list(enumerate_normal(2, 6)) == list(_search(2, 6, True))
 
 
 def test_derived_depth():

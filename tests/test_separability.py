@@ -7,6 +7,7 @@ exactly.  Inequality reports are frozen for the cases small caps resolve.
 """
 
 import math
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -551,6 +552,26 @@ def test_girth_inequality_rank_one_exact():
     assert report["dnormal"]["lower_bound"] == 16
     assert report["chain_holds"]
     assert report["witness"]["proof_bound"] is None  # pairing bound needs rank 2
+
+
+def test_girth_inequality_rank_one_builds_no_targets():
+    # the 2n flat targets of the rank-1 ball total n(n + 1) letters, and
+    # the check reads only their count, the bound and the witness
+    tracemalloc.start()
+    try:
+        report = check_girth_inequality(1, 3000, order_cap=2, girth_cap=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert report["witness"]["targets"] == 6000
+    assert report["witness"]["declared_bound"] == lcm_upto(3000)
+    # second route: the ball witness itself gives the same size and bound
+    for n in range(2, 41, 2):
+        cert = lcm_ball_witness(1, n)
+        w = check_girth_inequality(1, n, order_cap=2, girth_cap=2)["witness"]
+        assert (w["targets"], w["declared_bound"]) == (len(cert.targets), cert.declared_bound)
+        assert w["nontrivial_verified"] is cert.nontrivial_verified
 
 
 def test_girth_inequality_statement_gap_is_flagged():
