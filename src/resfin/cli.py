@@ -70,7 +70,7 @@ def _parse_word_set(text: str):
         raise InputError("the target set is empty")
     words = [parse_word(p) for p in pieces]
     rank = max(w.rank for w in words)
-    return [FreeWord._reduced(rank, w.letters) for w in words]
+    return [FreeWord._reduced(rank, w.text) for w in words]
 
 
 def _cmd_growth(args):

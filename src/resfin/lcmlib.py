@@ -304,10 +304,14 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
     }
 
 
-def _word_field(text, rank: int) -> FreeWord:
+def _word_field(text, rank: int, what: str) -> FreeWord:
+    """The word a stored text spells, which must be its reduced form as stored."""
     if not isinstance(text, str):
         raise InputError(f"word {text!r} is not a string")
-    return parse_word(text, rank)
+    word = parse_word(text, rank)
+    if word.text != text:
+        raise InputError(f"{what} is not stored as a freely reduced word")
+    return word
 
 
 def _json_field(value, kind: type, what: str):
@@ -325,7 +329,8 @@ def cert_from_json(data) -> WitnessCertificate:
         nodes = _json_field(data["nodes"], list, "nodes")
         word = SLWord(rank, [tuple(n) for n in nodes], data["root"])
         targets = tuple(
-            _word_field(t, rank) for t in _json_field(data["targets"], list, "targets")
+            _word_field(t, rank, f"target {i}")
+            for i, t in enumerate(_json_field(data["targets"], list, "targets"))
         )
         derivations = tuple(
             tuple(
@@ -334,7 +339,7 @@ def cert_from_json(data) -> WitnessCertificate:
             )
             for steps in _json_field(data["derivations"], list, "derivations")
         )
-        flat = None if data["flat"] is None else _word_field(data["flat"], rank)
+        flat = None if data["flat"] is None else _word_field(data["flat"], rank, "flat")
         bound = data["declared_bound"]
         if type(bound) is not int:  # bool is an int subclass and is refused too
             raise InputError(f"declared_bound {bound!r} is not an integer")

@@ -37,6 +37,7 @@ from .words import (
     FreeWord,
     SLBuilder,
     SLWord,
+    _encode,
     _ordered_letters,
     format_word,
     generator,
@@ -279,7 +280,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             pos = values.find(0, 1)
             while pos >= 0:
                 word = word_at(pos)
-                value = _least_escape(FreeWord._reduced(rank, word), degree, cap)[0]
+                value = _least_escape(FreeWord._reduced(rank, _encode(word)), degree, cap)[0]
                 if value is not None:
                     unresolved -= weight[max(map(abs, word))]
                     top = max(top, (value, -len(word), -pos))
@@ -327,7 +328,7 @@ def _ball_maximum(rank: int, n: int, cap: int, normal: bool) -> tuple[int | None
             lower, best = degree, first[1]
     if best is None:
         return lower, None, unresolved
-    return lower, FreeWord._reduced(rank, word_at(best)), unresolved
+    return lower, FreeWord._reduced(rank, _encode(word_at(best))), unresolved
 
 
 def max_divisibility(

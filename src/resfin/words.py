@@ -1,18 +1,16 @@
 """Free-group word algebra.
 
-Words in the free group F_m are stored freely reduced, as tuples of signed
-generator indices: +i is the i-th generator, -i its inverse. The textual
-syntax used by the CLI and the tests writes generators as lowercase letters
-and inverses as uppercase, so "abAB" is x y x^-1 y^-1 and "" is the
-identity; the table _LETTER_OF ('a'..'z' -> 1..26, 'A'..'Z' -> -1..-26) is
-that alphabet. parse_word translates whole texts through _LETTER_BYTES, the
-same alphabet as a byte table (each letter a signed byte). Input is
-checked once, where it enters (parse_word, reduce, FreeWord(), generator);
-words made from checked ones use the trusted FreeWord._reduced. reduce and
-FreeWord() share one letter check, generator and SLBuilder.gen one index
-check, and both check the rank first. power judges its exponent with
-errors._checked_int and no lower bound, so a bool or a float is refused,
-as in a straight-line ("pow", a, e) node.
+Words in the free group F_m are stored freely reduced, as their text:
+generators 1..26 are 'a'..'z' and their inverses 'A'..'Z' (the CLI's
+syntax, so "abAB" is x y x^-1 y^-1), one byte a letter, so a flat form of
+10^6 letters takes 1 MB, not the 8 MB of a tuple of ints. Generator g past
+26 is the code point U+0100 + 2(g - 27), its inverse the next one; the
+rank ceiling _MAX_RANK = 556,954 is the last whose letters all exist.
+A word's letters (+i the i-th generator, -i its inverse) are decoded on
+first read and kept. Input is checked once, where it enters (parse_word,
+reduce, FreeWord(), generator); words made from checked ones use the
+trusted FreeWord._reduced. power's exponent, as a ("pow", a, e) node's,
+is any int but a bool.
 
 Alongside flat words this module provides straight-line words (SLWord): a
 DAG of build instructions that can describe words whose flat length is
@@ -26,36 +24,63 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceError, _checked_int
 
 DEFAULT_FLAT_CAP = 1_000_000
 
-Letters = tuple[int, ...]
-
-_LETTER_OF = {chr(ord("a") - 1 + i): i for i in range(1, 27)}
-_LETTER_OF |= {ch.upper(): -i for ch, i in _LETTER_OF.items()}
-_CHAR_OF = {letter: ch for ch, letter in _LETTER_OF.items()}
-# the same alphabet as a byte table: ASCII code -> letter as a signed byte
-_LETTER_BYTES = bytes(_LETTER_OF.get(chr(b), 0) % 256 for b in range(256))
+_PAST = 0x100 - 2 * 27  # generator g past 26 is chr(_PAST + 2g), its inverse the next
+_MAX_RANK = (sys.maxunicode - 1 - _PAST) // 2
+_ASCII = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _free_reduce(raw: Iterable[int]) -> Letters:
-    """Cancel adjacent inverse pairs; the letters themselves are not checked."""
-    stack: list[int] = []
-    for letter in raw:
-        if stack and stack[-1] == -letter:
+class _Alphabet(dict):
+    """Letter -> character and back: stored for ASCII, computed past it."""
+    def __missing__(self, key):
+        if type(key) is int:
+            return chr(_PAST + 2 * abs(key) + (key < 0))
+        g, inverted = divmod(ord(key) - _PAST, 2)
+        return -g if inverted else g
+
+
+class _Inverse(dict):
+    """str.translate's table of inverses: ASCII swaps case, past it the last bit flips."""
+    def __missing__(self, point):
+        return point ^ 1
+
+
+_ALPHABET = _Alphabet(zip(_ASCII, [*range(1, 27), *range(-1, -27, -1)]))
+_ALPHABET |= {letter: ch for ch, letter in _ALPHABET.items()}
+_INVERSE = _Inverse(zip(map(ord, _ASCII), map(ord, _ASCII.swapcase())))
+
+
+def _encode(letters: Iterable[int]) -> str:  # letters already checked
+    return "".join(map(_ALPHABET.__getitem__, letters))
+
+
+def _free_reduce(text: str) -> str:
+    """Cancel adjacent inverse pairs; the characters themselves are not checked."""
+    stack: list[str] = []
+    for ch, bar in zip(text, text.translate(_INVERSE)):
+        if stack and stack[-1] == bar:
             stack.pop()
         else:
-            stack.append(letter)
-    return tuple(stack)
+            stack.append(ch)
+    return "".join(stack)
 
 
-def _checked_letters(rank: int, letters: Iterable[int]) -> Letters:
-    """The letters as a tuple, each a nonzero int of size at most rank, the
-    rank checked first; whether they are reduced is not checked."""
+def _checked_rank(rank: int) -> None:
+    """Refuse all but a positive int rank up to _MAX_RANK."""
     _checked_int(rank, "rank")
+    if rank > _MAX_RANK:
+        raise InputError(f"rank {rank} is past {_MAX_RANK}, the most a word's text can hold")
+
+
+def _checked_letters(rank: int, letters: Iterable[int]) -> tuple[int, ...]:
+    """The letters as a tuple of nonzero ints up to rank in size, rank checked first."""
+    _checked_rank(rank)
     letters = tuple(letters)
     for letter in letters:
         if type(letter) is not int or letter == 0 or abs(letter) > rank:
@@ -64,61 +89,57 @@ def _checked_letters(rank: int, letters: Iterable[int]) -> Letters:
 
 
 class FreeWord:
-    """A freely reduced word in F_rank. Immutable and hashable.
+    """A freely reduced word in F_rank, stored as its text; immutable and hashable."""
 
-    Operators: u * v multiplies, ~u inverts, u ** k is the k-th power.
-    """
-
-    __slots__ = ("rank", "letters")
+    __slots__ = ("rank", "text", "letters")
 
     def __init__(self, rank: int, letters: Sequence[int]):
         letters = _checked_letters(rank, letters)
         if any(x == -y for x, y in zip(letters, letters[1:])):
             raise InputError("letters are not freely reduced; build words via reduce()")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", letters)
+        _set_rank(self, rank)
+        _set_text(self, _encode(letters))
+        _set_letters(self, letters)
 
     @classmethod
-    def _reduced(cls, rank: int, letters: Letters) -> "FreeWord":
-        """Trusted constructor for a tuple already reduced and in range."""
+    def _reduced(cls, rank: int, text: str) -> "FreeWord":
+        """Trusted constructor for a text already reduced and in range."""
         u = object.__new__(cls)
-        object.__setattr__(u, "rank", rank)
-        object.__setattr__(u, "letters", letters)
+        _set_rank(u, rank)
+        _set_text(u, text)
         return u
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeWord is immutable")
 
+    def __getattr__(self, name):
+        # only the unset slot gets here: letters, decoded on first read and kept
+        if name != "letters":
+            raise AttributeError(name)
+        letters = tuple(map(_ALPHABET.__getitem__, self.text))
+        _set_letters(self, letters)
+        return letters
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.text)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeWord)
-            and self.rank == other.rank
-            and self.letters == other.letters
-        )
+        return isinstance(other, FreeWord) and self.rank == other.rank and self.text == other.text
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.letters))
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return multiply(self, other)
-
-    def __invert__(self) -> "FreeWord":
-        return inverse(self)
-
-    def __pow__(self, k: int) -> "FreeWord":
-        return power(self, k)
+        return hash((self.rank, self.text))
 
     def __repr__(self) -> str:
-        if self.rank <= 26:
-            return f"FreeWord({self.rank}, {format_word(self)!r})"
-        return f"FreeWord({self.rank}, {self.letters})"
+        return f"FreeWord({self.rank}, {self.text if self.rank <= 26 else self.letters!r})"
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.text
+
+
+_set_rank = FreeWord.rank.__set__  # the slots' own setters, past the refusing __setattr__
+_set_text = FreeWord.text.__set__
+_set_letters = FreeWord.letters.__set__
 
 
 def identity(rank: int) -> FreeWord:
@@ -134,28 +155,29 @@ def _checked_generator(rank: int, i: int) -> None:
 
 def generator(rank: int, i: int) -> FreeWord:
     """The i-th generator (1-based) as a word."""
+    _checked_rank(rank)
     _checked_generator(rank, i)
-    return FreeWord._reduced(rank, (i,))
+    return FreeWord._reduced(rank, _ALPHABET[i])
 
 
 def reduce(rank: int, raw: Iterable[int]) -> FreeWord:
     """Freely reduce a raw letter sequence. Idempotent."""
-    return FreeWord._reduced(rank, _free_reduce(_checked_letters(rank, raw)))
+    return FreeWord._reduced(rank, _free_reduce(_encode(_checked_letters(rank, raw))))
 
 
 def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     if u.rank != v.rank:
         raise InputError(f"rank mismatch: {u.rank} vs {v.rank}")
-    a, b = u.letters, v.letters
-    # slicing copies nothing when nothing cancels (a full slice is the tuple)
+    a, b = u.text, v.text
+    # slicing copies nothing when nothing cancels (a full slice is the text)
     i, n = 0, min(len(a), len(b))
-    while i < n and a[-1 - i] == -b[i]:
+    while i < n and _ALPHABET[a[-1 - i]] == -_ALPHABET[b[i]]:
         i += 1
     return FreeWord._reduced(u.rank, a[: len(a) - i] + b[i:])
 
 
 def inverse(u: FreeWord) -> FreeWord:
-    return FreeWord._reduced(u.rank, tuple(map(operator.neg, reversed(u.letters))))
+    return FreeWord._reduced(u.rank, u.text.translate(_INVERSE)[::-1])
 
 
 def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -168,15 +190,6 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     return multiply(multiply(u, v), multiply(inverse(u), inverse(v)))
 
 
-def _cyclic_split(letters: Letters) -> tuple[Letters, Letters]:
-    """Split a reduced word p c p^-1 with c cyclically reduced; returns (p, c)."""
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return letters[:i], letters[i:j]
-
-
 def power(u: FreeWord, k: int) -> FreeWord:
     """u^k, its length checked against DEFAULT_FLAT_CAP before it is built.
 
@@ -185,21 +198,26 @@ def power(u: FreeWord, k: int) -> FreeWord:
     _checked_int(k, "exponent", None)
     if k == 0 or u.is_identity:
         return identity(u.rank)
-    base = u if k > 0 else inverse(u)
-    prefix, core = _cyclic_split(base.letters)
-    # p c p^-1 to the |k| is p c^|k| p^-1 and c^|k| is already reduced.
-    projected = 2 * len(prefix) + abs(k) * len(core)
+    text = u.text if k > 0 else inverse(u).text
+    # text is p c p^-1 with c = text[i:j] cyclically reduced, and
+    # (p c p^-1)^|k| is p c^|k| p^-1, already reduced
+    i, j = 0, len(text)
+    while j - i >= 2 and _ALPHABET[text[i]] == -_ALPHABET[text[j - 1]]:
+        i += 1
+        j -= 1
+    projected = 2 * i + abs(k) * (j - i)
     if projected > DEFAULT_FLAT_CAP:
         raise ResourceError(
             f"power of length {projected} exceeds cap {DEFAULT_FLAT_CAP}; keep it straight-line"
         )
-    body = core * abs(k)
-    return FreeWord._reduced(u.rank, prefix + body + tuple(-x for x in reversed(prefix)))
+    return FreeWord._reduced(u.rank, text[:i] + text[i:j] * abs(k) + text[j:])
+
+
+FreeWord.__mul__, FreeWord.__invert__, FreeWord.__pow__ = multiply, inverse, power
 
 
 def _ball_sizes(rank: int, n: int) -> Iterator[int]:
-    """Number of reduced words of length <= r for r = 0..n, in one running
-    pass of 1 + sum 2m(2m-1)^(k-1)."""
+    """Number of reduced words of length <= r for r = 0..n: 1 + sum 2m(2m-1)^(k-1)."""
     _checked_int(rank, "rank")
     _checked_int(n, "radius", 0)
     total, term = 1, 2 * rank
@@ -223,40 +241,39 @@ def _ordered_letters(rank: int) -> list[int]:
 
 def enumerate_ball(rank: int, n: int) -> Iterator[FreeWord]:
     """Yield every reduced word of length <= n once, in (length, lex) order."""
-    _checked_int(rank, "rank")
+    _checked_rank(rank)
     _checked_int(n, "radius", 0)
     if rank == 1:
-        # x^k before X^k at each length, the odometer's order without its
-        # n^2 steps
-        yield FreeWord._reduced(1, ())
+        # x^k before X^k at each length, the odometer's order without its n^2 steps
+        yield FreeWord._reduced(1, "")
         for k in range(1, n + 1):
-            yield FreeWord._reduced(1, (1,) * k)
-            yield FreeWord._reduced(1, (-1,) * k)
+            yield FreeWord._reduced(1, "a" * k)
+            yield FreeWord._reduced(1, "A" * k)
         return
-    alphabet = _ordered_letters(rank)
-    # follow[p]: the letters that may come after p, in order (p = 0 before
-    # the first letter); after[p][x]: the one that comes next after x
-    follow = {p: [x for x in alphabet if x != -p] for p in (0, *alphabet)}
+    alphabet = _encode(_ordered_letters(rank))
+    # follow[p]: the letters allowed after p ("" before the first), after[p][x]: x's successor
+    follow = {p: [x for x in alphabet if _ALPHABET[x] != -_ALPHABET[p]] for p in alphabet}
+    follow[""] = alphabet
     after = {p: dict(zip(xs, xs[1:])) for p, xs in follow.items()}
 
-    def exact(length: int) -> Iterator[Letters]:
+    def exact(length: int) -> Iterator[str]:
         if not length:
-            yield ()
+            yield ""
             return
         # an odometer over every position but the last letter: bump the
         # rightmost one that has a later letter and refill the rest with
         # the least ones, so no Python frame is held per letter
-        word = [0] * (length - 1)
+        word = [""] * (length - 1)
         j = -1
         while True:
             for i in range(j + 1, length - 1):
-                word[i] = follow[word[i - 1] if i else 0][0]
-            head = tuple(word)
-            for x in follow[word[-1] if word else 0]:
-                yield head + (x,)
+                word[i] = follow[word[i - 1] if i else ""][0]
+            head = "".join(word)
+            for x in follow[word[-1] if word else ""]:
+                yield head + x
             j = length - 2
             while j >= 0:
-                nxt = after[word[j - 1] if j else 0].get(word[j])
+                nxt = after[word[j - 1] if j else ""].get(word[j])
                 if nxt is not None:
                     break
                 j -= 1
@@ -265,16 +282,13 @@ def enumerate_ball(rank: int, n: int) -> Iterator[FreeWord]:
             word[j] = nxt
 
     for length in range(n + 1):
-        for letters in exact(length):
-            yield FreeWord._reduced(rank, letters)
+        for text in exact(length):
+            yield FreeWord._reduced(rank, text)
 
 
 class Ball:
-    """The radius-n ball in F_rank, enumerable in a fixed order.
-
-    size may be huge; iteration is streaming. nontrivial() is the
-    identity-free view of the same ball.
-    """
+    """The radius-n ball in F_rank, streamed in a fixed order; size may be
+    huge, and nontrivial() is the same ball without the identity."""
 
     __slots__ = ("rank", "radius")
 
@@ -305,30 +319,28 @@ def parse_word(text: str, rank: int | None = None) -> FreeWord:
     """Parse "abAB"-style syntax. Lowercase generator, uppercase inverse."""
     stripped = text.strip()
     if not (stripped.isascii() and stripped.isalpha()):
-        # only ASCII letters pass; the first other character is named
-        # (the empty text fails isalpha too and finds none)
+        # only ASCII letters pass, the first other character named (the empty text finds none)
         for ch in stripped:
-            if ch not in _LETTER_OF:
+            if ch not in _ALPHABET:
                 raise InputError(f"unexpected character {ch!r} in word {text!r}")
     # one substring search per letter is faster than set() on long text
-    chars = [ch for ch in _LETTER_OF if ch in stripped]
-    inferred = max((abs(_LETTER_OF[ch]) for ch in chars), default=0)
+    chars = [ch for ch in _ASCII if ch in stripped]
+    inferred = max((abs(_ALPHABET[ch]) for ch in chars), default=0)
     if rank is None:
         rank = inferred or 1
     elif isinstance(rank, int) and inferred > rank:  # a non-integer rank is refused below
         raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
-    _checked_int(rank, "rank")
-    letters = tuple(memoryview(stripped.encode("ascii").translate(_LETTER_BYTES)).cast("b"))
+    _checked_rank(rank)
     # only text with a letter beside its inverse needs reducing
     if any(ch + ch.swapcase() in stripped for ch in chars):
-        letters = _free_reduce(letters)
-    return FreeWord._reduced(rank, letters)
+        stripped = _free_reduce(stripped)
+    return FreeWord._reduced(rank, stripped)
 
 
 def format_word(u: FreeWord) -> str:
     if u.rank > 26:
         raise InputError("textual syntax covers ranks up to 26")
-    return "".join(map(_CHAR_OF.__getitem__, u.letters))
+    return u.text
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +476,11 @@ def _refs(node: tuple) -> tuple:
 def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: object):
     """Evaluate an SLWord in any group given by gen/mul/inv/identity.
 
-    This is the one interpreter of the instruction set: flattening
-    (sl_flatten), length bounds (sl_length_bound) and images in a quotient
-    (permrep.eval_word) are all instances of it.  A walk from the root
-    visits only the nodes the root reads, directly or through others, so
-    nodes it does not reach and nodes past the root are never touched and
-    the cost follows the root's subtree, not its index.  They are evaluated
-    in ascending order, and each value is dropped at its last read, before
-    the node reading it is computed.  Powers run in O(log e)
-    multiplications with no squaring past the top bit of e, so exponents
-    like lcm(1..n) stay cheap and no operand grows beyond the power itself.
+    The one interpreter of the instruction set (sl_flatten, sl_length_bound
+    and permrep.eval_word are instances). Only the nodes the root reads are
+    visited, in ascending order, and each value is dropped at its last
+    read. Powers take O(log e) products, none squaring past the top bit of
+    e, so exponents like lcm(1..n) stay cheap.
     """
 
     def powered(base, e: int):
@@ -489,15 +496,13 @@ def sl_eval(w: SLWord, *, gen: Callable, mul: Callable, inv: Callable, ident: ob
         return acc
 
     def commutator(pair: list):
-        # [u, v] = (uv)(vu)^-1; the operands are cleared from the caller's
-        # list and vu rebound, so the last product sees only uv and (vu)^-1
+        # [u, v] = (uv)(vu)^-1, the operands cleared and vu rebound before the last product
         uv, vu = mul(pair[0], pair[1]), mul(pair[1], pair[0])
         pair.clear()
         vu = inv(vu)
         return mul(uv, vu)
 
-    # a walk from the root visits each node it depends on once and counts
-    # its reads; nodes it never reaches, past the root or not, are never read
+    # a walk from the root visits each node it depends on once and counts its reads
     nodes, root = w.nodes, w.root
     readers = [0] * root + [1]  # the caller reads the root
     order = [root]
@@ -539,13 +544,8 @@ def sl_length_bound(w: SLWord) -> int:
 
 
 def sl_flatten(w: SLWord, cap: int) -> FreeWord | None:
-    """Reduced flat form if its length fits cap, else None (overflow).
-
-    w is evaluated over FreeWord with a working budget of
-    max(cap, DEFAULT_FLAT_CAP): any product longer than the budget reports
-    overflow, even if the root would have been short, which no witness
-    built here comes close to.
-    """
+    """Reduced flat form if its length fits cap, else None (overflow). Any
+    product past max(cap, DEFAULT_FLAT_CAP) reports overflow too."""
     _checked_int(cap, "cap", 0)
     budget = max(cap, DEFAULT_FLAT_CAP)
 

@@ -313,6 +313,32 @@ def level_overhead(k: int) -> int:
     return (4 ** (k + 1) - 4) // 3
 
 
+def free_reduce(letters) -> tuple[int, ...]:
+    """Free reduction of a signed-index sequence on a stack: the reduced
+    form of a concatenation, the reference for the text algebra's products."""
+    stack: list[int] = []
+    for letter in letters:
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+def inverse_letters(letters) -> tuple[int, ...]:
+    """The inverse of a word's letters: negated and reversed."""
+    return tuple(-x for x in reversed(letters))
+
+
+def cyclic_split(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a reduced word p c p^-1 with c cyclically reduced; returns (p, c)."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return letters[:i], letters[i:j]
+
+
 def sl_build(u: FreeWord) -> SLWord:
     """The flat word u as a straight-line word."""
     builder = SLBuilder(u.rank)

@@ -22,6 +22,7 @@ import resfin
 import resfin.cli
 import resfin.words
 from resfin.cli import run
+from resfin.words import format_word
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = (
@@ -184,6 +185,23 @@ def test_malformed_certificates_exit_one(tmp_path, capsys):
             assert "Traceback" not in captured.err and captured.err.startswith("error:"), name
         else:
             assert captured.err == expect, name
+
+
+def test_verify_refuses_an_unreduced_stored_word(tmp_path, capsys):
+    # the flat form and the targets are stored reduced; one that only
+    # reduces to the right word is refused by name and verify exits 1
+    path = tmp_path / "cert.json"
+    assert run(["lcm-witness", "--set", "a,b", "--out", str(path)]) == 0
+    cert = json.loads(path.read_text())["certificate"]
+    for key, value, what in (
+        ("flat", "aA" + cert["flat"], "flat"),
+        ("targets", ["abBa", "b"], "target 0"),
+    ):
+        path.write_text(json.dumps({"certificate": {**cert, key: value}}))
+        assert run(["verify", "--certificate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed certificate: {what} is not stored as a freely reduced word\n"
 
 
 def test_verify_refuses_a_bool_rank(tmp_path, capsys):
@@ -657,6 +675,29 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         loaded, dataclasses = json.loads(done.stderr.splitlines()[-1])
         assert loaded == sorted(modules), argv
         assert not dataclasses, argv
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # a word hashes by its text, and a str hash is salted per process, so
+    # no output may follow the iteration order of a set of words
+    words = [format_word(w) for w in resfin.words.Ball(2, 4) if len(w) == 4][:64]
+    queries = [
+        ["lcm-witness", "--set", ",".join(words)],
+        ["dmax", "--rank", "2", "--radius", "8", "--cap", "16", "--normal"],
+        ["girth", "--rank", "2", "--radius", "2", "--cap", "24"],
+        ["ineq", "--which", "1", "--rank", "2", "--n", "2", "--cap", "24"],
+        ["theorem4", "--n", "4", "--cap", "16"],
+    ]
+    for argv in queries:
+        runs = [
+            subprocess.run(
+                [sys.executable, "-S", "-m", "resfin", *argv], cwd=tmp_path, capture_output=True,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed), timeout=120,
+            )
+            for seed in ("0", "1")
+        ]
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout, argv[0]
+        assert runs[0].returncode == runs[1].returncode, argv[0]
 
 
 def test_every_export_and_submodule_resolves():

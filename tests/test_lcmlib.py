@@ -8,6 +8,7 @@ so the witness survives only where every target survives.
 import hashlib
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -29,8 +30,8 @@ from resfin.lowindex import enumerate_normal
 from resfin.permrep import eval_word
 from resfin.words import (
     Ball,
+    FreeWord,
     SLWord,
-    _free_reduce,
     format_word,
     generator,
     parse_word,
@@ -38,7 +39,7 @@ from resfin.words import (
     sl_length_bound,
 )
 
-from oracles import level_overhead
+from oracles import free_reduce, level_overhead
 
 X = generator(2, 1)
 Y = generator(2, 2)
@@ -246,6 +247,53 @@ def test_verifier_rejects_wrong_flat():
     result = verify_certificate(cert_from_json(data))
     assert not result
     assert any("reduced form" in f for f in result.failures)
+
+
+def test_stored_words_must_be_reduced_as_stored():
+    # flat and the targets are the reduced forms; a text that only reduces
+    # to the right word is refused by name, not verified or misreported
+    one = {
+        "rank": 2, "targets": ["a"], "nodes": [["gen", 1]], "root": 0, "declared_bound": 1,
+        "derivations": [[{"rule": "ground", "node": 0, "premises": []}]], "flat": "a",
+        "nontrivial_verified": True,
+    }
+    assert verify_certificate(cert_from_json(one))
+    data = cert_to_json(lcm_witness([X, Y]))
+    assert verify_certificate(cert_from_json(data))
+    for base, key, value, what in (
+        (one, "flat", "abB", "flat"),
+        (data, "flat", "aA" + data["flat"], "flat"),
+        (one, "targets", ["abBa"], "target 0"),
+        (data, "targets", ["a", "bAab"], "target 1"),
+    ):
+        with pytest.raises(
+            InputError, match=f"^malformed certificate: {what} is not stored as a freely reduced word$"
+        ):
+            cert_from_json({**base, key: value})
+
+
+def test_witness_build_and_verify_stay_small():
+    # 256 words of length 6 give a flat form of about 346,000 letters,
+    # held as one byte each
+    rng = random.Random(38)
+    words = {}
+    while len(words) < 256:
+        letters = [rng.choice((1, -1, 2, -2))]
+        while len(letters) < 6:
+            x = rng.choice((1, -1, 2, -2))
+            if x != -letters[-1]:
+                letters.append(x)
+        words.setdefault(tuple(letters), None)
+    targets = [FreeWord(2, w) for w in words]
+    tracemalloc.start()
+    try:
+        cert = lcm_witness(targets)
+        assert verify_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.flat) > 300_000
+    assert peak < 3 * 2**20
 
 
 def test_verifier_rejects_unbacked_nontriviality_claim():
@@ -484,7 +532,7 @@ def _closure_by_fixpoint(letters, gen, modulus):
             if 2 * e > modulus:
                 e -= modulus
             out.extend([gen] * e if e >= 0 else [-gen] * -e)
-        step = _free_reduce(out)
+        step = free_reduce(out)
         if step == letters:
             return not letters
         letters = step

@@ -48,8 +48,6 @@ from resfin.separability import normal_divisibility
 from resfin.words import (
     Ball,
     SLBuilder,
-    _cyclic_split,
-    _free_reduce,
     commutator,
     generator,
     inverse,
@@ -59,8 +57,8 @@ from resfin.words import (
 )
 
 from oracles import (
-    canonical_key, derived_length, kernel_fingerprint, per_table_first_survivals, relabel,
-    sl_build, word_battery,
+    canonical_key, cyclic_split, derived_length, free_reduce, kernel_fingerprint,
+    per_table_first_survivals, relabel, sl_build, word_battery,
 )
 
 # OEIS A051532, the orders n at which every group of order n is abelian, up
@@ -336,7 +334,7 @@ def test_each_relator_is_read_off_its_closed_walk():
                             k += 1
                         core = u[k:] + tuple(-x for x in reversed(v[k:]))
                         whole = u + tuple(-x for x in reversed(v))
-                        assert core and core == _cyclic_split(_free_reduce(whole))[1], (q, a, g, b)
+                        assert core and core == cyclic_split(free_reduce(whole))[1], (q, a, g, b)
                         walks += 1
     assert walks > 0
 

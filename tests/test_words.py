@@ -42,18 +42,11 @@ from resfin import (
 from resfin.covers import lift_closed
 from resfin.errors import _checked_int
 from resfin.permrep import PermQuotient, eval_word
-from resfin.words import _LETTER_OF, _free_reduce
-from oracles import prefix_sl_eval, sl_build
+from oracles import free_reduce, inverse_letters, prefix_sl_eval, sl_build
 
-
-def oracle_reduce(raw):
-    stack = []
-    for letter in raw:
-        if stack and stack[-1] == -letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
+# the CLI's alphabet, 'a'..'z' -> 1..26 and 'A'..'Z' -> -1..-26
+LETTER_OF = {ch: i for i, ch in enumerate(string.ascii_lowercase, 1)}
+LETTER_OF |= {ch.upper(): -i for ch, i in LETTER_OF.items()}
 
 
 def oracle_ball(rank, n):
@@ -61,7 +54,7 @@ def oracle_ball(rank, n):
     seen = set()
     for length in range(n + 1):
         for raw in itertools.product(alphabet, repeat=length):
-            seen.add(oracle_reduce(raw))
+            seen.add(free_reduce(raw))
     return seen
 
 
@@ -86,7 +79,7 @@ def test_reduce_idempotent_and_matches_oracle():
         raw = [rng.choice([s * g for g in range(1, rank + 1) for s in (1, -1)])
                for _ in range(rng.randrange(12))]
         w = reduce(rank, raw)
-        assert w.letters == oracle_reduce(raw)
+        assert w.letters == free_reduce(raw)
         assert reduce(rank, w.letters) == w
 
 
@@ -182,6 +175,54 @@ def test_power_cap():
     # cyclic core has length 2 + k, not 3k
     w = conjugate(x, generator(2, 2))
     assert len(power(w, 100)) == 102
+
+
+def test_text_algebra_matches_the_letter_tuple_reference():
+    # every operation on the stored text against stack reduction and
+    # negate-and-reverse on int tuples, at ranks whose letters are all
+    # ASCII, mix ASCII with code points past U+00FF, or are mostly past it
+    rng = random.Random(38)
+    for rank in (1, 2, 26, 27, 300, 100_000):
+        pool = sorted({1, 2, 26, 27, rank - 1, rank, rng.randint(1, rank)} & set(range(1, rank + 1)))
+        signed = [s * g for g in pool for s in (1, -1)]
+
+        def raw():
+            return [rng.choice(signed) for _ in range(rng.randrange(14))]
+
+        for _ in range(300):
+            u_raw, v_raw, k = raw(), raw(), rng.randrange(-4, 5)
+            u, v = reduce(rank, u_raw), reduce(rank, v_raw)
+            a, b = free_reduce(u_raw), free_reduce(v_raw)
+            assert u.letters == a and v.letters == b
+            assert FreeWord._reduced(rank, u.text).letters == a
+            assert FreeWord(rank, a) == u and hash(FreeWord(rank, a)) == hash(u)
+            assert len(u) == len(a)
+            assert multiply(u, v).letters == free_reduce(a + b)
+            assert inverse(u).letters == inverse_letters(a)
+            assert power(u, k).letters == free_reduce((a if k >= 0 else inverse_letters(a)) * abs(k))
+            assert conjugate(u, v).letters == free_reduce(b + a + inverse_letters(b))
+            assert commutator(u, v).letters == free_reduce(a + b + inverse_letters(a) + inverse_letters(b))
+            if rank <= 26:
+                text = "".join(string.ascii_letters[x - 1 if x > 0 else 25 - x] for x in u_raw)
+                assert parse_word(text, rank) == u
+                assert format_word(u) == "".join(string.ascii_letters[x - 1 if x > 0 else 25 - x] for x in a)
+
+
+def test_a_rank_past_the_text_ceiling_is_refused():
+    # the last generator's inverse is U+10FFFF, the last code point
+    top = resfin.words._MAX_RANK
+    last = generator(top, top)
+    assert last.letters == (top,) and (~last).letters == (-top,)
+    assert (~last).text == chr(0x10FFFF) and (last * ~last).is_identity
+    message = f"rank {top + 1} is past {top}, the most a word's text can hold"
+    for call in (
+        lambda: generator(top + 1, 1),
+        lambda: reduce(top + 1, [1]),
+        lambda: FreeWord(top + 1, [1]),
+        lambda: parse_word("a", top + 1),
+        lambda: next(enumerate_ball(top + 1, 0)),
+    ):
+        assert _message(call) == message
 
 
 def test_word_growth_values():
@@ -285,7 +326,7 @@ def _message(fn, *args):
 def per_character_parse(text, rank=None):
     """parse_word as it read its input one character at a time."""
     stripped = text.strip()
-    letters = tuple(map(_LETTER_OF.get, stripped))
+    letters = tuple(map(LETTER_OF.get, stripped))
     if None in letters:
         ch = stripped[letters.index(None)]
         raise InputError(f"unexpected character {ch!r} in word {text!r}")
@@ -296,8 +337,8 @@ def per_character_parse(text, rank=None):
         raise InputError(f"word {text!r} uses generator {inferred} beyond rank {rank}")
     _checked_int(rank, "rank")
     if 0 in map(operator.add, letters, letters[1:]):
-        letters = _free_reduce(letters)
-    return FreeWord._reduced(rank, letters)
+        letters = free_reduce(letters)
+    return FreeWord(rank, letters)
 
 
 def _parsed(parse, *args):
@@ -311,7 +352,7 @@ def _parsed(parse, *args):
 def test_parse_word_matches_the_per_character_route():
     rng = random.Random(25)
     raw = rng.choices([s * g for g in range(1, 27) for s in (1, -1)], k=320_000)
-    long_word = FreeWord._reduced(26, reduce(26, raw).letters[:300_000])  # a prefix stays reduced
+    long_word = FreeWord._reduced(26, reduce(26, raw).text[:300_000])  # a prefix stays reduced
     text = format_word(long_word)
     assert len(text) == 300_000
     assert parse_word(text) == long_word == per_character_parse(text)
