@@ -45,14 +45,25 @@ Regular mode adds sound pruning devices on top:
     every completion, so no completion is injective on the radius r/2
     ball,
   - with rank >= 2 and a kernel radius r >= 4, `enumerate_normal` skips
-    the whole order n, with no search, when every quotient of that order
-    is abelian, since its kernel then holds the commutator of the first
-    two generators, of length 4 <= r. That is so when every divisor of
-    n above r is n itself: by Lagrange each generator's order divides n,
-    and it must exceed r, or the generator's power of that length is a
-    kernel element of length <= r, so every generator has order n and
-    alone generates the group, which is then cyclic. It is also so when
-    every group of order n is abelian (`all_abelian`),
+    the whole order n, with no search, when no quotient of that order
+    has a kernel missing the radius-r ball (`_whole_order_cut`). By
+    Lagrange each generator's order divides n, and it must exceed r, or
+    the generator's power of that length is a kernel element of length
+    <= r. An abelian quotient is out too, since its kernel holds the
+    commutator of the first two generators, of length 4 <= r. So the
+    order is skipped when every divisor of n above r is n itself (a
+    generator of order n alone generates the group, which is then
+    cyclic), when every group of order n is abelian (`all_abelian`), and
+    when every divisor d of n with r < d < n is a power of one prime p,
+    n is not, and no divisor m > 1 of n / p^k is 1 mod p, p^k being the
+    p-part of n. In that last case no generator has order n (the
+    quotient would be cyclic), so each has p-power order and lies in a
+    Sylow p-subgroup; their number divides n / p^k and is 1 mod p, so
+    it is 1 and that subgroup is normal. The generators then lie in one
+    subgroup of order p^k < n and cannot generate the quotient (Sylow's
+    theorems; Robinson, *A Course in the Theory of Groups*, ch. 1.6).
+    This Sylow rule skips 21 and 22 at r = 4, and 55, 57, 58 and 62 at
+    r = 6,
   - every finished table, plain or regular, is checked before emission
     on the search's own live rows (`_check_rows`, handed the interleaved
     rows and the point list that each search sets up once): a
@@ -368,6 +379,20 @@ def enumerate_subgroups(rank: int, index: int) -> Iterator[PermQuotient]:
     return _search(rank, index, False)
 
 
+def _prime_exponents(n: int) -> dict[int, int]:
+    """Each prime dividing n, with its exponent in n."""
+    exponents: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        exponents[n] = exponents.get(n, 0) + 1
+    return exponents
+
+
 def all_abelian(order: int) -> bool:
     """Whether every group of this order is abelian.
 
@@ -377,18 +402,29 @@ def all_abelian(order: int) -> bool:
     "Nilpotent numbers", Amer. Math. Monthly 107, 2000).
     """
     _checked_int(order, "order")
-    exponents: dict[int, int] = {}  # each prime dividing the order, with its exponent
-    n, p = order, 2
-    while p * p <= n:
-        while n % p == 0:
-            exponents[p] = exponents.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        exponents[n] = exponents.get(n, 0) + 1
+    exponents = _prime_exponents(order)
     return all(e <= 2 for e in exponents.values()) and not any(
         pow(p, k, q) == 1 for p, e in exponents.items() for q in exponents for k in range(1, e + 1)
     )
+
+
+def _whole_order_cut(order: int, kernel_radius: int) -> bool:
+    """Whether no regular quotient of F_rank of this order, rank >= 2, has
+    a kernel missing the ball of radius kernel_radius >= 4 (the whole-order
+    cut in the module docstring): every quotient is abelian, or the
+    generators' usable orders all lie in one normal Sylow subgroup."""
+    if all_abelian(order):
+        return True
+    usable = [d for d in range(kernel_radius + 1, order) if order % d == 0]
+    primes = {p for d in usable for p in _prime_exponents(d)}
+    if not primes:  # every quotient is cyclic
+        return True
+    if len(primes) > 1:
+        return False
+    (p,) = primes
+    # the p'-part of the order: every Sylow p-count divides it and is 1 mod p
+    rest = order // p ** _prime_exponents(order)[p]
+    return rest > 1 and not any(rest % m == 0 and m % p == 1 for m in range(2, rest + 1))
 
 
 def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterator[PermQuotient]:
@@ -401,17 +437,17 @@ def enumerate_normal(rank: int, order: int, *, kernel_radius: int = 0) -> Iterat
     still contains every kernel missing the radius-r ball, in the same
     order.  At rank >= 2 and r >= 4 a whole order is skipped, with no
     search, when every divisor of it above r is the order itself (its
-    largest proper divisor, order // least prime, is <= r) or when every
-    group of that order is abelian: see the whole-order cut in the module
-    docstring.
+    largest proper divisor, order // least prime, is <= r), when every
+    group of that order is abelian, or when its divisors strictly between
+    r and the order are powers of one prime p, the order is not, and the
+    Sylow p-subgroup is normal in every group of that order: see the
+    whole-order cut in the module docstring.
     """
     _checked_int(rank, "rank")
     _checked_int(order, "order")
     _checked_int(kernel_radius, "kernel_radius", 0)
     if kernel_radius:
-        if rank >= 2 and kernel_radius >= 4 and (
-            not any(order % d == 0 for d in range(kernel_radius + 1, order)) or all_abelian(order)
-        ):
+        if rank >= 2 and kernel_radius >= 4 and _whole_order_cut(order, kernel_radius):
             return iter(())
         return _search(rank, order, True, kernel_radius)
     # a copy, not a tee of the tee, whose semantics differ across Pythons

@@ -433,7 +433,7 @@ def _kernel_free(q, doubled):
     return all(eval_word(q, w) != tuple(range(q.degree)) for w in doubled)
 
 
-@pytest.mark.parametrize("rank,radius,max_order", [(2, 1, 16), (2, 2, 20), (3, 1, 9), (1, 3, 12)])
+@pytest.mark.parametrize("rank,radius,max_order", [(2, 1, 16), (2, 2, 22), (3, 1, 9), (1, 3, 12)])
 def test_kernel_cut_keeps_every_injective_quotient(rank, radius, max_order):
     doubled = list(Ball(rank, 2 * radius).nontrivial())
     cut_any = False
@@ -472,24 +472,41 @@ def test_kernel_cut_sequence_is_frozen():
 def test_whole_order_cut_skips_only_empty_orders():
     # enumerate_normal skips an order, with no search, exactly when its
     # largest proper divisor (the order over its least prime) is at most
-    # the kernel radius or every group of that order is abelian, such as
-    # 15, 33 and 35 at radius 4; there the kernel-radius search yields
-    # nothing
+    # the kernel radius, every group of that order is abelian (such as 15,
+    # 33 and 35 at radius 4), or its divisors strictly between the radius
+    # and itself are powers of one prime p, it is not, and no divisor
+    # m > 1 of the order over its p-part is 1 mod p (such as 21 and 22 at
+    # radius 4); there the kernel-radius search yields nothing
     skipped = 0
     for rank, radii, top in ((2, (4, 5, 6), 40), (3, (4,), 23)):
         for radius in radii:
             for order in range(1, top + 1):
                 least = next((p for p in range(2, order + 1) if order % p == 0), 1)
-                skip = order // least <= radius or order in A051532
+                usable = [d for d in range(radius + 1, order) if order % d == 0]
+                primes = {
+                    p for p in range(2, order) if all(p % f for f in range(2, p))
+                    and any(d % p == 0 for d in usable)
+                }
+                sylow = False
+                if len(primes) == 1:
+                    (p,) = primes
+                    rest = order
+                    while rest % p == 0:
+                        rest //= p
+                    sylow = rest > 1 and all(m % p != 1 for m in range(2, rest + 1) if rest % m == 0)
+                skip = order // least <= radius or order in A051532 or sylow
                 searched = enumerate_normal(rank, order, kernel_radius=radius)
                 assert inspect.isgenerator(searched) is not skip, (rank, radius, order)
                 if skip:
                     assert list(searched) == []
                     assert next(_search(rank, order, True, radius), None) is None
                     skipped += 1
-    # 72 by the least-prime rule, and 9 more abelian orders: 15, 25, 33
-    # and 35 at radius 4, 33 and 35 at radii 5 and 6, 15 at rank 3
-    assert skipped == 81
+    # 72 by the least-prime rule, 9 more abelian orders (15, 25, 33 and 35
+    # at radius 4, 33 and 35 at radii 5 and 6, 15 at rank 3), and 27 by the
+    # Sylow rule: 10, 14, 21, 22, 26, 34, 38 and 39 at radius 4; the same
+    # but 10 at radius 5; the same but 10, plus 18, at radius 6; 10, 14, 21
+    # and 22 at rank 3
+    assert skipped == 108
     # rank 1 has no commutator, and below radius 4 the commutator is too
     # long to cut: both search every order
     assert inspect.isgenerator(enumerate_normal(1, 7, kernel_radius=6))
