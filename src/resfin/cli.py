@@ -7,7 +7,9 @@ dots, three-decimal logs in CSV, lowercase booleans, and the string
 (or a certificate that fails its check), 2 inconclusive within the given
 caps, 3 broken internal invariant.  A path that cannot be read or written,
 and a stdout that cannot be written, is bad input too.  Each handler
-returns its payload and its exit code.
+returns its payload and its exit code.  The output is rendered whole, in
+under twice its own size in memory, before any byte is written, so an
+error raised by a handler or by the rendering writes nothing.
 
 Each handler imports the module it delegates to when it runs, so a
 process loads only what its subcommand needs: `growth` loads words alone,
@@ -18,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .errors import InputError, InternalError, ResourceError
 
@@ -38,7 +41,7 @@ def _row_json(row: dict) -> dict:
     return {k: ("unknown" if v is None else v) for k, v in row.items()}
 
 
-def _render(payload: dict, fmt: str) -> str:
+def _render(payload: dict, fmt: str) -> list[str]:
     try:
         if fmt == "csv":
             import csv
@@ -51,10 +54,14 @@ def _render(payload: dict, fmt: str) -> str:
                 writer.writerow(rows[0].keys())
                 for row in rows:
                     writer.writerow(_cell(v) for v in row.values())
-            return buf.getvalue()
+            return [buf.getvalue()]
         payload = dict(payload)
         payload["rows"] = [_row_json(r) for r in payload["rows"]]
-        return json.dumps(payload, indent=2) + "\n"
+        # json.dumps lists every chunk before its one join, about five times
+        # the text at the peak; joined 1,024 at a time it stays under two.
+        # Every chunk holds a character, so only the end joins to ""
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        return [*iter(lambda: "".join(islice(chunks, 1024)), ""), "\n"]
     except ValueError as exc:  # str() of an int past the digit limit; nothing else here raises one
         raise ResourceError(
             "the output holds an integer past the interpreter's limit of"
@@ -201,6 +208,7 @@ def _cmd_verify(args):
     if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
     cert = cert_from_json(data)
+    del data  # freed before the replay, whose peak it would otherwise raise
     check = verify_certificate(cert)
     row = {
         "targets": len(cert.targets),
@@ -301,15 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: list[str], out: str | None) -> None:
     try:
         if out is not None:
             with open(out, "w", encoding="ascii", newline="") as fh:
-                fh.write(text)
+                fh.writelines(text)
         elif sys.stdout is None:
             raise InputError("cannot write to stdout: it is closed")
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(text)
             sys.stdout.flush()
     except OSError as exc:
         if out is not None:

@@ -6,7 +6,9 @@ cold-start and tracer tests start a fresh interpreter instead, because
 what they check is what a new process imports.
 """
 
+import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,8 @@ import pytest
 import resfin
 import resfin.cli
 import resfin.words
-from resfin.cli import run
+from resfin.cli import _cell, _render, _row_json, build_parser, run
+from resfin.lcmlib import cert_to_json, lcm_ball_witness
 from resfin.words import format_word
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -371,7 +375,7 @@ def test_theorem4_refuses_past_the_digit_limit_at_once(capsys):
     )
 
 
-def test_integers_past_the_digit_limit_exit_two(capsys):
+def test_integers_past_the_digit_limit_exit_two(tmp_path, capsys):
     # the interpreter refuses to convert an int of more than 4,300 digits
     # to a string, and rendering ended in a traceback with exit 1
     refusal = (
@@ -390,6 +394,11 @@ def test_integers_past_the_digit_limit_exit_two(capsys):
                 assert captured.out == "degree,covers,points,non_closing_points\n1,1,1,0\n"
             else:
                 assert (code, captured.out, captured.err) == (2, "", refusal), argv
+    # the refusal comes before the output file is opened, so none is made
+    path = tmp_path / "pnt.json"
+    assert run(["pnt", "--max", "10000", "--out", str(path)]) == 2
+    assert capsys.readouterr().err == refusal
+    assert not path.exists()
 
 
 def test_growth_reaches_the_digit_limit_in_one_pass(capsys):
@@ -620,6 +629,67 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     path = tmp_path / "table.csv"
     assert run(argv + ["--out", str(path)]) == 0
     assert path.read_text() == direct
+
+
+def _ball_witness_payload():
+    cert = cert_to_json(lcm_ball_witness(2, 4))
+    return {"rows": [{"targets": len(cert["targets"])}], "certificate": cert}
+
+
+def _whole_text(payload, fmt):
+    """The text as one json.dumps call or one CSV buffer renders it."""
+    if fmt == "json":
+        payload = dict(payload, rows=[_row_json(r) for r in payload["rows"]])
+        return json.dumps(payload, indent=2) + "\n"
+    rows = payload["rows"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if rows:
+        writer.writerow(rows[0].keys())
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+    return buf.getvalue()
+
+
+def test_rendered_batches_join_to_the_whole_text(tmp_path, monkeypatch):
+    # the payload of every README command, and a certificate of about
+    # 28,000 encoder chunks, which renders as many batches
+    monkeypatch.chdir(tmp_path)
+    parser = build_parser()
+    payloads = []
+    for argv in _readme_commands():
+        args = parser.parse_args(argv)
+        payload, code = args.fn(args)
+        assert code == 0, argv
+        payloads.append(payload)
+        if args.out is not None:  # verify reads the certificate lcm-witness writes
+            Path(args.out).write_text(_whole_text(payload, args.format))
+    payloads.append(_ball_witness_payload())
+    for payload in payloads:
+        for fmt in ("json", "csv"):
+            text = _render(payload, fmt)
+            assert "".join(text) == _whole_text(payload, fmt)
+            assert fmt == "json" or len(text) == 1
+    assert len(_render(payloads[-1], "json")) > 10
+
+
+def test_render_holds_under_twice_its_text():
+    # json.dumps held every chunk of the text in one list before joining
+    # them, about five times the text at the peak
+    payload = _ball_witness_payload()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = _render(payload, "json")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    size = sum(map(len, text))
+    assert size > 300_000
+    assert peak < 2 * size
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):
